@@ -1,12 +1,15 @@
 //! The parallel campaign runner.
 
+use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier, Mutex, MutexGuard, PoisonError};
 
 use cmfuzz_config_model::{ConfigValue, ConstraintSet, ResolvedConfig};
-use cmfuzz_coverage::{CoverageSnapshot, SaturationDetector, Ticks, VirtualClock};
-use cmfuzz_fuzzer::state_codec::{StateReader, StateWriter};
-use cmfuzz_fuzzer::{pit, EngineCheckpoint, EngineConfig, FaultLog, FuzzEngine, Seed, StartError};
+use cmfuzz_coverage::{CoverageSnapshot, SaturationDetector, Ticks};
+use cmfuzz_fuzzer::pit::{self, PitDefinition};
+use cmfuzz_fuzzer::{
+    EngineCheckpoint, EngineConfig, EngineStats, FaultLog, FuzzEngine, Seed, StartError,
+};
 use cmfuzz_netsim::LinkConditions;
 use cmfuzz_protocols::{NetworkedTarget, ProtocolSpec, ProtocolTarget};
 use cmfuzz_telemetry::{EngineTelemetry, Event, Telemetry};
@@ -108,7 +111,9 @@ pub struct InstanceSetup {
 struct Instance {
     engine: FuzzEngine<NetworkedTarget<ProtocolTarget>>,
     config: ResolvedConfig,
-    adaptive: Vec<(String, Vec<ConfigValue>)>,
+    /// The setup's adaptive entities; names are shared with every
+    /// [`ConfigMutationEvent`] that records them.
+    adaptive: Vec<(Arc<str>, Vec<ConfigValue>)>,
     saturation: SaturationDetector,
     rng: StdRng,
     /// Whether an `InstanceStalled` event was already emitted (non-adaptive
@@ -129,15 +134,14 @@ struct InstanceCheckpoint {
 }
 
 /// A campaign paused at a round boundary: everything
-/// [`run_campaign_slice`] needs to resume it and reproduce the
+/// [`CampaignRun::resume`] needs to rebuild it and reproduce the
 /// uninterrupted [`run_campaign`] byte-for-byte.
 ///
 /// The checkpoint owns clones of all mutable campaign state (engine
 /// corpora, accumulated coverage, RNG stream positions, fault logs, the
-/// coverage curve, the virtual clock reading), so it stays valid after the
-/// slice that produced it returns and across any number of other
-/// campaigns' slices in between — the property the fleet scheduler is
-/// built on.
+/// coverage curve, the virtual clock reading), so it stays valid on its
+/// own. It is the export format of a [`CampaignRun`]: a fleet keeps its
+/// campaigns live and materializes checkpoints only for its final report.
 #[derive(Debug, Clone)]
 pub struct CampaignCheckpoint {
     fuzzer: String,
@@ -183,35 +187,20 @@ impl CampaignCheckpoint {
     /// partial result up to the pause point.
     #[must_use]
     pub fn into_result(self) -> CampaignResult {
-        let mut faults = FaultLog::new();
-        let mut stats = crate::metrics::CampaignStats::default();
-        for instance in &self.instances {
-            faults.merge(&instance.engine.faults);
-            stats.sessions += instance.engine.stats.sessions;
-            stats.messages += instance.engine.stats.messages;
-            stats.crashes_observed += instance.engine.stats.crashes_observed;
-            stats.seeds_retained += instance.engine.stats.seeds_retained;
-            stats.seeds_deduped_exact += instance.engine.stats.seeds_deduped_exact;
-            stats.seeds_deduped_near += instance.engine.stats.seeds_deduped_near;
-            stats.seeds_evicted += instance.engine.stats.seeds_evicted;
-            stats.seeds_imported += instance.engine.stats.seeds_imported;
-        }
         let corpus = self.corpus_occupancy();
-        let coverage =
-            CoverageSnapshot::merge(self.instances.iter().map(|i| &i.engine.accumulated))
-                .unwrap_or_else(|| CoverageSnapshot::empty(0));
-        CampaignResult {
-            fuzzer: self.fuzzer,
-            target: self.target,
-            instances: self.instances.len(),
-            budget: self.budget,
-            curve: self.curve,
-            coverage,
-            faults,
-            config_mutations: self.config_mutations,
-            stats,
+        assemble_result(
+            self.fuzzer,
+            self.target,
+            self.budget,
+            self.curve,
+            self.config_mutations,
             corpus,
-        }
+            &self
+                .instances
+                .iter()
+                .map(|i| (&i.engine.faults, i.engine.stats, &i.engine.accumulated))
+                .collect::<Vec<_>>(),
+        )
     }
 
     /// Corpus occupancy at pause time, summed over instances — the
@@ -230,103 +219,49 @@ impl CampaignCheckpoint {
         }
         occupancy
     }
+}
 
-    /// Serializes up to `max` of this campaign's rarest retained seeds
-    /// into a portable seed pack for fleet-wide sharing.
-    ///
-    /// Candidates are drawn from every instance corpus, ordered by rarity
-    /// score ascending (lower = rarer coverage; unscored seeds carry 0 and
-    /// sort first) with ties broken by instance order then retention
-    /// order, and deduplicated by content hash so one campaign never
-    /// donates the same input twice. The pack is self-describing:
-    /// [`CampaignCheckpoint::import_seed_pack`] on any campaign of the
-    /// same subject can decode it.
-    #[must_use]
-    pub fn export_rare_seeds(&self, max: usize) -> Vec<u8> {
-        let mut candidates: Vec<&Seed> = Vec::new();
-        for instance in &self.instances {
-            candidates.extend(instance.engine.corpus.iter());
-        }
-        // Stable sort: equal rarities keep (instance, retention) order.
-        candidates.sort_by_key(|s| s.rarity);
-        let mut seen = std::collections::BTreeSet::new();
-        let mut selected: Vec<&Seed> = Vec::new();
-        for seed in candidates {
-            if selected.len() >= max {
-                break;
-            }
-            if seen.insert(seed.content_hash()) {
-                selected.push(seed);
-            }
-        }
-        let mut writer = StateWriter::new();
-        writer.usize(selected.len());
-        for seed in selected {
-            seed.encode(&mut writer);
-        }
-        writer.finish()
+/// Sums per-instance faults, statistics and coverage into a
+/// [`CampaignResult`] — shared by live runs and checkpoints.
+fn assemble_result(
+    fuzzer: String,
+    target: String,
+    budget: Ticks,
+    curve: CoverageCurve,
+    config_mutations: Vec<ConfigMutationEvent>,
+    corpus: CorpusOccupancy,
+    instances: &[(&FaultLog, EngineStats, &CoverageSnapshot)],
+) -> CampaignResult {
+    let mut faults = FaultLog::new();
+    let mut stats = crate::metrics::CampaignStats::default();
+    for (instance_faults, engine, _) in instances {
+        faults.merge(instance_faults);
+        stats.sessions += engine.sessions;
+        stats.messages += engine.messages;
+        stats.crashes_observed += engine.crashes_observed;
+        stats.seeds_retained += engine.seeds_retained;
+        stats.seeds_deduped_exact += engine.seeds_deduped_exact;
+        stats.seeds_deduped_near += engine.seeds_deduped_near;
+        stats.seeds_evicted += engine.seeds_evicted;
+        stats.seeds_imported += engine.seeds_imported;
     }
-
-    /// Imports a seed pack produced by
-    /// [`CampaignCheckpoint::export_rare_seeds`] into every instance whose
-    /// current resolved configuration satisfies `constraints`, returning
-    /// `(accepted, rejected)` transfer counts.
-    ///
-    /// Instances whose running configuration violates the constraint set
-    /// (adaptive mutation may have moved it into a region the subject's
-    /// models declare unreachable) reject the whole pack; each rejected
-    /// seed counts once per rejecting instance. Accepted seeds are
-    /// appended to the instance's checkpointed corpus — the next
-    /// [`run_campaign_slice`] restore replays them through the engine's
-    /// normal retention path, so exact and near duplicates of seeds the
-    /// recipient already holds are still dropped there; seeds already
-    /// present verbatim are skipped here without counting.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pack` is not a well-formed seed pack.
-    pub fn import_seed_pack(&mut self, pack: &[u8], constraints: &ConstraintSet) -> (u64, u64) {
-        let mut reader = StateReader::new(pack);
-        let count = reader.usize();
-        let seeds: Vec<Seed> = (0..count).map(|_| Seed::decode(&mut reader)).collect();
-        reader.finish();
-        let mut accepted = 0u64;
-        let mut rejected = 0u64;
-        for instance in &mut self.instances {
-            if !constraints.violations(&instance.config).is_empty() {
-                rejected += seeds.len() as u64;
-                continue;
-            }
-            for seed in &seeds {
-                let duplicate = instance
-                    .engine
-                    .corpus
-                    .iter()
-                    .any(|s| s.content_hash() == seed.content_hash() && s.bytes == seed.bytes);
-                if duplicate {
-                    continue;
-                }
-                instance.engine.corpus.push(seed.clone());
-                instance.engine.stats.seeds_imported += 1;
-                accepted += 1;
-            }
-        }
-        (accepted, rejected)
+    let coverage = CoverageSnapshot::merge(instances.iter().map(|(_, _, coverage)| *coverage))
+        .unwrap_or_else(|| CoverageSnapshot::empty(0));
+    CampaignResult {
+        fuzzer,
+        target,
+        instances: instances.len(),
+        budget,
+        curve,
+        coverage,
+        faults,
+        config_mutations,
+        stats,
+        corpus,
     }
 }
 
-/// Number of seeds in a pack produced by
-/// [`CampaignCheckpoint::export_rare_seeds`], without importing it.
-///
-/// # Panics
-///
-/// Panics if `pack` is shorter than the count prefix.
-#[must_use]
-pub fn seed_pack_len(pack: &[u8]) -> usize {
-    StateReader::new(pack).usize()
-}
-
-/// What one [`run_campaign_slice`] call actually executed — the scheduling
+/// What one [`CampaignRun::slice`] actually executed — the scheduling
 /// signal fleet policies feed on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SliceReport {
@@ -342,8 +277,8 @@ pub struct SliceReport {
     /// Whether the campaign's whole budget is now exhausted.
     pub done: bool,
     /// Whether a [`CampaignControl`] signal stopped the slice at a round
-    /// boundary before its budget ran out (the checkpoint resumes exactly
-    /// where the interruption landed).
+    /// boundary before its budget ran out (the run resumes exactly where
+    /// the interruption landed).
     pub interrupted: bool,
 }
 
@@ -356,14 +291,13 @@ struct ControlInner {
 /// Live control signals for a running campaign.
 ///
 /// A control handle is shared between an operator (the control plane) and
-/// the slice runner: [`run_campaign_slice_with_control`] checks it at
-/// every round boundary and stops the slice early — never mid-round — when
-/// a pause or kill is requested, returning a resumable checkpoint with
-/// [`SliceReport::interrupted`] set. The handle carries no RNG and is
-/// consulted strictly *between* rounds, so control actions change how much
-/// work a slice does but never what any executed round computes: resuming
-/// an interrupted checkpoint reproduces the uninterrupted campaign
-/// byte-for-byte.
+/// the slice runner: [`CampaignRun::slice`] checks it at every round
+/// boundary and stops the slice early — never mid-round — when a pause or
+/// kill is requested, setting [`SliceReport::interrupted`]. The handle
+/// carries no RNG and is consulted strictly *between* rounds, so control
+/// actions change how much work a slice does but never what any executed
+/// round computes: resuming an interrupted run reproduces the
+/// uninterrupted campaign byte-for-byte.
 ///
 /// Cloning shares the signal. Pause is reversible ([`CampaignControl::resume`]);
 /// kill is permanent.
@@ -413,6 +347,672 @@ impl CampaignControl {
     }
 }
 
+/// A live campaign: `setups.len()` booted instances plus the campaign's
+/// virtual clock, coverage curve, fault log and configuration-mutation
+/// history, advanced one [`CampaignRun::slice`] at a time.
+///
+/// This is the paper's long-lived parallel campaign. Slicing it is
+/// invisible: any partition of the budget into slices reproduces the
+/// uninterrupted [`run_campaign`] byte-for-byte, because the instances
+/// simply stay in memory between slices. [`CampaignRun::into_checkpoint`]
+/// exports the run and [`CampaignRun::resume`] rebuilds it — re-parsing
+/// the Pit, re-booting every target and replaying every corpus — with the
+/// same guarantee, for callers that must let go of the run in between.
+///
+/// The run keeps its own copy of the [`CampaignOptions`] it was booted
+/// with; only the budget may change later ([`CampaignRun::set_budget`]).
+pub struct CampaignRun {
+    fuzzer: String,
+    target: String,
+    options: CampaignOptions,
+    rounds_done: u64,
+    consumed: Ticks,
+    curve: CoverageCurve,
+    config_mutations: Vec<ConfigMutationEvent>,
+    /// Running merge of every instance's unique faults, kept so
+    /// `FaultFound` events fire exactly once per campaign-unique fault.
+    seen_faults: FaultLog,
+    instances: Vec<Instance>,
+}
+
+impl fmt::Debug for CampaignRun {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("CampaignRun")
+            .field("fuzzer", &self.fuzzer)
+            .field("target", &self.target)
+            .field("rounds_done", &self.rounds_done)
+            .field("consumed", &self.consumed)
+            .field("instances", &self.instances.len())
+            .finish_non_exhaustive()
+    }
+}
+
+impl CampaignRun {
+    /// Boots a fresh campaign: one instance per setup over the shared Pit
+    /// models of `spec`, each in its own network namespace, started under
+    /// its setup's configuration (falling back to target defaults when
+    /// that configuration conflicts). Emits `CampaignStarted`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CampaignError::NoInstances`] for an empty `setups`,
+    /// [`CampaignError::PitParse`] for a broken registry Pit document,
+    /// [`CampaignError::Preflight`] when static analysis finds
+    /// error-severity model defects (unless `options.skip_preflight`), and
+    /// [`CampaignError::TargetBoot`] when an instance cannot boot its
+    /// default configuration.
+    pub fn boot(
+        spec: &ProtocolSpec,
+        fuzzer: &str,
+        setups: &[InstanceSetup],
+        options: &CampaignOptions,
+        telemetry: &Telemetry,
+    ) -> Result<Self, CampaignError> {
+        if setups.is_empty() {
+            return Err(CampaignError::NoInstances);
+        }
+        let pit = parse_pit(spec)?;
+        if !options.skip_preflight {
+            let report = crate::preflight::preflight_campaign(spec, &pit, setups, telemetry);
+            if report.has_errors() {
+                return Err(CampaignError::Preflight(report.into_diagnostics()));
+            }
+        }
+        telemetry.set_campaign(options.campaign_id.as_deref());
+        let mut instances = Vec::with_capacity(setups.len());
+        for (i, setup) in setups.iter().enumerate() {
+            let mut engine = build_engine(spec, fuzzer, options, &pit, i);
+            let config = if engine.start(&setup.initial_config).is_ok() {
+                setup.initial_config.clone()
+            } else {
+                // A scheduler should never hand out a conflicting startup
+                // configuration, but a campaign must not die if one slips
+                // through: fall back to target defaults.
+                let defaults = ResolvedConfig::new();
+                engine
+                    .start(&defaults)
+                    .map_err(|error| CampaignError::TargetBoot {
+                        target: spec.name.to_owned(),
+                        instance: i,
+                        error,
+                    })?;
+                defaults
+            };
+            engine.set_session_plans(&setup.session_plans);
+            instances.push(Instance {
+                engine,
+                config,
+                adaptive: adaptive_entities(setup),
+                saturation: SaturationDetector::new(options.saturation_window),
+                rng: StdRng::seed_from_u64(options.seed.wrapping_add(0xC0FF_EE00 + i as u64)),
+                stalled: false,
+            });
+        }
+        telemetry.emit(Event::CampaignStarted {
+            fuzzer: fuzzer.to_owned(),
+            target: spec.name.to_owned(),
+            instances: setups.len(),
+            budget: options.budget.get(),
+        });
+        let mut curve = CoverageCurve::new();
+        curve
+            .push(Ticks::ZERO, union_coverage(&instances).covered_count())
+            .expect("first sample of an empty curve");
+        Ok(CampaignRun {
+            fuzzer: fuzzer.to_owned(),
+            target: spec.name.to_owned(),
+            options: options.clone(),
+            rounds_done: 0,
+            consumed: Ticks::ZERO,
+            curve,
+            config_mutations: Vec::new(),
+            seen_faults: FaultLog::new(),
+            instances,
+        })
+    }
+
+    /// Rebuilds a run from a [`CampaignRun::into_checkpoint`] export.
+    /// `spec`, `fuzzer`, `setups` and `options` must be the ones the run
+    /// was booted with (the budget may have grown); the checkpoint stores
+    /// only mutable state. Preflight does not run again.
+    ///
+    /// # Errors
+    ///
+    /// [`CampaignError::NoInstances`], [`CampaignError::PitParse`], and
+    /// [`CampaignError::TargetBoot`] when an instance cannot re-boot its
+    /// checkpointed configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `checkpoint` came from a campaign with a different subject
+    /// or instance count.
+    pub fn resume(
+        spec: &ProtocolSpec,
+        fuzzer: &str,
+        setups: &[InstanceSetup],
+        options: &CampaignOptions,
+        checkpoint: CampaignCheckpoint,
+    ) -> Result<Self, CampaignError> {
+        if setups.is_empty() {
+            return Err(CampaignError::NoInstances);
+        }
+        assert_eq!(
+            checkpoint.target, spec.name,
+            "checkpoint is for {}",
+            checkpoint.target
+        );
+        assert_eq!(
+            checkpoint.instances.len(),
+            setups.len(),
+            "checkpoint was taken with a different instance count"
+        );
+        let pit = parse_pit(spec)?;
+        let mut instances = Vec::with_capacity(setups.len());
+        for (i, (setup, saved)) in setups.iter().zip(checkpoint.instances).enumerate() {
+            let mut engine = build_engine(spec, fuzzer, options, &pit, i);
+            engine.set_session_plans(&setup.session_plans);
+            engine
+                .restore(&saved.config, &saved.engine)
+                .map_err(|error| CampaignError::TargetBoot {
+                    target: spec.name.to_owned(),
+                    instance: i,
+                    error,
+                })?;
+            instances.push(Instance {
+                engine,
+                config: saved.config,
+                adaptive: adaptive_entities(setup),
+                saturation: saved.saturation,
+                rng: StdRng::from_state(saved.rng),
+                stalled: saved.stalled,
+            });
+        }
+        Ok(CampaignRun {
+            fuzzer: fuzzer.to_owned(),
+            target: spec.name.to_owned(),
+            options: options.clone(),
+            rounds_done: checkpoint.rounds_done,
+            consumed: checkpoint.consumed,
+            curve: checkpoint.curve,
+            config_mutations: checkpoint.config_mutations,
+            seen_faults: checkpoint.seen_faults,
+            instances,
+        })
+    }
+
+    /// Rounds executed so far.
+    #[must_use]
+    pub fn rounds_done(&self) -> u64 {
+        self.rounds_done
+    }
+
+    /// Virtual time consumed so far.
+    #[must_use]
+    pub fn consumed(&self) -> Ticks {
+        self.consumed
+    }
+
+    /// Rounds the current budget allows in total.
+    fn rounds_total(&self) -> u64 {
+        self.options.budget.get() / self.options.sample_interval.get().max(1)
+    }
+
+    /// Whether the campaign's whole budget has been executed.
+    #[must_use]
+    pub fn is_complete(&self) -> bool {
+        self.rounds_done >= self.rounds_total()
+    }
+
+    /// Union branch coverage across instances so far.
+    #[must_use]
+    pub fn union_branches(&self) -> usize {
+        self.curve.final_branches()
+    }
+
+    /// Changes the campaign's total budget. Rounds already executed are
+    /// unaffected; a larger budget re-opens a complete campaign.
+    pub fn set_budget(&mut self, budget: Ticks) {
+        self.options.budget = budget;
+    }
+
+    /// Runs up to `slice_budget` virtual ticks of the campaign, pausing at
+    /// the next round boundary, and reports what the slice executed.
+    /// Oversized budgets are clamped to the remaining rounds.
+    ///
+    /// Instances run their rounds on real threads when
+    /// [`CampaignOptions::worker_pool`] is set (the "parallel" in parallel
+    /// fuzzing), but the result is deterministic because instances share
+    /// nothing except the round barrier. The slice emits the campaign's
+    /// events through `telemetry` (labelled with
+    /// [`CampaignOptions::campaign_id`]), mirrors engine counters into its
+    /// registry, and drains it at every round boundary. `control` is
+    /// checked at every round boundary (see [`CampaignControl`]).
+    ///
+    /// # Errors
+    ///
+    /// [`CampaignError::Restart`] when a mid-campaign restart strands an
+    /// instance. The run then keeps the progress of the rounds before the
+    /// failing one for reporting, but must not be sliced again.
+    #[allow(clippy::too_many_lines)]
+    pub fn slice(
+        &mut self,
+        slice_budget: Ticks,
+        telemetry: &Telemetry,
+        control: Option<&CampaignControl>,
+    ) -> Result<SliceReport, CampaignError> {
+        telemetry.set_campaign(self.options.campaign_id.as_deref());
+        // Each slice may report to a different telemetry scope, so the
+        // engines re-attach to this one's registry.
+        let engine_telemetry = EngineTelemetry::for_pipeline(telemetry);
+        for instance in &mut self.instances {
+            instance.engine.settle_imports();
+            instance.engine.attach_telemetry(engine_telemetry.clone());
+        }
+        let rounds_counter = telemetry.counter("campaign.rounds");
+        let mutations_counter = telemetry.counter("campaign.config_mutations");
+        let syncs_counter = telemetry.counter("campaign.seed_syncs");
+
+        let options = &self.options;
+        let interval = options.sample_interval;
+        let iterations_per_round = interval.get().max(1);
+        let batch = options.batch.max(1) as u64;
+        let rounds_total = self.rounds_total();
+        let start_round = self.rounds_done;
+        let branches_before = self.curve.final_branches();
+        let sessions_before: u64 = self
+            .instances
+            .iter()
+            .map(|i| i.engine.stats().sessions)
+            .sum();
+        let slice_rounds = (slice_budget.get() / iterations_per_round)
+            .min(rounds_total.saturating_sub(start_round));
+        let end_round = start_round + slice_rounds;
+
+        // The parallel part: one worker thread per instance for the life
+        // of the slice, parked on a round barrier in between rounds.
+        // Instances share nothing except the barriers, so results are
+        // byte-identical to inline execution; the mutex per slot is
+        // uncontended (workers and the round bookkeeping below never hold it
+        // at the same time) and exists to hand `&mut Instance` back and forth.
+        let slots: Vec<Mutex<Instance>> = std::mem::take(&mut self.instances)
+            .into_iter()
+            .map(Mutex::new)
+            .collect();
+        let pool = options.worker_pool && slots.len() > 1 && slice_rounds > 0;
+        let round_start = Barrier::new(slots.len() + 1);
+        let round_done = Barrier::new(slots.len() + 1);
+        let stop = AtomicBool::new(false);
+        // A mid-campaign failure cannot early-return from inside the thread
+        // scope (workers must observe `stop` through the barrier protocol
+        // first), so it is carried out here.
+        let mut failure: Option<CampaignError> = None;
+        // Rounds actually executed; falls short of `end_round` when a control
+        // signal interrupts the slice at a round boundary.
+        let mut executed_through = start_round;
+        let mut interrupted = false;
+        let mut consumed = self.consumed;
+        let curve = &mut self.curve;
+        let config_mutations = &mut self.config_mutations;
+        let seen_faults = &mut self.seen_faults;
+        let target = &self.target;
+
+        std::thread::scope(|scope| {
+            if pool {
+                for slot in &slots {
+                    scope.spawn(|| loop {
+                        round_start.wait();
+                        if stop.load(Ordering::Acquire) {
+                            return;
+                        }
+                        let mut instance = lock(slot);
+                        let mut remaining = iterations_per_round;
+                        while remaining > 0 {
+                            let n = remaining.min(batch) as usize;
+                            instance.engine.run_batch(n);
+                            remaining -= n as u64;
+                        }
+                        drop(instance);
+                        round_done.wait();
+                    });
+                }
+            }
+
+            'rounds: for round in start_round..end_round {
+                // Control signals are honoured strictly between rounds, while
+                // the workers are parked on `round_start`: no instance state
+                // is in flight, so stopping here is as clean as never having
+                // scheduled the round.
+                if control.is_some_and(CampaignControl::should_stop) {
+                    interrupted = true;
+                    break 'rounds;
+                }
+                if pool {
+                    round_start.wait();
+                    round_done.wait();
+                } else {
+                    for slot in &slots {
+                        let mut instance = lock(slot);
+                        let mut remaining = iterations_per_round;
+                        while remaining > 0 {
+                            let n = remaining.min(batch) as usize;
+                            instance.engine.run_batch(n);
+                            remaining -= n as u64;
+                        }
+                    }
+                }
+
+                // Workers are parked on `round_start` now, so the round
+                // bookkeeping below has every instance to itself.
+                let mut guards: Vec<MutexGuard<'_, Instance>> = slots.iter().map(lock).collect();
+                let now = consumed + interval;
+                rounds_counter.incr();
+                if telemetry.is_enabled() {
+                    for (index, instance) in guards.iter().enumerate() {
+                        telemetry.span_record(index, "fuzzing", interval);
+                        for fault in instance.engine.fault_log().faults() {
+                            if seen_faults.record(fault.clone()) {
+                                telemetry.emit(Event::FaultFound {
+                                    time: now,
+                                    instance: index,
+                                    kind: fault.kind.to_string(),
+                                    function: fault.function.clone(),
+                                });
+                            }
+                        }
+                    }
+                }
+
+                // SPFuzz-style seed synchronization between rounds.
+                if let Some(every) = options.seed_sync_every_rounds {
+                    if every > 0 && (round + 1) % u64::from(every) == 0 {
+                        let shared = sync_seeds(&mut guards);
+                        syncs_counter.incr();
+                        telemetry.emit(Event::SeedSynced {
+                            round,
+                            time: now,
+                            seeds_shared: shared,
+                        });
+                    }
+                }
+
+                // Adaptive configuration mutation on saturation (paper
+                // §III-B2). The detector is fed for every instance (its state
+                // is private and RNG-free, so this cannot perturb campaign
+                // results), but only adaptive instances act on it;
+                // non-adaptive ones report a stall once and keep running.
+                for (index, instance) in guards.iter_mut().enumerate() {
+                    let covered = instance.engine.covered_count();
+                    let saturated = instance.saturation.observe(now, covered);
+                    if instance.adaptive.is_empty() {
+                        if saturated && !instance.stalled {
+                            instance.stalled = true;
+                            telemetry.emit(Event::InstanceStalled {
+                                time: now,
+                                instance: index,
+                                covered,
+                            });
+                        }
+                        continue;
+                    }
+                    if saturated {
+                        telemetry.emit(Event::SaturationDetected {
+                            time: now,
+                            instance: index,
+                            covered,
+                        });
+                        match mutate_instance_config(instance) {
+                            Ok(Some((entity, value))) => {
+                                mutations_counter.incr();
+                                telemetry.emit(Event::ConfigMutated {
+                                    time: now,
+                                    instance: index,
+                                    entity: entity.to_string(),
+                                    value: value.render(),
+                                });
+                                config_mutations.push(ConfigMutationEvent {
+                                    time: now,
+                                    instance: index,
+                                    entity,
+                                    value,
+                                });
+                            }
+                            Ok(None) => {}
+                            Err(error) => {
+                                // The instance lost its running configuration:
+                                // abort the campaign through the normal worker
+                                // shutdown below.
+                                failure = Some(CampaignError::Restart {
+                                    target: target.clone(),
+                                    instance: index,
+                                    error,
+                                });
+                                break 'rounds;
+                            }
+                        }
+                        instance.saturation.reset_window(now);
+                    }
+                }
+
+                let union_branches = union_coverage(guards.iter().map(|g| &**g)).covered_count();
+                curve
+                    .push(now, union_branches)
+                    .expect("virtual clock is monotone");
+                if telemetry.is_enabled() {
+                    telemetry.emit(Event::RoundCompleted {
+                        round,
+                        time: now,
+                        union_branches,
+                        sessions: guards.iter().map(|i| i.engine.stats().sessions).sum(),
+                    });
+                    telemetry.drain();
+                }
+                consumed = now;
+                executed_through = round + 1;
+            }
+
+            if pool {
+                // Release the workers one last time so they observe `stop`.
+                stop.store(true, Ordering::Release);
+                round_start.wait();
+            }
+        });
+
+        self.instances = slots
+            .into_iter()
+            .map(|slot| slot.into_inner().unwrap_or_else(PoisonError::into_inner))
+            .collect();
+        self.consumed = consumed;
+        self.rounds_done = executed_through;
+        if let Some(error) = failure {
+            return Err(error);
+        }
+
+        let done = executed_through >= rounds_total;
+        if done {
+            let mut faults = FaultLog::new();
+            for instance in &self.instances {
+                faults.merge(instance.engine.fault_log());
+            }
+            telemetry.emit(Event::CampaignFinished {
+                time: self.consumed,
+                branches: self.curve.final_branches(),
+                unique_faults: faults.unique_count(),
+                config_mutations: self.config_mutations.len(),
+            });
+            telemetry.drain();
+        }
+
+        let sessions_after: u64 = self
+            .instances
+            .iter()
+            .map(|i| i.engine.stats().sessions)
+            .sum();
+        Ok(SliceReport {
+            rounds: executed_through - start_round,
+            sessions: sessions_after - sessions_before,
+            new_branches: self.curve.final_branches().saturating_sub(branches_before),
+            union_branches: self.curve.final_branches(),
+            done,
+            interrupted,
+        })
+    }
+
+    /// The campaign's result so far — partial while budget remains, the
+    /// uninterrupted [`run_campaign`] result once complete. The run is
+    /// left untouched.
+    #[must_use]
+    pub fn result(&self) -> CampaignResult {
+        let mut corpus = CorpusOccupancy::default();
+        for instance in &self.instances {
+            // Queued imports count as resident, as in a checkpoint.
+            let queued = instance.engine.queued_imports();
+            corpus.seeds += instance.engine.corpus_len() + queued.len();
+            corpus.approx_bytes += instance.engine.corpus_bytes()
+                + queued.iter().map(|s| s.bytes.len()).sum::<usize>();
+        }
+        assemble_result(
+            self.fuzzer.clone(),
+            self.target.clone(),
+            self.options.budget,
+            self.curve.clone(),
+            self.config_mutations.clone(),
+            corpus,
+            &self
+                .instances
+                .iter()
+                .map(|i| (i.engine.fault_log(), i.engine.stats(), i.engine.coverage()))
+                .collect::<Vec<_>>(),
+        )
+    }
+
+    /// Exports the run as a [`CampaignCheckpoint`], dropping each instance
+    /// as soon as it is exported. Exporting target state may be
+    /// destructive (queues drain), which is why this consumes the run.
+    #[must_use]
+    pub fn into_checkpoint(self) -> CampaignCheckpoint {
+        let rounds_total = self.rounds_total();
+        let instances = self
+            .instances
+            .into_iter()
+            .map(|mut instance| InstanceCheckpoint {
+                engine: instance.engine.checkpoint(),
+                config: instance.config,
+                rng: instance.rng.state(),
+                saturation: instance.saturation,
+                stalled: instance.stalled,
+            })
+            .collect();
+        CampaignCheckpoint {
+            fuzzer: self.fuzzer,
+            target: self.target,
+            budget: self.options.budget,
+            rounds_total,
+            rounds_done: self.rounds_done,
+            consumed: self.consumed,
+            curve: self.curve,
+            config_mutations: self.config_mutations,
+            seen_faults: self.seen_faults,
+            instances,
+        }
+    }
+
+    /// Up to `max` of this campaign's rarest seeds, for sharing with
+    /// campaigns of the same subject. Seed bytes are shared, not copied.
+    ///
+    /// Candidates are drawn from every instance corpus (queued imports
+    /// last), ordered by rarity score ascending (lower = rarer coverage;
+    /// unscored seeds carry 0 and sort first) with ties broken by instance
+    /// order then retention order, and deduplicated by content hash so one
+    /// campaign never donates the same input twice.
+    #[must_use]
+    pub fn rare_seeds(&self, max: usize) -> Vec<Seed> {
+        let mut candidates: Vec<&Seed> = self
+            .instances
+            .iter()
+            .flat_map(|i| i.engine.corpus().iter().chain(i.engine.queued_imports()))
+            .collect();
+        // Stable sort: equal rarities keep (instance, retention) order.
+        candidates.sort_by_key(|s| s.rarity);
+        let mut seen = std::collections::BTreeSet::new();
+        candidates
+            .into_iter()
+            .filter(|seed| seen.insert(seed.content_hash()))
+            .take(max)
+            .cloned()
+            .collect()
+    }
+
+    /// Offers seeds shared by another campaign of the same subject to
+    /// every instance whose running configuration satisfies
+    /// `constraints`, returning `(accepted, rejected)` transfer counts.
+    ///
+    /// An instance whose configuration violates the constraint set
+    /// (adaptive mutation may have moved it into a region the subject's
+    /// models declare unreachable) rejects every seed, each counting once.
+    /// Otherwise each seed not already present verbatim is accepted and
+    /// queued ([`FuzzEngine::queue_import`]); the next slice offers the
+    /// queue to the corpus, whose retention path still drops near
+    /// duplicates and evicts at capacity.
+    pub fn import_seeds(&mut self, seeds: &[Seed], constraints: &ConstraintSet) -> (u64, u64) {
+        let mut accepted = 0u64;
+        let mut rejected = 0u64;
+        for instance in &mut self.instances {
+            if !constraints.violations(&instance.config).is_empty() {
+                rejected += seeds.len() as u64;
+                continue;
+            }
+            for seed in seeds {
+                if instance.engine.queue_import(seed) {
+                    accepted += 1;
+                }
+            }
+        }
+        (accepted, rejected)
+    }
+}
+
+fn adaptive_entities(setup: &InstanceSetup) -> Vec<(Arc<str>, Vec<ConfigValue>)> {
+    setup
+        .adaptive_entities
+        .iter()
+        .map(|(name, values)| (Arc::from(name.as_str()), values.clone()))
+        .collect()
+}
+
+fn parse_pit(spec: &ProtocolSpec) -> Result<PitDefinition, CampaignError> {
+    pit::parse(spec.pit_document).map_err(|error| CampaignError::PitParse {
+        target: spec.name.to_owned(),
+        error,
+    })
+}
+
+/// Builds instance `i`'s engine: its own network namespace and link seed,
+/// and an engine seed derived from the campaign seed.
+fn build_engine(
+    spec: &ProtocolSpec,
+    fuzzer: &str,
+    options: &CampaignOptions,
+    pit: &PitDefinition,
+    i: usize,
+) -> FuzzEngine<NetworkedTarget<ProtocolTarget>> {
+    let target = NetworkedTarget::with_conditions(
+        (spec.build)(),
+        &format!("{fuzzer}-{}-{i}", spec.name),
+        options.link,
+        // Distinct from the engine and mutation seed streams; a perfect
+        // link never draws from it.
+        (options.seed ^ 0x4C49_4E4B_F00D_5EED).wrapping_add(i as u64),
+    );
+    let engine_config = EngineConfig {
+        seed: options
+            .seed
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .wrapping_add(i as u64),
+        ..options.engine.clone()
+    };
+    FuzzEngine::new(target, pit.clone(), engine_config)
+}
+
 /// Runs one parallel fuzzing campaign: `setups.len()` isolated instances
 /// over the shared Pit models of `spec`, each in its own network
 /// namespace, with per-round coverage sampling, optional seed
@@ -442,13 +1042,7 @@ pub fn run_campaign(
 ///
 /// # Errors
 ///
-/// Returns [`CampaignError::NoInstances`] for an empty `setups`,
-/// [`CampaignError::PitParse`] for a broken registry Pit document,
-/// [`CampaignError::Preflight`] when static analysis finds error-severity
-/// model defects (unless `options.skip_preflight`),
-/// [`CampaignError::TargetBoot`] when an instance cannot boot its default
-/// configuration, and [`CampaignError::Restart`] when a mid-campaign
-/// restart strands an instance.
+/// As [`CampaignRun::boot`] and [`CampaignRun::slice`].
 pub fn try_run_campaign(
     spec: &ProtocolSpec,
     fuzzer: &str,
@@ -487,7 +1081,8 @@ pub fn run_campaign_with_telemetry(
     }
 }
 
-/// [`run_campaign_with_telemetry`] with typed failures.
+/// [`run_campaign_with_telemetry`] with typed failures: one
+/// [`CampaignRun`] booted and sliced through its whole budget.
 ///
 /// # Errors
 ///
@@ -499,16 +1094,9 @@ pub fn try_run_campaign_with_telemetry(
     options: &CampaignOptions,
     telemetry: &Telemetry,
 ) -> Result<CampaignResult, CampaignError> {
-    let (checkpoint, _report) = run_campaign_slice_with_telemetry(
-        spec,
-        fuzzer,
-        setups,
-        options,
-        None,
-        options.budget,
-        telemetry,
-    )?;
-    Ok(checkpoint.into_result())
+    let mut run = CampaignRun::boot(spec, fuzzer, setups, options, telemetry)?;
+    run.slice(options.budget, telemetry, None)?;
+    Ok(run.result())
 }
 
 /// Runs up to `slice_budget` virtual ticks of a campaign, pausing at the
@@ -518,9 +1106,9 @@ pub fn try_run_campaign_with_telemetry(
 /// Pass `None` to boot a fresh campaign, or a previous call's checkpoint
 /// to resume it. Slicing is invisible to the campaign: any partition of
 /// the budget into slices reproduces the uninterrupted [`run_campaign`]
-/// result byte-for-byte ([`CampaignCheckpoint::into_result`]), because the
-/// checkpoint carries every RNG stream position, each instance's corpus,
-/// accumulated coverage, target and link-impairment state.
+/// result byte-for-byte ([`CampaignCheckpoint::into_result`]). Each call
+/// rebuilds a [`CampaignRun`] and exports it again; callers that slice
+/// repeatedly keep the run instead.
 ///
 /// `spec`, `fuzzer`, `setups`, and `options` must be the same on every
 /// call for a given campaign; the checkpoint stores only mutable state.
@@ -584,14 +1172,12 @@ pub fn run_campaign_slice_with_telemetry(
 /// [`CampaignControl`] signals: the handle is checked at every round
 /// boundary, and a raised pause/kill stops the slice there with
 /// [`SliceReport::interrupted`] set. `None` behaves exactly like the
-/// uncontrolled variant. Control never touches engine RNG — an interrupted
-/// checkpoint resumed later reproduces the uninterrupted campaign
-/// byte-for-byte.
+/// uncontrolled variant.
 ///
 /// # Errors
 ///
 /// As [`run_campaign_slice`].
-#[allow(clippy::too_many_lines, clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments)]
 pub fn run_campaign_slice_with_control(
     spec: &ProtocolSpec,
     fuzzer: &str,
@@ -602,385 +1188,12 @@ pub fn run_campaign_slice_with_control(
     telemetry: &Telemetry,
     control: Option<&CampaignControl>,
 ) -> Result<(CampaignCheckpoint, SliceReport), CampaignError> {
-    if setups.is_empty() {
-        return Err(CampaignError::NoInstances);
-    }
-    if let Some(resume) = &checkpoint {
-        assert_eq!(
-            resume.target, spec.name,
-            "checkpoint is for {}",
-            resume.target
-        );
-        assert_eq!(
-            resume.instances.len(),
-            setups.len(),
-            "checkpoint was taken with a different instance count"
-        );
-    }
-    let pit = pit::parse(spec.pit_document).map_err(|error| CampaignError::PitParse {
-        target: spec.name.to_owned(),
-        error,
-    })?;
-    if checkpoint.is_none() && !options.skip_preflight {
-        let report = crate::preflight::preflight_campaign(spec, &pit, setups, telemetry);
-        if report.has_errors() {
-            return Err(CampaignError::Preflight(report.into_diagnostics()));
-        }
-    }
-    telemetry.set_campaign(options.campaign_id.as_deref());
-    let engine_telemetry = EngineTelemetry::for_pipeline(telemetry);
-
-    let mut instances: Vec<Instance> = Vec::with_capacity(setups.len());
-    for (i, setup) in setups.iter().enumerate() {
-        let target = NetworkedTarget::with_conditions(
-            (spec.build)(),
-            &format!("{fuzzer}-{}-{i}", spec.name),
-            options.link,
-            // Distinct from the engine and mutation seed streams; a
-            // perfect link never draws from it.
-            (options.seed ^ 0x4C49_4E4B_F00D_5EED).wrapping_add(i as u64),
-        );
-        let engine_config = EngineConfig {
-            seed: options
-                .seed
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                .wrapping_add(i as u64),
-            ..options.engine.clone()
-        };
-        let mut engine = FuzzEngine::new(target, pit.clone(), engine_config);
-        let instance = if let Some(resume) = &checkpoint {
-            let saved = &resume.instances[i];
-            engine.set_session_plans(&setup.session_plans);
-            engine.attach_telemetry(engine_telemetry.clone());
-            engine
-                .restore(&saved.config, &saved.engine)
-                .map_err(|error| CampaignError::TargetBoot {
-                    target: spec.name.to_owned(),
-                    instance: i,
-                    error,
-                })?;
-            Instance {
-                engine,
-                config: saved.config.clone(),
-                adaptive: setup.adaptive_entities.clone(),
-                saturation: saved.saturation.clone(),
-                rng: StdRng::from_state(saved.rng),
-                stalled: saved.stalled,
-            }
-        } else {
-            let config = if engine.start(&setup.initial_config).is_ok() {
-                setup.initial_config.clone()
-            } else {
-                // A scheduler should never hand out a conflicting startup
-                // configuration, but a campaign must not die if one slips
-                // through: fall back to target defaults.
-                let defaults = ResolvedConfig::new();
-                engine
-                    .start(&defaults)
-                    .map_err(|error| CampaignError::TargetBoot {
-                        target: spec.name.to_owned(),
-                        instance: i,
-                        error,
-                    })?;
-                defaults
-            };
-            engine.set_session_plans(&setup.session_plans);
-            engine.attach_telemetry(engine_telemetry.clone());
-            Instance {
-                engine,
-                config,
-                adaptive: setup.adaptive_entities.clone(),
-                saturation: SaturationDetector::new(options.saturation_window),
-                rng: StdRng::seed_from_u64(options.seed.wrapping_add(0xC0FF_EE00 + i as u64)),
-                stalled: false,
-            }
-        };
-        instances.push(instance);
-    }
-
-    let rounds_counter = telemetry.counter("campaign.rounds");
-    let mutations_counter = telemetry.counter("campaign.config_mutations");
-    let syncs_counter = telemetry.counter("campaign.seed_syncs");
-
-    let iterations_per_round = options.sample_interval.get().max(1);
-    let batch = options.batch.max(1) as u64;
-    let rounds_total = options.budget.get() / iterations_per_round;
-
-    let clock = VirtualClock::new();
-    let (mut curve, mut config_mutations, mut seen_faults, start_round) = match checkpoint {
-        Some(resume) => {
-            clock.advance(resume.consumed);
-            (
-                resume.curve,
-                resume.config_mutations,
-                resume.seen_faults,
-                resume.rounds_done,
-            )
-        }
-        None => {
-            telemetry.emit(Event::CampaignStarted {
-                fuzzer: fuzzer.to_owned(),
-                target: spec.name.to_owned(),
-                instances: setups.len(),
-                budget: options.budget.get(),
-            });
-            let mut curve = CoverageCurve::new();
-            // Running merge of every instance's unique faults, kept so
-            // FaultFound events fire exactly once per campaign-unique
-            // fault.
-            curve
-                .push(Ticks::ZERO, union_coverage(&instances).covered_count())
-                .expect("first sample of an empty curve");
-            (curve, Vec::new(), FaultLog::new(), 0)
-        }
+    let mut run = match checkpoint {
+        Some(checkpoint) => CampaignRun::resume(spec, fuzzer, setups, options, checkpoint)?,
+        None => CampaignRun::boot(spec, fuzzer, setups, options, telemetry)?,
     };
-
-    let branches_before = curve.final_branches();
-    let sessions_before: u64 = instances.iter().map(|i| i.engine.stats().sessions).sum();
-    let slice_rounds =
-        (slice_budget.get() / iterations_per_round).min(rounds_total.saturating_sub(start_round));
-    let end_round = start_round + slice_rounds;
-
-    // The parallel part: one persistent worker thread per instance for the
-    // life of the campaign, parked on a round barrier in between rounds.
-    // Instances share nothing except the barriers, so results are
-    // byte-identical to inline execution; the mutex per slot is
-    // uncontended (workers and the round bookkeeping below never hold it
-    // at the same time) and exists to hand `&mut Instance` back and forth.
-    let slots: Vec<Mutex<Instance>> = instances.into_iter().map(Mutex::new).collect();
-    let pool = options.worker_pool && slots.len() > 1 && slice_rounds > 0;
-    let round_start = Barrier::new(slots.len() + 1);
-    let round_done = Barrier::new(slots.len() + 1);
-    let stop = AtomicBool::new(false);
-    // A mid-campaign failure cannot early-return from inside the thread
-    // scope (workers must observe `stop` through the barrier protocol
-    // first), so it is carried out here.
-    let mut failure: Option<CampaignError> = None;
-    // Rounds actually executed; falls short of `end_round` when a control
-    // signal interrupts the slice at a round boundary.
-    let mut executed_through = start_round;
-    let mut interrupted = false;
-
-    std::thread::scope(|scope| {
-        if pool {
-            for slot in &slots {
-                scope.spawn(|| loop {
-                    round_start.wait();
-                    if stop.load(Ordering::Acquire) {
-                        return;
-                    }
-                    let mut instance = lock(slot);
-                    let mut remaining = iterations_per_round;
-                    while remaining > 0 {
-                        let n = remaining.min(batch) as usize;
-                        instance.engine.run_batch(n);
-                        remaining -= n as u64;
-                    }
-                    drop(instance);
-                    round_done.wait();
-                });
-            }
-        }
-
-        'rounds: for round in start_round..end_round {
-            // Control signals are honoured strictly between rounds, while
-            // the workers are parked on `round_start`: no instance state
-            // is in flight, so stopping here is as clean as never having
-            // scheduled the round.
-            if control.is_some_and(CampaignControl::should_stop) {
-                interrupted = true;
-                break 'rounds;
-            }
-            if pool {
-                round_start.wait();
-                round_done.wait();
-            } else {
-                for slot in &slots {
-                    let mut instance = lock(slot);
-                    let mut remaining = iterations_per_round;
-                    while remaining > 0 {
-                        let n = remaining.min(batch) as usize;
-                        instance.engine.run_batch(n);
-                        remaining -= n as u64;
-                    }
-                }
-            }
-
-            // Workers are parked on `round_start` now, so the round
-            // bookkeeping below has every instance to itself.
-            let mut guards: Vec<MutexGuard<'_, Instance>> = slots.iter().map(lock).collect();
-            let now = clock.advance(options.sample_interval);
-            rounds_counter.incr();
-            if telemetry.is_enabled() {
-                for (index, instance) in guards.iter().enumerate() {
-                    telemetry.span_record(index, "fuzzing", options.sample_interval);
-                    for fault in instance.engine.fault_log().faults() {
-                        if seen_faults.record(fault.clone()) {
-                            telemetry.emit(Event::FaultFound {
-                                time: now,
-                                instance: index,
-                                kind: fault.kind.to_string(),
-                                function: fault.function.clone(),
-                            });
-                        }
-                    }
-                }
-            }
-
-            // SPFuzz-style seed synchronization between rounds.
-            if let Some(every) = options.seed_sync_every_rounds {
-                if every > 0 && (round + 1) % u64::from(every) == 0 {
-                    let shared = sync_seeds(&mut guards);
-                    syncs_counter.incr();
-                    telemetry.emit(Event::SeedSynced {
-                        round,
-                        time: now,
-                        seeds_shared: shared,
-                    });
-                }
-            }
-
-            // Adaptive configuration mutation on saturation (paper
-            // §III-B2). The detector is fed for every instance (its state
-            // is private and RNG-free, so this cannot perturb campaign
-            // results), but only adaptive instances act on it;
-            // non-adaptive ones report a stall once and keep running.
-            for (index, instance) in guards.iter_mut().enumerate() {
-                let covered = instance.engine.covered_count();
-                let saturated = instance.saturation.observe(now, covered);
-                if instance.adaptive.is_empty() {
-                    if saturated && !instance.stalled {
-                        instance.stalled = true;
-                        telemetry.emit(Event::InstanceStalled {
-                            time: now,
-                            instance: index,
-                            covered,
-                        });
-                    }
-                    continue;
-                }
-                if saturated {
-                    telemetry.emit(Event::SaturationDetected {
-                        time: now,
-                        instance: index,
-                        covered,
-                    });
-                    match mutate_instance_config(instance) {
-                        Ok(Some((entity, value))) => {
-                            mutations_counter.incr();
-                            telemetry.emit(Event::ConfigMutated {
-                                time: now,
-                                instance: index,
-                                entity: entity.clone(),
-                                value: value.render(),
-                            });
-                            config_mutations.push(ConfigMutationEvent {
-                                time: now,
-                                instance: index,
-                                entity,
-                                value,
-                            });
-                        }
-                        Ok(None) => {}
-                        Err(error) => {
-                            // The instance lost its running configuration:
-                            // abort the campaign through the normal worker
-                            // shutdown below.
-                            failure = Some(CampaignError::Restart {
-                                target: spec.name.to_owned(),
-                                instance: index,
-                                error,
-                            });
-                            break 'rounds;
-                        }
-                    }
-                    instance.saturation.reset_window(now);
-                }
-            }
-
-            let union_branches = union_coverage(guards.iter().map(|g| &**g)).covered_count();
-            curve
-                .push(now, union_branches)
-                .expect("virtual clock is monotone");
-            if telemetry.is_enabled() {
-                telemetry.emit(Event::RoundCompleted {
-                    round,
-                    time: now,
-                    union_branches,
-                    sessions: guards.iter().map(|i| i.engine.stats().sessions).sum(),
-                });
-                telemetry.drain();
-            }
-            executed_through = round + 1;
-        }
-
-        if pool {
-            // Release the workers one last time so they observe `stop`.
-            stop.store(true, Ordering::Release);
-            round_start.wait();
-        }
-    });
-
-    if let Some(error) = failure {
-        return Err(error);
-    }
-
-    let mut instances: Vec<Instance> = slots
-        .into_iter()
-        .map(|slot| slot.into_inner().unwrap_or_else(PoisonError::into_inner))
-        .collect();
-
-    // Snapshot every instance; exporting target state may be destructive
-    // (queues drain), which is fine — the instances are dropped below and
-    // the checkpoint is the only thing that survives the slice.
-    let saved: Vec<InstanceCheckpoint> = instances
-        .iter_mut()
-        .map(|instance| InstanceCheckpoint {
-            engine: instance.engine.checkpoint(),
-            config: instance.config.clone(),
-            rng: instance.rng.state(),
-            saturation: instance.saturation.clone(),
-            stalled: instance.stalled,
-        })
-        .collect();
-
-    let done = executed_through >= rounds_total;
-    if done {
-        let mut faults = FaultLog::new();
-        for instance in &saved {
-            faults.merge(&instance.engine.faults);
-        }
-        telemetry.emit(Event::CampaignFinished {
-            time: clock.now(),
-            branches: curve.final_branches(),
-            unique_faults: faults.unique_count(),
-            config_mutations: config_mutations.len(),
-        });
-        telemetry.drain();
-    }
-
-    let sessions_after: u64 = saved.iter().map(|i| i.engine.stats.sessions).sum();
-    let report = SliceReport {
-        rounds: executed_through - start_round,
-        sessions: sessions_after - sessions_before,
-        new_branches: curve.final_branches().saturating_sub(branches_before),
-        union_branches: curve.final_branches(),
-        done,
-        interrupted,
-    };
-    let checkpoint = CampaignCheckpoint {
-        fuzzer: fuzzer.to_owned(),
-        target: spec.name.to_owned(),
-        budget: options.budget,
-        rounds_total,
-        rounds_done: executed_through,
-        consumed: clock.now(),
-        curve,
-        config_mutations,
-        seen_faults,
-        instances: saved,
-    };
-    Ok((checkpoint, report))
+    let report = run.slice(slice_budget, telemetry, control)?;
+    Ok((run.into_checkpoint(), report))
 }
 
 /// Locks a slot, recovering from poisoning (a panicked worker already
@@ -1031,7 +1244,7 @@ fn sync_seeds(instances: &mut [MutexGuard<'_, Instance>]) -> usize {
 /// instance would be dead with budget remaining).
 fn mutate_instance_config(
     instance: &mut Instance,
-) -> Result<Option<(String, ConfigValue)>, StartError> {
+) -> Result<Option<(Arc<str>, ConfigValue)>, StartError> {
     for _attempt in 0..4 {
         let (name, values) =
             &instance.adaptive[instance.rng.random_range(0..instance.adaptive.len())];
@@ -1046,7 +1259,7 @@ fn mutate_instance_config(
         candidate.set(name, value.clone());
         if instance.engine.start(&candidate).is_ok() {
             instance.config = candidate;
-            return Ok(Some((name.clone(), value)));
+            return Ok(Some((Arc::clone(name), value)));
         }
         // Failed start: the engine is left unstarted; restore the running
         // configuration before trying another value.
@@ -1058,6 +1271,7 @@ fn mutate_instance_config(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cmfuzz_coverage::VirtualClock;
     use cmfuzz_fuzzer::Target;
     use cmfuzz_protocols::spec_by_name;
 

@@ -1,5 +1,7 @@
 //! Campaign result types and the paper's evaluation metrics.
 
+use std::sync::Arc;
+
 use cmfuzz_config_model::ConfigValue;
 use cmfuzz_coverage::{CoverageSnapshot, Ticks};
 use cmfuzz_fuzzer::FaultLog;
@@ -13,8 +15,9 @@ pub struct ConfigMutationEvent {
     pub time: Ticks,
     /// Index of the instance whose configuration changed.
     pub instance: usize,
-    /// Mutated entity name.
-    pub entity: String,
+    /// Mutated entity name (shared with the instance's setup, so a long
+    /// mutation history costs no string copies).
+    pub entity: Arc<str>,
     /// The value it was set to.
     pub value: ConfigValue,
 }

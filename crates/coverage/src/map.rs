@@ -272,9 +272,10 @@ impl CoverageMap {
     /// handful of hits marks rare coverage. Purely reads atomics: the
     /// dirty bitmap, skip list and pending counter are left untouched, so
     /// the subsequent drain observes exactly what it would have without
-    /// the peek. The score is a point-in-time measurement (checkpoint
-    /// restore resets hit counts to 1), which is why seeds carry it
-    /// instead of recomputing it.
+    /// the peek. The score reads hit-count magnitudes, so a resumed map
+    /// must carry them: [`CoverageMap::restore_from`] restores the counts
+    /// and the pending words exactly. Seeds still carry the score they
+    /// were retained with, because counts keep growing afterwards.
     #[must_use]
     pub fn peek_new_rarity(&self) -> Option<u32> {
         let pending = self.shared.dirty_pending.load(Ordering::Acquire);
@@ -302,36 +303,65 @@ impl CoverageMap {
         }
     }
 
-    /// Resets the map to exactly the covered set of `snapshot`: every
-    /// covered branch gets hit count 1, every other branch 0, no dirty
-    /// bits pending.
+    /// Captures the map's exact contents — every hit count and every
+    /// coverage word with a first hit not yet absorbed — for
+    /// [`CoverageMap::restore_from`]. The map must be quiescent.
+    #[must_use]
+    pub fn state(&self) -> MapState {
+        let hits = self
+            .shared
+            .cells
+            .iter()
+            .map(|c| c.load(Ordering::Relaxed))
+            .collect();
+        let mut pending = Vec::new();
+        for (d, dirty) in self.shared.dirty.iter().enumerate() {
+            let mut bits = dirty.load(Ordering::Acquire);
+            while bits != 0 {
+                pending.push((d * 64 + bits.trailing_zeros() as usize) as u32);
+                bits &= bits - 1;
+            }
+        }
+        MapState { hits, pending }
+    }
+
+    /// Resets the map to exactly `state`: the same hit counts, the same
+    /// covered set, and the same coverage words pending for the next
+    /// [`CoverageMap::absorb_new`].
     ///
-    /// This is the resume half of checkpointing. Behavior downstream
-    /// depends only on the covered *set* (nothing reads the magnitudes of
-    /// hit counts), so restoring counts as 1 reproduces the original
-    /// feedback signal: re-hitting a restored branch is not a first hit
-    /// and therefore sets no dirty bit, exactly as in the uninterrupted
-    /// run.
+    /// This is the resume half of checkpointing. Re-hitting a restored
+    /// branch is not a first hit, and [`CoverageMap::peek_new_rarity`]
+    /// reads the restored magnitudes, so a resumed map scores and absorbs
+    /// exactly as the uninterrupted one would have.
     ///
     /// # Panics
     ///
-    /// Panics if `snapshot` has a different capacity than the map.
-    pub fn restore_from(&self, snapshot: &CoverageSnapshot) {
+    /// Panics if `state` was taken from a map of a different capacity.
+    pub fn restore_from(&self, state: &MapState) {
         assert_eq!(
-            snapshot.capacity(),
+            state.hits.len(),
             self.capacity(),
-            "snapshots from different branch ID spaces"
+            "map states from different branch ID spaces"
         );
         self.reset();
+        let shared = &self.shared;
         let mut covered = 0usize;
-        for id in snapshot.covered_ids() {
-            self.shared.cells[id.index() as usize].store(1, Ordering::Relaxed);
-            covered += 1;
+        for (index, (cell, &hits)) in shared.cells.iter().zip(&state.hits).enumerate() {
+            cell.store(hits, Ordering::Relaxed);
+            if hits > 0 {
+                covered += 1;
+                shared.covered_bits[index / 64].fetch_or(1u64 << (index % 64), Ordering::Relaxed);
+            }
         }
-        for (bits, word) in self.shared.covered_bits.iter().zip(snapshot.words()) {
-            bits.store(*word, Ordering::Relaxed);
+        shared.covered.store(covered, Ordering::Relaxed);
+        for &word in &state.pending {
+            let word = word as usize;
+            let d = word / 64;
+            if shared.dirty[d].fetch_or(1u64 << (word % 64), Ordering::Relaxed) == 0 {
+                let slot = shared.dirty_pending.fetch_add(1, Ordering::Relaxed);
+                shared.dirty_queue[slot].store(d as u32, Ordering::Relaxed);
+            }
         }
-        self.shared.covered.store(covered, Ordering::Relaxed);
     }
 
     /// Clears all hit counts back to zero.
@@ -350,6 +380,16 @@ impl CoverageMap {
         self.shared.dirty_pending.store(0, Ordering::Relaxed);
         self.shared.covered.store(0, Ordering::Relaxed);
     }
+}
+
+/// The exact contents of a [`CoverageMap`], taken by
+/// [`CoverageMap::state`] and put back by [`CoverageMap::restore_from`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct MapState {
+    /// Hit count of every branch, by branch index.
+    hits: Vec<u32>,
+    /// Coverage words holding first hits not yet absorbed.
+    pending: Vec<u32>,
 }
 
 /// Cloneable handle through which instrumented code records branch hits.
@@ -556,12 +596,14 @@ mod tests {
             probe.hit(BranchId::from_index(i as u32));
             probe.hit(BranchId::from_index(i as u32));
         }
-        let snap = map.snapshot();
+        let mut snap = CoverageSnapshot::empty(200);
+        map.absorb_new(&mut snap);
 
         let fresh = CoverageMap::new(200);
-        fresh.restore_from(&snap);
+        fresh.restore_from(&map.state());
         assert_eq!(fresh.covered_count(), 5);
         assert_eq!(fresh.snapshot(), snap);
+        assert_eq!(fresh.hit_count(BranchId::from_index(130)), 2);
         // Restored branches are not first hits: re-hitting one yields no
         // new coverage, while a genuinely new branch still does.
         let probe = fresh.probe();
@@ -573,10 +615,36 @@ mod tests {
     }
 
     #[test]
+    fn restore_from_keeps_hit_counts_and_pending_words() {
+        // Rarity reads hit-count magnitudes and the words still pending,
+        // so a restored map must peek and drain like the original.
+        let map = CoverageMap::new(300);
+        let probe = map.probe();
+        for _ in 0..40 {
+            probe.hit(BranchId::from_index(3));
+        }
+        let mut acc = CoverageSnapshot::empty(300);
+        map.absorb_new(&mut acc);
+        probe.hit(BranchId::from_index(4));
+        probe.hit(BranchId::from_index(260));
+        probe.hit(BranchId::from_index(260));
+
+        let fresh = CoverageMap::new(300);
+        fresh.restore_from(&map.state());
+        assert_eq!(fresh.state(), map.state());
+        assert_eq!(fresh.hit_count(BranchId::from_index(3)), 40);
+        assert_eq!(fresh.peek_new_rarity(), map.peek_new_rarity());
+        let mut fresh_acc = acc.clone();
+        assert_eq!(fresh.absorb_new(&mut fresh_acc), map.absorb_new(&mut acc));
+        assert_eq!(fresh_acc, acc);
+        assert_eq!(fresh.peek_new_rarity(), None);
+    }
+
+    #[test]
     #[should_panic(expected = "different branch ID spaces")]
     fn restore_from_rejects_capacity_mismatch() {
         let map = CoverageMap::new(10);
-        map.restore_from(&CoverageSnapshot::empty(11));
+        map.restore_from(&CoverageMap::new(11).state());
     }
 
     #[test]
@@ -615,10 +683,11 @@ mod tests {
         let probe = map.probe();
         probe.hit(BranchId::from_index(3));
         probe.hit(BranchId::from_index(100));
-        let snap = map.snapshot();
+        let mut snap = CoverageSnapshot::empty(130);
+        map.absorb_new(&mut snap);
 
         let fresh = CoverageMap::new(130);
-        fresh.restore_from(&snap);
+        fresh.restore_from(&map.state());
         let mut acc = snap.clone();
         assert_eq!(fresh.absorb_new(&mut acc), 0);
         let probe = fresh.probe();

@@ -77,11 +77,6 @@ impl CoverageSnapshot {
         &mut self.words
     }
 
-    /// Read-only view of the raw coverage bitset, 64 branches per word.
-    pub(crate) fn words(&self) -> &[u64] {
-        &self.words
-    }
-
     /// Serializes the snapshot as `<capacity>:<word>:<word>:...` with each
     /// bitset word in lowercase hex — a text-exact wire form for shard
     /// workers reporting coverage across a process boundary.

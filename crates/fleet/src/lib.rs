@@ -9,11 +9,12 @@
 //!
 //! This crate schedules that fleet. It builds on two core primitives:
 //!
-//! - **Checkpointable campaigns** ([`cmfuzz::campaign::run_campaign_slice`]):
-//!   a campaign runs in bounded *slices* and pauses into a
-//!   [`CampaignCheckpoint`] that resumes byte-identically, so the
-//!   scheduler can preempt any campaign at a round boundary without
-//!   changing what it would eventually find.
+//! - **Live, sliceable campaigns** ([`cmfuzz::campaign::CampaignRun`]):
+//!   a campaign boots once and then runs in bounded *slices*, parked
+//!   between rounds in memory, so the scheduler can preempt any campaign
+//!   at a round boundary without changing what it would eventually find.
+//!   The fleet exports each run as a [`CampaignCheckpoint`] only for its
+//!   final report.
 //! - **The bench worker pool** ([`cmfuzz_bench::grid`]): each wave of
 //!   leased slices runs as independent grid cells on a bounded pool,
 //!   with results returned in lease order regardless of thread timing.
@@ -146,8 +147,9 @@ pub struct CampaignOutcome {
     /// Branches the reachability analyzer certified this campaign's
     /// partition can ever cover; `None` when admission skipped preflight.
     pub reachable_branches: Option<usize>,
-    /// The campaign's final checkpoint — resumable in a later fleet run
-    /// when `completed` is false.
+    /// The campaign's final checkpoint — resumable
+    /// ([`cmfuzz::campaign::CampaignRun::resume`]) when `completed` is
+    /// false.
     pub checkpoint: CampaignCheckpoint,
 }
 
@@ -302,11 +304,11 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn fleet_reproduces_each_campaign_exactly() {
-        let fleet = small_fleet();
+    /// Checks every campaign of a 100-tick-slice fleet against its
+    /// uninterrupted run.
+    fn assert_fleet_reproduces_campaigns(fleet: &[FleetCampaign]) {
         let result = run_fleet(
-            &fleet,
+            fleet,
             &mut RoundRobin::new(),
             &FleetOptions {
                 slots: 2,
@@ -334,6 +336,21 @@ mod tests {
                 campaign.id
             );
         }
+    }
+
+    #[test]
+    fn fleet_reproduces_each_campaign_exactly() {
+        assert_fleet_reproduces_campaigns(&small_fleet());
+    }
+
+    #[test]
+    fn fleet_reproduces_intelligent_corpus_campaigns() {
+        // Rarity scores read coverage hit counts, which live runs keep.
+        let mut fleet = small_fleet();
+        for campaign in &mut fleet {
+            campaign.options.engine.corpus = cmfuzz_fuzzer::CorpusConfig::intelligent();
+        }
+        assert_fleet_reproduces_campaigns(&fleet);
     }
 
     #[test]
@@ -473,7 +490,7 @@ mod tests {
             .sink(Box::new(ring.clone()))
             .build();
         let fleet = small_fleet();
-        run_fleet_with_telemetry(
+        let result = run_fleet_with_telemetry(
             &fleet,
             &mut RoundRobin::new(),
             &FleetOptions {
@@ -500,5 +517,16 @@ mod tests {
         assert_eq!(snapshot.counter("fleet.waves"), Some(2));
         assert_eq!(snapshot.counter("fleet.leases"), Some(4));
         assert_eq!(snapshot.counter("fleet.ticks"), Some(800));
+        // Live engines report each slice into that slice's scope, so the
+        // engine counters add up to the campaigns' own statistics.
+        let stats: Vec<_> = result.campaigns.iter().map(|c| c.result().stats).collect();
+        assert_eq!(
+            snapshot.counter("engine.sessions"),
+            Some(stats.iter().map(|s| s.sessions).sum())
+        );
+        assert_eq!(
+            snapshot.counter("corpus.retained"),
+            Some(stats.iter().map(|s| s.seeds_retained).sum())
+        );
     }
 }

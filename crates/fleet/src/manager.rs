@@ -3,11 +3,13 @@
 //!
 //! [`run_fleet`](crate::run_fleet) executes a fixed schedule; the control
 //! plane needs the same machinery with the schedule open-ended. A
-//! [`FleetManager`] owns the per-campaign checkpoints and steps the fleet
-//! one wave at a time: the caller decides when to step, which makes live
-//! admission ([`FleetManager::admit`]), pause/resume, budget extension,
-//! and kill natural — they all take effect at the next wave boundary,
-//! where every campaign is parked in a [`CampaignCheckpoint`].
+//! [`FleetManager`] owns one live [`CampaignRun`] per scheduled campaign
+//! and steps the fleet one wave at a time: the caller decides when to
+//! step, which makes live admission ([`FleetManager::admit`]),
+//! pause/resume, budget extension, and kill natural — they all take effect
+//! at the next wave boundary, where every run is parked between rounds.
+//! Runs stay booted from their first lease to [`FleetManager::finish`],
+//! which is the only place they are exported as checkpoints.
 //!
 //! Determinism is preserved by construction: the manager contains no RNG,
 //! entries are never reordered (killed campaigns become tombstones so
@@ -16,16 +18,14 @@
 //! schedule bit-for-bit — `run_fleet` is itself implemented on top of
 //! this type.
 
-use cmfuzz::campaign::{
-    run_campaign_slice_with_control, run_campaign_slice_with_telemetry, seed_pack_len,
-    CampaignCheckpoint, CampaignControl, CampaignOptions,
-};
+use cmfuzz::campaign::{CampaignControl, CampaignOptions, CampaignRun, SliceReport};
 use cmfuzz::metrics::CampaignResult;
 use cmfuzz::preflight::{analyze_fleet_schedule, analyze_reachability_for, FleetEntryView};
 use cmfuzz::CampaignError;
 use cmfuzz_bench::grid;
+use cmfuzz_config_model::ConstraintSet;
 use cmfuzz_coverage::{Ticks, VirtualClock};
-use cmfuzz_fuzzer::Target;
+use cmfuzz_fuzzer::{Seed, Target};
 use cmfuzz_telemetry::{Counter, Telemetry};
 
 use crate::{CampaignOutcome, FleetCampaign, FleetOptions, FleetResult, SchedulingPolicy};
@@ -35,7 +35,7 @@ use crate::{CampaignOutcome, FleetCampaign, FleetOptions, FleetResult, Schedulin
 pub enum CampaignState {
     /// Admitted but never scheduled yet.
     Pending,
-    /// Checkpointed with budget remaining; eligible for scheduling.
+    /// Running with budget remaining; eligible for scheduling.
     Active,
     /// Administratively paused; skipped by the scheduler until resumed.
     Paused,
@@ -114,7 +114,11 @@ pub(crate) struct FleetEntry {
     /// `campaign.options` as slices actually run them: labelled with the
     /// fleet id, worker pool off (the wave grid supplies parallelism).
     prepared: CampaignOptions,
-    pub(crate) checkpoint: Option<CampaignCheckpoint>,
+    /// The live campaign, booted at its first lease.
+    run: Option<CampaignRun>,
+    /// The subject's declared startup constraints, built at the
+    /// campaign's first seed import and vetted against from then on.
+    constraints: Option<ConstraintSet>,
     leases: u64,
     control: CampaignControl,
     paused: bool,
@@ -134,7 +138,8 @@ impl FleetEntry {
         FleetEntry {
             campaign,
             prepared,
-            checkpoint: None,
+            run: None,
+            constraints: None,
             leases: 0,
             control: CampaignControl::new(),
             paused: false,
@@ -143,14 +148,8 @@ impl FleetEntry {
         }
     }
 
-    /// Completeness against the *prepared* options rather than the
-    /// checkpoint's frozen round total, so a live budget extension
-    /// re-opens a finished campaign.
     fn complete(&self) -> bool {
-        let interval = self.prepared.sample_interval.get().max(1);
-        self.checkpoint
-            .as_ref()
-            .is_some_and(|c| c.rounds_done() >= self.prepared.budget.get() / interval)
+        self.run.as_ref().is_some_and(CampaignRun::is_complete)
     }
 
     fn state(&self) -> CampaignState {
@@ -158,7 +157,7 @@ impl FleetEntry {
             CampaignState::Killed
         } else if self.paused {
             CampaignState::Paused
-        } else if self.checkpoint.is_none() {
+        } else if self.run.is_none() {
             CampaignState::Pending
         } else if self.complete() {
             CampaignState::Complete
@@ -320,9 +319,8 @@ impl FleetManager {
     }
 
     /// Permanently removes the campaign from scheduling. The entry stays
-    /// as a tombstone (indices never shift under a policy) and its last
-    /// checkpoint is kept for the final report. Returns false for unknown
-    /// ids.
+    /// as a tombstone (indices never shift under a policy) and its run is
+    /// kept for the final report. Returns false for unknown ids.
     pub fn kill(&mut self, id: &str) -> bool {
         match self.find(id) {
             Some(index) => {
@@ -335,8 +333,8 @@ impl FleetManager {
     }
 
     /// Extends a campaign's budget to `budget` (the only live
-    /// reconfiguration the checkpoint contract allows: rounds already
-    /// executed are unaffected, the campaign simply keeps going further).
+    /// reconfiguration a run allows: rounds already executed are
+    /// unaffected, the campaign simply keeps going further).
     /// Requests below the current budget are rejected. Returns false for
     /// unknown ids, killed campaigns, and non-extensions.
     pub fn extend_budget(&mut self, id: &str, budget: Ticks) -> bool {
@@ -348,6 +346,9 @@ impl FleetManager {
                 }
                 entry.campaign.options.budget = budget;
                 entry.prepared.budget = budget;
+                if let Some(run) = &mut entry.run {
+                    run.set_budget(budget);
+                }
                 true
             }
             _ => false,
@@ -364,25 +365,20 @@ impl FleetManager {
                 state: entry.state(),
                 leases: entry.leases,
                 consumed: entry
-                    .checkpoint
+                    .run
                     .as_ref()
-                    .map_or(Ticks::ZERO, CampaignCheckpoint::consumed),
-                rounds_done: entry
-                    .checkpoint
-                    .as_ref()
-                    .map_or(0, CampaignCheckpoint::rounds_done),
-                branches: entry
-                    .checkpoint
-                    .as_ref()
-                    .map_or(0, CampaignCheckpoint::union_branches),
+                    .map_or(Ticks::ZERO, CampaignRun::consumed),
+                rounds_done: entry.run.as_ref().map_or(0, CampaignRun::rounds_done),
+                branches: entry.run.as_ref().map_or(0, CampaignRun::union_branches),
                 reachable_branches: entry.reachable_branches,
             })
             .collect()
     }
 
-    /// The campaign's current result, assembled from its checkpoint —
-    /// partial while the campaign is still running, final once complete.
-    /// `None` for unknown ids and campaigns never scheduled yet.
+    /// The campaign's current result, read from its live run — partial
+    /// while the campaign is still running, final once complete. No
+    /// corpus is copied. `None` for unknown ids and campaigns never
+    /// scheduled yet.
     ///
     /// Because per-campaign results are slicing-invariant (with rare-seed
     /// sharing off), a *served* campaign's result here is bit-identical to
@@ -390,11 +386,10 @@ impl FleetManager {
     /// control plane's determinism gate compares exactly this.
     #[must_use]
     pub fn campaign_result(&self, id: &str) -> Option<CampaignResult> {
-        let entry = &self.entries[self.find(id)?];
-        entry
-            .checkpoint
+        self.entries[self.find(id)?]
+            .run
             .as_ref()
-            .map(|checkpoint| checkpoint.clone().into_result())
+            .map(CampaignRun::result)
     }
 
     /// Campaigns admitted (tombstones included).
@@ -427,13 +422,16 @@ impl FleetManager {
     /// Runs one scheduling wave: asks `policy` to pick up to
     /// [`FleetOptions::slots`] eligible campaigns, leases each a slice of
     /// the remaining fleet budget, runs the slices as parallel grid cells
-    /// (each in its own telemetry scope, committed in lease order), feeds
-    /// the reports back to the policy, and performs the wave-boundary
-    /// rare-seed exchange.
+    /// (each in its own telemetry scope, committed in lease order; a
+    /// campaign's first lease boots its run), feeds the reports back to
+    /// the policy, and performs the wave-boundary rare-seed exchange.
     ///
     /// # Errors
     ///
-    /// Propagates the first [`CampaignError`] any slice reports.
+    /// Propagates the first [`CampaignError`] any lease reports, after
+    /// every run of the wave is back in its entry. A campaign whose slice
+    /// failed is killed: its run keeps the progress made before the
+    /// failing round, for the final report, but is never sliced again.
     pub fn step_wave(
         &mut self,
         policy: &mut dyn SchedulingPolicy,
@@ -492,15 +490,15 @@ impl FleetManager {
             return Ok(WaveOutcome::Idle(IdleReason::BudgetExhausted));
         }
 
-        let resumes: Vec<Option<CampaignCheckpoint>> = wave
+        let mut runs: Vec<Option<CampaignRun>> = wave
             .iter()
-            .map(|&index| self.entries[index].checkpoint.take())
+            .map(|&index| self.entries[index].run.take())
             .collect();
         let cells: Vec<_> = wave
             .iter()
             .zip(&lease_budgets)
-            .zip(resumes)
-            .map(|((&index, &granted), resume)| {
+            .zip(&mut runs)
+            .map(|((&index, &granted), run)| {
                 let entry = &self.entries[index];
                 let campaign = &entry.campaign;
                 let opts = &entry.prepared;
@@ -508,42 +506,49 @@ impl FleetManager {
                 let telemetry = self.telemetry.clone();
                 move || {
                     let scope = telemetry.scoped(VirtualClock::new());
-                    let outcome = run_campaign_slice_with_control(
-                        &campaign.spec,
-                        &campaign.fuzzer,
-                        &campaign.setups,
+                    let outcome = lease(
+                        run,
+                        campaign,
                         opts,
-                        resume,
                         Ticks::new(granted),
                         scope.telemetry(),
-                        Some(&control),
+                        &control,
                     );
                     scope.commit();
                     outcome
                 }
             })
             .collect();
-        let results = grid::run_cells(wave.len(), cells);
+        let reports = grid::run_cells(wave.len(), cells);
 
+        let mut failure = None;
         let mut wave_progress = false;
-        for (&index, outcome) in wave.iter().zip(results) {
-            let (checkpoint, report) = outcome?;
+        for ((&index, run), outcome) in wave.iter().zip(runs).zip(reports) {
+            let entry = &mut self.entries[index];
+            entry.run = run;
+            let report = match outcome {
+                Ok(report) => report,
+                Err(error) => {
+                    if entry.run.is_some() {
+                        entry.killed = true;
+                        entry.control.kill();
+                    }
+                    failure.get_or_insert(error);
+                    continue;
+                }
+            };
             policy.observe(index, &report);
-            self.entries[index].leases += 1;
+            entry.leases += 1;
             self.leases += 1;
-            let executed = report.rounds
-                * self.entries[index]
-                    .campaign
-                    .options
-                    .sample_interval
-                    .get()
-                    .max(1);
+            let executed = report.rounds * entry.campaign.options.sample_interval.get().max(1);
             self.spent += executed;
             self.ticks_counter.add(executed);
             if report.rounds > 0 || report.done {
                 wave_progress = true;
             }
-            self.entries[index].checkpoint = Some(checkpoint);
+        }
+        if let Some(error) = failure {
+            return Err(error);
         }
         self.waves += 1;
         self.waves_counter.incr();
@@ -565,35 +570,32 @@ impl FleetManager {
     }
 
     /// Consumes the manager into a [`FleetResult`], reported under
-    /// `policy_name`. Never-scheduled campaigns get a zero-progress
-    /// checkpoint so every admitted campaign (killed ones included) has an
-    /// outcome row, and the telemetry pipeline is drained.
+    /// `policy_name`. Each run is exported as its campaign's checkpoint,
+    /// one at a time so only one exported engine is alive at once;
+    /// never-scheduled campaigns are booted for a zero-progress checkpoint,
+    /// so every admitted campaign (killed ones included) has an outcome
+    /// row. The telemetry pipeline is drained.
     ///
     /// # Errors
     ///
-    /// Propagates boot failures from materializing the zero-progress
-    /// checkpoints of never-scheduled campaigns.
+    /// Propagates boot failures of never-scheduled campaigns.
     pub fn finish(self, policy_name: &str) -> Result<FleetResult, CampaignError> {
         let telemetry = self.telemetry;
         let campaigns = self
             .entries
             .into_iter()
             .map(|entry| {
-                let checkpoint = match entry.checkpoint {
-                    Some(checkpoint) => checkpoint,
-                    None => {
-                        let (checkpoint, _) = run_campaign_slice_with_telemetry(
-                            &entry.campaign.spec,
-                            &entry.campaign.fuzzer,
-                            &entry.campaign.setups,
-                            &entry.prepared,
-                            None,
-                            Ticks::ZERO,
-                            &Telemetry::disabled(),
-                        )?;
-                        checkpoint
-                    }
+                let run = match entry.run {
+                    Some(run) => run,
+                    None => CampaignRun::boot(
+                        &entry.campaign.spec,
+                        &entry.campaign.fuzzer,
+                        &entry.campaign.setups,
+                        &entry.prepared,
+                        &Telemetry::disabled(),
+                    )?,
                 };
+                let checkpoint = run.into_checkpoint();
                 Ok(CampaignOutcome {
                     id: entry.campaign.id,
                     leases: entry.leases,
@@ -618,30 +620,31 @@ impl FleetManager {
     }
 }
 
-/// One wave boundary's fleet-wide rare-seed exchange: every checkpointed
+/// One wave boundary's fleet-wide rare-seed exchange: every running
 /// campaign in a [`FleetCampaign::share_group`] donates its
 /// `max_per_donor` rarest seeds to every other member of the group.
 ///
-/// All packs are exported before any import, so a seed accepted this wave
-/// propagates further only at the next boundary — the exchange is
-/// order-independent within a wave apart from the deterministic fleet
-/// ordering of the recipients themselves. Donations across subjects are
-/// rejected wholesale (seed model ids index the donor's Pit model table,
-/// which only campaigns of the same subject share); within a subject,
-/// [`CampaignCheckpoint::import_seed_pack`] additionally rejects
-/// instances whose running configuration violates the subject's declared
-/// startup constraints. Killed campaigns neither donate nor receive.
-/// Returns `(accepted, rejected)` transfer totals.
-pub(crate) fn exchange_rare_seeds(entries: &mut [FleetEntry], max_per_donor: usize) -> (u64, u64) {
+/// Seeds pass between live runs directly; their bytes are shared, never
+/// copied. All donations are gathered before any import, so a seed
+/// accepted this wave propagates further only at the next boundary — the
+/// exchange is order-independent within a wave apart from the
+/// deterministic fleet ordering of the recipients themselves. Donations
+/// across subjects are rejected wholesale (seed model ids index the
+/// donor's Pit model table, which only campaigns of the same subject
+/// share); within a subject, [`CampaignRun::import_seeds`] additionally
+/// rejects instances whose running configuration violates the subject's
+/// declared startup constraints. Killed campaigns neither donate nor
+/// receive. Returns `(accepted, rejected)` transfer totals.
+fn exchange_rare_seeds(entries: &mut [FleetEntry], max_per_donor: usize) -> (u64, u64) {
     let mut groups: Vec<(String, Vec<usize>)> = Vec::new();
     for (index, entry) in entries.iter().enumerate() {
         let Some(group) = entry.campaign.share_group.as_deref() else {
             continue;
         };
         // A campaign the policy has not scheduled yet has no corpus to
-        // donate and no checkpoint to import into; a killed campaign is
-        // out of the fleet entirely. Skip both this wave.
-        if entry.checkpoint.is_none() || entry.killed {
+        // donate and no run to import into; a killed campaign is out of
+        // the fleet entirely. Skip both this wave.
+        if entry.run.is_none() || entry.killed {
             continue;
         }
         match groups.iter_mut().find(|(name, _)| name == group) {
@@ -656,41 +659,59 @@ pub(crate) fn exchange_rare_seeds(entries: &mut [FleetEntry], max_per_donor: usi
         if members.len() < 2 {
             continue;
         }
-        let packs: Vec<Vec<u8>> = members
+        let donations: Vec<Vec<Seed>> = members
             .iter()
             .map(|&i| {
                 entries[i]
-                    .checkpoint
+                    .run
                     .as_ref()
-                    .expect("grouped members are checkpointed")
-                    .export_rare_seeds(max_per_donor)
+                    .expect("grouped members are running")
+                    .rare_seeds(max_per_donor)
             })
             .collect();
-        let constraints: Vec<_> = members
-            .iter()
-            .map(|&i| (entries[i].campaign.spec.build)().config_constraints())
-            .collect();
-        for (donor_slot, &donor) in members.iter().enumerate() {
-            for (recipient_slot, &recipient) in members.iter().enumerate() {
+        for (&donor, seeds) in members.iter().zip(&donations) {
+            for &recipient in members {
                 if recipient == donor {
                     continue;
                 }
                 if entries[donor].campaign.spec.name != entries[recipient].campaign.spec.name {
-                    rejected_total += seed_pack_len(&packs[donor_slot]) as u64;
+                    rejected_total += seeds.len() as u64;
                     continue;
                 }
-                let checkpoint = entries[recipient]
-                    .checkpoint
-                    .as_mut()
-                    .expect("grouped members are checkpointed");
-                let (accepted, rejected) =
-                    checkpoint.import_seed_pack(&packs[donor_slot], &constraints[recipient_slot]);
+                let entry = &mut entries[recipient];
+                let constraints = entry
+                    .constraints
+                    .get_or_insert_with(|| (entry.campaign.spec.build)().config_constraints());
+                let run = entry.run.as_mut().expect("grouped members are running");
+                let (accepted, rejected) = run.import_seeds(seeds, constraints);
                 accepted_total += accepted;
                 rejected_total += rejected;
             }
         }
     }
     (accepted_total, rejected_total)
+}
+
+/// One lease: boots the campaign's run on its first lease, then slices it.
+fn lease(
+    run: &mut Option<CampaignRun>,
+    campaign: &FleetCampaign,
+    options: &CampaignOptions,
+    budget: Ticks,
+    telemetry: &Telemetry,
+    control: &CampaignControl,
+) -> Result<SliceReport, CampaignError> {
+    let run = match run {
+        Some(run) => run,
+        None => run.insert(CampaignRun::boot(
+            &campaign.spec,
+            &campaign.fuzzer,
+            &campaign.setups,
+            options,
+            telemetry,
+        )?),
+    };
+    run.slice(budget, telemetry, Some(control))
 }
 
 #[cfg(test)]

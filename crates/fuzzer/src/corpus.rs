@@ -13,7 +13,7 @@
 //! the same single `random_range` call, and eviction stays oldest-first.
 //! The engine-determinism digests pin exactly that.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
@@ -320,8 +320,9 @@ pub struct Corpus {
     first_seq: u64,
     capacity: usize,
     config: CorpusConfig,
-    /// Content-hash → sequence numbers of live seeds with that hash.
-    by_hash: BTreeMap<u64, Vec<u64>>,
+    /// `(content hash, sequence number)` of every live seed; a range
+    /// over one hash finds the seeds sharing it.
+    by_hash: BTreeSet<(u64, u64)>,
     /// LSH band key (band index, band hash) → sequence numbers.
     /// Maintained only when `config.near_dedup` is set.
     bands: BTreeMap<(u8, u64), Vec<u64>>,
@@ -386,7 +387,7 @@ impl Corpus {
         }
         let seq = self.first_seq + self.seeds.len() as u64;
         self.by_model[model].push_back(seq);
-        self.by_hash.entry(seed.hash).or_default().push(seq);
+        self.by_hash.insert((seed.hash, seq));
         if self.config.near_dedup {
             for b in 0..SKETCH_BANDS {
                 self.bands
@@ -407,10 +408,8 @@ impl Corpus {
     /// Whether a byte-identical seed of the same model is retained.
     #[must_use]
     pub fn contains_exact(&self, seed: &Seed) -> bool {
-        let Some(seqs) = self.by_hash.get(&seed.hash) else {
-            return false;
-        };
-        seqs.iter().any(|&seq| {
+        let mut seqs = self.by_hash.range((seed.hash, 0)..=(seed.hash, u64::MAX));
+        seqs.any(|&(_, seq)| {
             let existing = &self.seeds[(seq - self.first_seq) as usize];
             existing.model == seed.model && existing.bytes == seed.bytes
         })
@@ -465,11 +464,7 @@ impl Corpus {
         let index = &mut self.by_model[seed.model.index()];
         let at = index.binary_search(&seq).expect("evicted seq is indexed");
         index.remove(at);
-        let hashed = self.by_hash.get_mut(&seed.hash).expect("hash indexed");
-        hashed.retain(|&s| s != seq);
-        if hashed.is_empty() {
-            self.by_hash.remove(&seed.hash);
-        }
+        assert!(self.by_hash.remove(&(seed.hash, seq)), "hash indexed");
         if self.config.near_dedup {
             for b in 0..SKETCH_BANDS {
                 let key = (b as u8, seed.sketch.band(b));
@@ -490,13 +485,10 @@ impl Corpus {
                     }
                 }
             }
-            for v in self.by_hash.values_mut() {
-                for s in v.iter_mut() {
-                    if *s > seq {
-                        *s -= 1;
-                    }
-                }
-            }
+            self.by_hash = std::mem::take(&mut self.by_hash)
+                .into_iter()
+                .map(|(hash, s)| (hash, if s > seq { s - 1 } else { s }))
+                .collect();
             for v in self.bands.values_mut() {
                 for s in v.iter_mut() {
                     if *s > seq {
@@ -619,13 +611,11 @@ impl Corpus {
         }
         assert_eq!(indexed, self.seeds.len(), "every seed is model-indexed");
         let mut hashed = 0usize;
-        for (&hash, seqs) in &self.by_hash {
-            for &seq in seqs {
-                let pos = (seq - self.first_seq) as usize;
-                let seed = self.seeds.get(pos).expect("hash-indexed seq is live");
-                assert_eq!(seed.hash, hash, "seed filed under its hash");
-                hashed += 1;
-            }
+        for &(hash, seq) in &self.by_hash {
+            let pos = (seq - self.first_seq) as usize;
+            let seed = self.seeds.get(pos).expect("hash-indexed seq is live");
+            assert_eq!(seed.hash, hash, "seed filed under its hash");
+            hashed += 1;
         }
         assert_eq!(hashed, self.seeds.len(), "every seed is hash-indexed");
         for (i, seed) in self.seeds.iter().enumerate() {

@@ -1,7 +1,9 @@
 //! The fuzzing engine: one generation-based fuzzing instance.
 
+use std::fmt;
+
 use cmfuzz_config_model::ResolvedConfig;
-use cmfuzz_coverage::{CoverageMap, CoverageSnapshot};
+use cmfuzz_coverage::{CoverageMap, CoverageSnapshot, MapState};
 use cmfuzz_telemetry::EngineTelemetry;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -115,10 +117,17 @@ pub struct IterationOutcome {
 /// compiled artifacts (render programs, interned model tables): those are
 /// pure functions of the Pit and session plans, so a restored engine
 /// rebuilds them from scratch and the ids line up.
-#[derive(Debug, Clone)]
+///
+/// The `Debug` form leaves out [`EngineCheckpoint::map`]: one hit count
+/// per branch would swamp the fleet-result renders that determinism
+/// digests are taken over, and rarity scores already carry its effect.
+#[derive(Clone)]
 pub struct EngineCheckpoint {
     /// Union coverage at checkpoint time.
     pub accumulated: CoverageSnapshot,
+    /// The coverage map's exact hit counts and pending words, which
+    /// rarity scoring reads.
+    pub map: MapState,
     /// Engine RNG stream position.
     pub rng: [u64; 4],
     /// Mutator RNG stream position.
@@ -140,6 +149,23 @@ pub struct EngineCheckpoint {
     pub target_state: Vec<u8>,
 }
 
+impl fmt::Debug for EngineCheckpoint {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("EngineCheckpoint")
+            .field("accumulated", &self.accumulated)
+            .field("rng", &self.rng)
+            .field("mutator_rng", &self.mutator_rng)
+            .field("corpus", &self.corpus)
+            .field("outbox", &self.outbox)
+            .field("faults", &self.faults)
+            .field("iterations", &self.iterations)
+            .field("stats", &self.stats)
+            .field("next_plan", &self.next_plan)
+            .field("target_state", &self.target_state)
+            .finish()
+    }
+}
+
 /// One fuzzing instance: a target, the shared Pit models, a coverage map
 /// and the mutation/corpus machinery (the paper's per-instance Peach
 /// process).
@@ -151,7 +177,6 @@ pub struct EngineCheckpoint {
 #[derive(Debug)]
 pub struct FuzzEngine<T: Target> {
     target: T,
-    pit: PitDefinition,
     config: EngineConfig,
     map: CoverageMap,
     accumulated: CoverageSnapshot,
@@ -208,6 +233,9 @@ pub struct FuzzEngine<T: Target> {
     /// Seeds retained since the last [`FuzzEngine::export_new_seeds`]
     /// drain, for cross-instance synchronization.
     outbox: Vec<Seed>,
+    /// Seeds accepted by [`FuzzEngine::queue_import`] and not yet offered
+    /// to the corpus by [`FuzzEngine::settle_imports`].
+    queued_imports: Vec<Seed>,
     /// Metric handles mirrored into on every iteration; detached (and
     /// never read) unless [`FuzzEngine::attach_telemetry`] was called.
     telemetry: EngineTelemetry,
@@ -264,7 +292,6 @@ impl<T: Target> FuzzEngine<T> {
         let corpus = Corpus::with_config(config.corpus_capacity, config.corpus);
         FuzzEngine {
             target,
-            pit,
             config,
             map,
             accumulated,
@@ -293,6 +320,7 @@ impl<T: Target> FuzzEngine<T> {
             next_plan: 0,
             stats: EngineStats::default(),
             outbox: Vec::new(),
+            queued_imports: Vec::new(),
             telemetry: EngineTelemetry::detached(),
         }
     }
@@ -354,6 +382,33 @@ impl<T: Target> FuzzEngine<T> {
         }
     }
 
+    /// Queues a seed shared from another campaign, returning whether it
+    /// was accepted: a seed already retained or queued verbatim is
+    /// refused. Accepted seeds count toward `seeds_imported` at once but
+    /// reach the corpus only at the next [`FuzzEngine::settle_imports`],
+    /// in queue order, so duplicates and evictions are decided then.
+    pub fn queue_import(&mut self, seed: &Seed) -> bool {
+        let queued = self
+            .queued_imports
+            .iter()
+            .any(|s| s.content_hash() == seed.content_hash() && s.bytes == seed.bytes);
+        if queued || self.corpus.contains_exact(seed) {
+            return false;
+        }
+        self.queued_imports.push(seed.clone());
+        self.stats.seeds_imported += 1;
+        true
+    }
+
+    /// Offers every queued import to the corpus, in queue order. Like a
+    /// checkpoint restore replaying its corpus, this touches no
+    /// statistics: the imports were counted when they were queued.
+    pub fn settle_imports(&mut self) {
+        for seed in std::mem::take(&mut self.queued_imports) {
+            self.corpus.add(seed);
+        }
+    }
+
     /// Boots (or reboots) the target under `config`, returning the startup
     /// coverage snapshot. Coverage accumulates across restarts, matching
     /// how the paper counts an instance's branches over its whole 24 hours
@@ -389,9 +444,16 @@ impl<T: Target> FuzzEngine<T> {
     pub fn checkpoint(&mut self) -> EngineCheckpoint {
         EngineCheckpoint {
             accumulated: self.accumulated.clone(),
+            map: self.map.state(),
             rng: self.rng.state(),
             mutator_rng: self.mutator.rng_state(),
-            corpus: self.corpus.iter().cloned().collect(),
+            // Queued imports follow the corpus, so a restore settles them.
+            corpus: self
+                .corpus
+                .iter()
+                .chain(&self.queued_imports)
+                .cloned()
+                .collect(),
             outbox: self.outbox.clone(),
             faults: self.faults.clone(),
             iterations: self.iterations,
@@ -402,18 +464,19 @@ impl<T: Target> FuzzEngine<T> {
     }
 
     /// Resumes a checkpointed instance into this freshly built engine:
-    /// restores the coverage map and accumulated set, boots the target
-    /// under `config`, imports the target's cross-session state, rebuilds
-    /// the corpus in retention order and rewinds both RNG streams.
+    /// boots the target under `config`, imports the target's cross-session
+    /// state, restores the coverage map and accumulated set, rebuilds the
+    /// corpus in retention order and rewinds both RNG streams.
     ///
     /// The engine must have been built with the same target kind, Pit,
     /// [`EngineConfig`] and session plans as the checkpointed one; the
     /// compiled model tables are pure functions of those inputs, so the
     /// interned ids inside checkpointed seeds stay valid.
     ///
-    /// Re-booting under `config` re-hits startup branches the checkpoint
-    /// already covers, so the restored map reports no first hits and the
-    /// feedback signal continues exactly where it left off.
+    /// The map is restored after the boot, so the boot's own hits leave
+    /// no trace: hit counts and pending words are exactly the
+    /// checkpointed ones, and rarity scores and the feedback signal
+    /// continue where they left off.
     ///
     /// # Errors
     ///
@@ -424,19 +487,21 @@ impl<T: Target> FuzzEngine<T> {
         config: &ResolvedConfig,
         checkpoint: &EngineCheckpoint,
     ) -> Result<(), StartError> {
-        self.map.restore_from(&checkpoint.accumulated);
-        self.accumulated = checkpoint.accumulated.clone();
         self.start(config)?;
         self.target.import_state(&checkpoint.target_state);
+        self.map.restore_from(&checkpoint.map);
+        self.accumulated = checkpoint.accumulated.clone();
         // Re-adding the survivors in retention order reproduces pick
         // behavior exactly: live seeds are pairwise non-duplicate and
-        // within capacity, so no add below dedups or evicts, and the
+        // within capacity, so no add of theirs dedups or evicts, and the
         // weighted-pick tables rebuild from the same (rarity, order)
-        // sequence the checkpointed corpus held.
+        // sequence the checkpointed corpus held. Queued imports come last
+        // and are settled here, as `settle_imports` would have.
         self.corpus = Corpus::with_config(self.config.corpus_capacity, self.config.corpus);
         for seed in &checkpoint.corpus {
             self.corpus.add(seed.clone());
         }
+        self.queued_imports.clear();
         self.outbox = checkpoint.outbox.clone();
         self.faults = checkpoint.faults.clone();
         self.rng = StdRng::from_state(checkpoint.rng);
@@ -773,6 +838,18 @@ impl<T: Target> FuzzEngine<T> {
         self.iterations
     }
 
+    /// The retained seed corpus.
+    #[must_use]
+    pub fn corpus(&self) -> &Corpus {
+        &self.corpus
+    }
+
+    /// Seeds queued by [`FuzzEngine::queue_import`], not yet settled.
+    #[must_use]
+    pub fn queued_imports(&self) -> &[Seed] {
+        &self.queued_imports
+    }
+
     /// Seeds currently retained.
     #[must_use]
     pub fn corpus_len(&self) -> usize {
@@ -790,12 +867,6 @@ impl<T: Target> FuzzEngine<T> {
     #[must_use]
     pub fn target(&self) -> &T {
         &self.target
-    }
-
-    /// The Pit definition the engine was built from.
-    #[must_use]
-    pub fn pit(&self) -> &PitDefinition {
-        &self.pit
     }
 
     /// Whether a successful start has happened.
@@ -1313,7 +1384,6 @@ mod tests {
         let engine = FuzzEngine::new(ToyTarget::new(), toy_pit(), EngineConfig::default());
         assert!(engine.model_id("Msg").is_some());
         assert!(engine.model_id("Ghost").is_none());
-        assert_eq!(engine.pit().data_models().len(), 1);
     }
 
     #[test]

@@ -217,7 +217,7 @@ impl ControlPlane {
     }
 
     /// Permanently kills a campaign (its slice stops at the next round
-    /// boundary; its checkpoint is kept for reporting).
+    /// boundary; its run is kept for reporting).
     pub fn kill(&self, id: &str) -> bool {
         let killed = lock(&self.shared.manager).kill(id);
         if killed {
@@ -246,12 +246,13 @@ impl ControlPlane {
     }
 
     /// Deterministic FNV-1a digest of the campaign's current result
-    /// (`None` until it has been scheduled at least once).
+    /// (`None` until it has been scheduled at least once). The result is
+    /// read from the live run under the manager lock; the digest is
+    /// computed after the lock is released.
     #[must_use]
     pub fn result_digest(&self, id: &str) -> Option<String> {
-        lock(&self.shared.manager)
-            .campaign_result(id)
-            .map(|result| result_digest(&result))
+        let result = lock(&self.shared.manager).campaign_result(id);
+        result.map(|result| result_digest(&result))
     }
 
     /// Whether every non-killed campaign ran to its budget.

@@ -5,13 +5,18 @@
 //! points — resuming from the checkpoints reproduces the uninterrupted
 //! `run_campaign` result byte-for-byte, including under an impaired
 //! network link (whose in-flight datagrams and RNG position must cross
-//! the checkpoint too). The slicings here are drawn from a seeded LCG so
-//! the test is deterministic without touching wall-clock or OS entropy.
+//! the checkpoint too) and under the intelligent corpus (whose rarity
+//! scores read coverage hit counts). The slicings here are drawn from a
+//! seeded LCG so the test is deterministic without touching wall-clock or
+//! OS entropy.
 
+use cmfuzz::baseline::cmfuzz_setups;
 use cmfuzz::campaign::{run_campaign_slice, try_run_campaign, CampaignOptions, InstanceSetup};
 use cmfuzz::metrics::CampaignResult;
+use cmfuzz::schedule::{build_schedule, ScheduleOptions};
 use cmfuzz_coverage::Ticks;
 use cmfuzz_fleet::{run_fleet, CoverageGradient, FleetCampaign, FleetOptions};
+use cmfuzz_fuzzer::CorpusConfig;
 use cmfuzz_netsim::LinkConditions;
 use cmfuzz_protocols::{spec_by_name, ProtocolSpec};
 
@@ -90,31 +95,62 @@ fn subjects() -> Vec<(&'static str, u64, LinkConditions)> {
     ]
 }
 
+/// Checks four random slicings of a campaign against the uninterrupted
+/// one.
+fn assert_random_slicings_match(
+    spec: &ProtocolSpec,
+    setups: &[InstanceSetup],
+    seed: u64,
+    options: &CampaignOptions,
+) {
+    let name = spec.name;
+    let reference =
+        try_run_campaign(spec, "cmfuzz", setups, options).expect("uninterrupted campaign runs");
+    let expected = format!("{reference:?}");
+
+    let mut rng = seed ^ 0xA5A5_A5A5_A5A5_A5A5;
+    for trial in 0..4 {
+        let count = 1 + (lcg(&mut rng) % 8) as usize;
+        // Random slice budgets, deliberately including non-multiples
+        // of the round length (the runner floors to round boundaries).
+        let slices: Vec<u64> = (0..count)
+            .map(|_| 100 * (1 + lcg(&mut rng) % 6) + 50 * (lcg(&mut rng) % 2))
+            .collect();
+        let sliced = run_sliced(spec, setups, options, &slices);
+        assert_eq!(
+            format!("{sliced:?}"),
+            expected,
+            "{name} trial {trial}: slicing {slices:?} diverged from the uninterrupted run"
+        );
+    }
+}
+
 #[test]
 fn random_slicings_reproduce_the_uninterrupted_campaign() {
     for (name, seed, link) in subjects() {
         let spec = spec_by_name(name).expect("subject exists");
         let setups = vec![InstanceSetup::default(); 2];
-        let options = campaign_options(seed, link);
-        let reference = try_run_campaign(&spec, "cmfuzz", &setups, &options)
-            .expect("uninterrupted campaign runs");
-        let expected = format!("{reference:?}");
+        assert_random_slicings_match(&spec, &setups, seed, &campaign_options(seed, link));
+    }
+}
 
-        let mut rng = seed ^ 0xA5A5_A5A5_A5A5_A5A5;
-        for trial in 0..4 {
-            let count = 1 + (lcg(&mut rng) % 8) as usize;
-            // Random slice budgets, deliberately including non-multiples
-            // of the round length (the runner floors to round boundaries).
-            let slices: Vec<u64> = (0..count)
-                .map(|_| 100 * (1 + lcg(&mut rng) % 6) + 50 * (lcg(&mut rng) % 2))
-                .collect();
-            let sliced = run_sliced(&spec, &setups, &options, &slices);
-            assert_eq!(
-                format!("{sliced:?}"),
-                expected,
-                "{name} trial {trial}: slicing {slices:?} diverged from the uninterrupted run"
-            );
-        }
+#[test]
+fn random_slicings_reproduce_intelligent_corpus_campaigns() {
+    // Rarity-weighted picks and rarity eviction read the coverage map's
+    // hit counts, so a resume must restore the counts exactly. The
+    // relation-aware setups add adaptive restarts, whose first hits are
+    // still pending when a slice ends.
+    for name in ["mosquitto", "dnsmasq", "libcoap", "cyclonedds", "qpid"] {
+        let spec = spec_by_name(name).expect("subject exists");
+        let seed = 11;
+        let mut options = campaign_options(seed, LinkConditions::perfect());
+        options.budget = Ticks::new(2000);
+        options.engine.corpus = CorpusConfig::intelligent();
+        assert_random_slicings_match(&spec, &vec![InstanceSetup::default(); 2], seed, &options);
+        let mut scratch = (spec.build)();
+        let schedule = build_schedule(&mut scratch, 2, &ScheduleOptions::default());
+        let setups = cmfuzz_setups(&schedule, 2);
+        assert_random_slicings_match(&spec, &setups, seed, &options);
     }
 }
 
@@ -170,5 +206,61 @@ fn same_seed_fleet_runs_are_bit_identical() {
     assert!(
         !first.all_complete(),
         "1800 ticks of work under a 1200 allowance"
+    );
+}
+
+/// FNV-1a over a string.
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+#[test]
+fn rare_seed_sharing_fleet_matches_its_pinned_digest() {
+    // The benchmark's fleet shape in small: single-instance relation-aware
+    // partitions, one share group per subject, four seeds per donor. A
+    // small corpus capacity makes imports evict, and finished campaigns
+    // keep receiving seeds they never settle, so the digest pins which
+    // seeds the exchange picks and in what order recipients take them.
+    let mut fleet = Vec::new();
+    for name in ["mosquitto", "libcoap"] {
+        let spec = spec_by_name(name).expect("subject exists");
+        let mut scratch = (spec.build)();
+        let schedule = build_schedule(&mut scratch, 3, &ScheduleOptions::default());
+        for (part, setup) in cmfuzz_setups(&schedule, 3).into_iter().enumerate() {
+            let seed = 0x5EED_0100 + fleet.len() as u64;
+            let mut options = campaign_options(seed, LinkConditions::perfect());
+            options.instances = 1;
+            options.budget = Ticks::new(1500);
+            options.seed_sync_every_rounds = None;
+            options.engine.corpus_capacity = 24;
+            fleet.push(FleetCampaign {
+                id: format!("{name}/part-{part}"),
+                spec,
+                fuzzer: "cmfuzz".into(),
+                setups: vec![setup],
+                options,
+                share_group: Some(name.to_owned()),
+            });
+        }
+    }
+    let result = run_fleet(
+        &fleet,
+        &mut CoverageGradient::new(),
+        &FleetOptions {
+            slots: 2,
+            slice: Ticks::new(100),
+            share_rare_seeds: 4,
+            ..FleetOptions::default()
+        },
+    )
+    .expect("fleet runs");
+    assert!(result.all_complete());
+    assert_eq!(result.seeds_shared, 481);
+    assert_eq!(
+        fnv1a(&format!("{result:?}")),
+        0x4f04_7a47_126b_db61,
+        "the sharing fleet drifted from its pinned digest"
     );
 }

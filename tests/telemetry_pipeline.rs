@@ -55,7 +55,7 @@ fn campaign_events_agree_with_campaign_result() {
             } => {
                 assert_eq!(*time, recorded.time);
                 assert_eq!(*instance, recorded.instance);
-                assert_eq!(*entity, recorded.entity);
+                assert_eq!(entity.as_str(), &*recorded.entity);
                 assert_eq!(*value, recorded.value.render());
             }
             other => panic!("wrong kind: {other:?}"),
