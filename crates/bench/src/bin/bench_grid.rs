@@ -4,34 +4,23 @@
 //! Runs the Table I grid twice at the same scale — once with one worker
 //! (the sequential reference) and once with `--jobs`/`CMFUZZ_JOBS`
 //! workers — verifies the rendered tables are byte-identical, and writes
-//! wall-clock timings plus the speedup to the output file. With
-//! `--shard N` it additionally forks `N` worker *processes* (the same
-//! binary, re-invoked with a hidden `--shard-worker i/N` flag), each
-//! claiming the grid cells congruent to its shard index; workers report
-//! curves and coverage bitsets as exact-integer text on stdout, and the
-//! parent reassembles the table and gates it byte-identical against the
-//! sequential reference too. Exits non-zero if any output ever diverges,
-//! so CI can gate on determinism — in-process and cross-process — as
-//! well as speed.
+//! wall-clock timings plus the speedup to the output file. Exits non-zero
+//! if the outputs diverge, so CI can gate on determinism as well as speed.
 
 use std::path::PathBuf;
 use std::process::exit;
 use std::time::Instant;
 
 use cmfuzz_bench::{
-    grid, report, shard, table1_cell_count, table1_rows_from_curves, table1_with_jobs,
-    try_table1_shard, try_table1_with_jobs_timed, ExperimentScale,
+    default_jobs, report, table1_cell_count, table1_with_jobs, try_table1_with_jobs_timed,
+    ExperimentScale,
 };
-use cmfuzz_coverage::CoverageSnapshot;
-use cmfuzz_protocols::all_specs;
 use cmfuzz_telemetry::Telemetry;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut scale_label = "quick";
     let mut jobs: Option<usize> = None;
-    let mut shards: Option<usize> = None;
-    let mut worker: Option<(usize, usize)> = None;
     let mut out = PathBuf::from("BENCH_grid.json");
 
     let mut iter = args.iter();
@@ -45,14 +34,6 @@ fn main() {
             "--jobs" => match iter.next().and_then(|s| s.parse::<usize>().ok()) {
                 Some(n) if n > 0 => jobs = Some(n),
                 _ => usage_error("--jobs expects a positive integer"),
-            },
-            "--shard" => match iter.next().and_then(|s| s.parse::<usize>().ok()) {
-                Some(n) if n > 0 => shards = Some(n),
-                _ => usage_error("--shard expects a positive worker-process count"),
-            },
-            "--shard-worker" => match iter.next().and_then(|s| shard::parse_worker_spec(s)) {
-                Some(spec) => worker = Some(spec),
-                None => usage_error("--shard-worker expects i/N with i < N"),
             },
             "--out" => match iter.next() {
                 Some(path) => out = PathBuf::from(path),
@@ -71,11 +52,7 @@ fn main() {
         _ => ExperimentScale::quick(),
     };
 
-    if let Some((index, of)) = worker {
-        run_shard_worker(&scale, index, of);
-    }
-
-    let jobs = jobs.unwrap_or_else(grid::default_jobs);
+    let jobs = jobs.unwrap_or_else(default_jobs);
     let cells = table1_cell_count(&scale);
 
     eprintln!("[bench_grid] table1 grid, {scale_label} scale, {cells} cells");
@@ -101,14 +78,6 @@ fn main() {
     let identical = sequential_render == parallel_render;
     let speedup = sequential.as_secs_f64() / parallel.as_secs_f64().max(1e-9);
 
-    let (shard_json, shard_identical) = match shards {
-        Some(n) => {
-            let (block, same) = run_sharded(&scale, scale_label, n, &sequential_render);
-            (format!(",\n  \"shard\": {block}"), same)
-        }
-        None => (String::new(), true),
-    };
-
     // Per-cell wall time makes the headline speedup auditable: the grid
     // total should be explainable from the cell costs and the worker
     // count, not taken on faith.
@@ -123,7 +92,7 @@ fn main() {
         .collect::<Vec<_>>()
         .join(",\n");
     let json = format!(
-        "{{\n  \"experiment\": \"table1\",\n  \"scale\": \"{scale_label}\",\n  \"cells\": {cells},\n  \"machine\": {machine},\n  \"jobs_sequential\": 1,\n  \"jobs_parallel\": {jobs},\n  \"sequential_seconds\": {:.3},\n  \"parallel_seconds\": {:.3},\n  \"speedup\": {:.2},\n  \"outputs_identical\": {identical},\n  \"parallel_cell_seconds\": [\n{cell_seconds}\n  ]{shard_json}\n}}\n",
+        "{{\n  \"experiment\": \"table1\",\n  \"scale\": \"{scale_label}\",\n  \"cells\": {cells},\n  \"machine\": {machine},\n  \"jobs_sequential\": 1,\n  \"jobs_parallel\": {jobs},\n  \"sequential_seconds\": {:.3},\n  \"parallel_seconds\": {:.3},\n  \"speedup\": {:.2},\n  \"outputs_identical\": {identical},\n  \"parallel_cell_seconds\": [\n{cell_seconds}\n  ]\n}}\n",
         sequential.as_secs_f64(),
         parallel.as_secs_f64(),
         speedup,
@@ -145,147 +114,12 @@ fn main() {
         eprintln!("[bench_grid] FAIL: parallel output diverges from sequential reference");
         exit(1);
     }
-    if !shard_identical {
-        eprintln!("[bench_grid] FAIL: sharded output diverges from sequential reference");
-        exit(1);
-    }
 }
 
-/// Runs the cells this worker owns and prints their reports to stdout.
-fn run_shard_worker(scale: &ExperimentScale, index: usize, of: usize) -> ! {
-    let indices = shard::owned_indices(index, of, table1_cell_count(scale));
-    eprintln!(
-        "[bench_grid] shard worker {index}/{of}: {} cells",
-        indices.len()
-    );
-    match try_table1_shard(scale, &Telemetry::disabled(), &indices) {
-        Ok(cells) => {
-            let mut wire = String::new();
-            for (cell_index, result, seconds) in cells {
-                shard::write_grid_cell(
-                    &mut wire,
-                    &shard::GridCellReport {
-                        index: cell_index,
-                        seconds,
-                        curve: result.curve,
-                        coverage: result.coverage,
-                    },
-                );
-            }
-            print!("{wire}");
-            exit(0);
-        }
-        Err(error) => {
-            eprintln!("[bench_grid] shard worker {index}/{of} failed: {error}");
-            exit(error.exit_code());
-        }
-    }
-}
-
-/// Forks `shards` worker processes, reassembles their cell reports in
-/// grid order, and returns the JSON block plus whether the sharded table
-/// matched the sequential reference byte for byte.
-fn run_sharded(
-    scale: &ExperimentScale,
-    scale_label: &str,
-    shards: usize,
-    sequential_render: &str,
-) -> (String, bool) {
-    eprintln!("[bench_grid] sharded grid ({shards} worker processes)...");
-    let exe = match std::env::current_exe() {
-        Ok(exe) => exe,
-        Err(err) => {
-            eprintln!("[bench_grid] cannot locate own executable: {err}");
-            exit(2);
-        }
-    };
-    let started = Instant::now();
-    let children: Vec<_> = (0..shards)
-        .map(|i| {
-            std::process::Command::new(&exe)
-                .arg("--scale")
-                .arg(scale_label)
-                .arg("--shard-worker")
-                .arg(format!("{i}/{shards}"))
-                .stdout(std::process::Stdio::piped())
-                .spawn()
-                .unwrap_or_else(|err| {
-                    eprintln!("[bench_grid] cannot spawn shard worker {i}: {err}");
-                    exit(2);
-                })
-        })
-        .collect();
-    let mut cells: Vec<shard::GridCellReport> = Vec::new();
-    for (i, child) in children.into_iter().enumerate() {
-        let output = child.wait_with_output().unwrap_or_else(|err| {
-            eprintln!("[bench_grid] shard worker {i} vanished: {err}");
-            exit(2);
-        });
-        if !output.status.success() {
-            eprintln!(
-                "[bench_grid] shard worker {i} exited with {}",
-                output.status
-            );
-            exit(2);
-        }
-        let text = String::from_utf8_lossy(&output.stdout);
-        match shard::parse_grid_cells(&text) {
-            Ok(reports) => cells.extend(reports),
-            Err(err) => {
-                eprintln!("[bench_grid] shard worker {i} protocol error: {err}");
-                exit(2);
-            }
-        }
-    }
-    let shard_seconds = started.elapsed().as_secs_f64();
-
-    cells.sort_by_key(|c| c.index);
-    let expected = table1_cell_count(scale);
-    if cells.len() != expected || cells.iter().enumerate().any(|(i, c)| c.index != i) {
-        eprintln!(
-            "[bench_grid] shard reports do not tile the grid: got {} of {expected} cells",
-            cells.len()
-        );
-        exit(2);
-    }
-
-    let curves: Vec<_> = cells.iter().map(|c| c.curve.clone()).collect();
-    let rows = table1_rows_from_curves(scale, &curves);
-    let identical = report::render_table1(&rows) == sequential_render;
-
-    // Per-subject union coverage, merged from the serialized bitsets the
-    // workers sent back — the cross-process form of the in-campaign merge.
-    let specs = all_specs();
-    let per_subject = cells.len() / specs.len();
-    let subjects = specs
-        .iter()
-        .enumerate()
-        .map(|(s, spec)| {
-            let group = &cells[s * per_subject..(s + 1) * per_subject];
-            let union = CoverageSnapshot::merge(group.iter().map(|c| &c.coverage))
-                .map_or(0, |merged| merged.covered_count());
-            format!(
-                "      {{\"name\": \"{}\", \"union_branches\": {union}}}",
-                spec.name
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-
-    let block = format!(
-        "{{\n    \"shards\": {shards},\n    \"wall_seconds\": {shard_seconds:.3},\n    \"outputs_identical\": {identical},\n    \"subjects\": [\n{subjects}\n    ]\n  }}"
-    );
-    eprintln!("[bench_grid] sharded {shard_seconds:.3}s, identical: {identical}");
-    (block, identical)
-}
-
-const USAGE: &str =
-    "usage: bench_grid [--scale quick|paper] [--jobs <n>] [--shard <n>] [--out <path>]\n\
+const USAGE: &str = "usage: bench_grid [--scale quick|paper] [--jobs <n>] [--out <path>]\n\
     \n\
     --scale  experiment scale for the timed grid (default: quick)\n\
     --jobs   parallel worker count (default: $CMFUZZ_JOBS or available parallelism)\n\
-    --shard  also run the grid across <n> worker processes and gate the\n\
-             reassembled table byte-identical to the sequential reference\n\
     --out    where to write the JSON timing record (default: BENCH_grid.json)";
 
 fn usage_error(message: &str) -> ! {

@@ -100,9 +100,25 @@ pub fn parse_args(experiment: &str) -> Cli {
     }
     Cli {
         scale,
-        jobs: jobs.unwrap_or_else(crate::grid::default_jobs),
+        jobs: jobs.unwrap_or_else(default_jobs),
         telemetry: builder.build(),
     }
+}
+
+/// Worker count for grid execution: `CMFUZZ_JOBS` if set to a positive
+/// integer, otherwise [`std::thread::available_parallelism`] (1 when even
+/// that is unavailable).
+#[must_use]
+pub fn default_jobs() -> usize {
+    if let Ok(raw) = std::env::var("CMFUZZ_JOBS") {
+        if let Ok(n) = raw.trim().parse::<usize>() {
+            if n > 0 {
+                return n;
+            }
+        }
+        eprintln!("[cmfuzz] ignoring invalid CMFUZZ_JOBS={raw:?} (want a positive integer)");
+    }
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
 /// Parses a `loss,dup,reorder` probability triple; rejects values outside
@@ -138,4 +154,14 @@ fn usage(experiment: &str) -> String {
 fn usage_error(experiment: &str, message: &str) -> ! {
     eprintln!("{message}\n{}", usage(experiment));
     exit(2);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn default_jobs_is_positive() {
+        assert!(default_jobs() >= 1);
+    }
 }

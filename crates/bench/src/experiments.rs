@@ -1,14 +1,17 @@
 //! Experiment definitions: one function per table/figure.
 //!
 //! Every experiment is a grid of independent (subject, fuzzer, repetition)
-//! cells; the `*_with_jobs` variants run that grid on the [`crate::grid`]
-//! worker pool while collecting results in deterministic cell order, so
-//! the rendered output is byte-identical for every worker count.
+//! cells; the `*_with_jobs` variants run that grid on the
+//! [`cmfuzz::exec`] cell pool while collecting results in deterministic
+//! cell order, so the rendered output is byte-identical for every worker
+//! count.
 
 use std::collections::HashMap;
+use std::time::Instant;
 
 use cmfuzz::baseline::{try_run_cmfuzz_with, try_run_peach_with, try_run_spfuzz_with};
 use cmfuzz::campaign::CampaignOptions;
+use cmfuzz::exec::run_cells;
 use cmfuzz::metrics::{improvement_pct, speedup, CampaignResult, CoverageCurve};
 use cmfuzz::relation::{RelationOptions, WeightMode};
 use cmfuzz::schedule::{GroupingStrategy, ScheduleOptions};
@@ -19,7 +22,7 @@ use cmfuzz_netsim::LinkConditions;
 use cmfuzz_protocols::{all_specs, ProtocolSpec};
 use cmfuzz_telemetry::Telemetry;
 
-use crate::grid;
+use crate::cli::default_jobs;
 
 /// Experiment scale: budget, repetitions and instance count.
 ///
@@ -189,16 +192,19 @@ fn fuzzer_grid_timed(
                 let label = format!("{experiment}: {} / {fuzzer} rep {rep}", spec.name);
                 labels.push(label.clone());
                 cells.push(move || {
+                    let started = Instant::now();
                     let scope = telemetry.scoped(VirtualClock::new());
                     scope.telemetry().progress(label);
                     let result = run_fuzzer(fuzzer, &spec, &options, scope.telemetry());
                     scope.commit();
-                    result
+                    (result, started.elapsed())
                 });
             }
         }
     }
-    let timed = grid::run_cells_timed(jobs, cells);
+    // Timings are measurement output only: they never feed back into
+    // results, so the grid output stays deterministic.
+    let timed = run_cells(jobs, cells);
     let timings: Vec<CellTiming> = labels
         .into_iter()
         .zip(&timed)
@@ -251,23 +257,14 @@ fn mean_curve(results: &[CampaignResult]) -> CoverageCurve {
     mean
 }
 
-/// Mean final branch count across repetition curves.
-fn mean_final_branches(curves: &[CoverageCurve]) -> f64 {
-    curves
-        .iter()
-        .map(|c| c.final_branches() as f64)
-        .sum::<f64>()
-        / curves.len() as f64
-}
-
 /// Mean pairwise speedup of `ours` vs `baseline` across repetitions
 /// (repetition k of ours against repetition k of the baseline, as the
 /// paper's per-run measurement implies).
-fn mean_speedup(ours: &[CoverageCurve], baseline: &[CoverageCurve]) -> f64 {
+fn mean_speedup(ours: &[CampaignResult], baseline: &[CampaignResult]) -> f64 {
     let mut total = 0.0;
     let mut counted = 0usize;
     for (a, b) in ours.iter().zip(baseline) {
-        if let Some(s) = speedup(a, b) {
+        if let Some(s) = speedup(&a.curve, &b.curve) {
             total += s;
             counted += 1;
         }
@@ -312,10 +309,10 @@ pub fn table1(scale: &ExperimentScale) -> Vec<Table1Row> {
 }
 
 /// [`table1`] with an observability pipeline attached, run with the
-/// default worker count ([`grid::default_jobs`]).
+/// default worker count ([`default_jobs`]).
 #[must_use]
 pub fn table1_with(scale: &ExperimentScale, telemetry: &Telemetry) -> Vec<Table1Row> {
-    table1_with_jobs(scale, telemetry, grid::default_jobs())
+    table1_with_jobs(scale, telemetry, default_jobs())
 }
 
 /// [`table1`] executed as a parallel cell grid on `jobs` workers; the
@@ -363,126 +360,36 @@ pub fn try_table1_with_jobs_timed(
 ) -> Result<(Vec<Table1Row>, Vec<CellTiming>), CampaignError> {
     let specs = all_specs();
     let (grid_runs, timings) = fuzzer_grid_timed("table1", &specs, scale, telemetry, jobs)?;
-    // Flatten back to cell-ordered curves and assemble through the same
-    // path shard parents use, so sharded reassembly is identical to the
-    // in-process grid by construction.
-    let curves: Vec<CoverageCurve> = grid_runs
+    let rows = specs
         .iter()
-        .flat_map(|runs| {
-            runs.cmfuzz
-                .iter()
-                .chain(&runs.peach)
-                .chain(&runs.spfuzz)
-                .map(|r| r.curve.clone())
-        })
+        .zip(&grid_runs)
+        .map(|(spec, runs)| table1_row_from_runs(spec.name, runs))
         .collect();
-    Ok((table1_rows_from_curves(scale, &curves), timings))
+    Ok((rows, timings))
 }
 
-/// Number of cells in the Table I grid at `scale` — the index space
-/// `--shard` workers partition (cell order: subject × fuzzer ×
+/// Number of cells in the Table I grid at `scale` (subject × fuzzer ×
 /// repetition).
 #[must_use]
 pub fn table1_cell_count(scale: &ExperimentScale) -> usize {
     all_specs().len() * FUZZERS.len() * scale.repetitions as usize
 }
 
-/// Assembles Table I rows from the grid's per-cell coverage curves in
-/// cell order (subject × fuzzer × repetition). This is the reassembly
-/// path a `--shard` parent runs over worker-reported curves, and the one
-/// [`table1`] itself goes through — same input, same rows, bit for bit.
-///
-/// # Panics
-///
-/// Panics if `curves.len()` differs from [`table1_cell_count`].
-#[must_use]
-pub fn table1_rows_from_curves(
-    scale: &ExperimentScale,
-    curves: &[CoverageCurve],
-) -> Vec<Table1Row> {
-    let specs = all_specs();
-    let reps = scale.repetitions as usize;
-    assert_eq!(
-        curves.len(),
-        specs.len() * FUZZERS.len() * reps,
-        "curve count must cover the whole grid"
-    );
-    specs
-        .iter()
-        .enumerate()
-        .map(|(s, spec)| {
-            let base = s * FUZZERS.len() * reps;
-            table1_row_from_curves(
-                spec.name,
-                &curves[base..base + reps],
-                &curves[base + reps..base + 2 * reps],
-                &curves[base + 2 * reps..base + 3 * reps],
-            )
-        })
-        .collect()
-}
-
-/// Assembles one Table I row from per-fuzzer repetition curves.
-fn table1_row_from_curves(
-    subject: &str,
-    cmfuzz: &[CoverageCurve],
-    peach: &[CoverageCurve],
-    spfuzz: &[CoverageCurve],
-) -> Table1Row {
-    let cm_mean = mean_final_branches(cmfuzz);
-    let peach_mean = mean_final_branches(peach);
-    let spfuzz_mean = mean_final_branches(spfuzz);
+/// Assembles one Table I row from a subject's per-fuzzer repetitions.
+fn table1_row_from_runs(subject: &str, runs: &SubjectRuns) -> Table1Row {
+    let cm_mean = mean_branches(&runs.cmfuzz);
+    let peach_mean = mean_branches(&runs.peach);
+    let spfuzz_mean = mean_branches(&runs.spfuzz);
     Table1Row {
         subject: subject.to_owned(),
         cmfuzz: cm_mean,
         peach: peach_mean,
         improv_peach: improvement_pct(cm_mean as usize, peach_mean as usize),
-        speedup_peach: mean_speedup(cmfuzz, peach),
+        speedup_peach: mean_speedup(&runs.cmfuzz, &runs.peach),
         spfuzz: spfuzz_mean,
         improv_spfuzz: improvement_pct(cm_mean as usize, spfuzz_mean as usize),
-        speedup_spfuzz: mean_speedup(cmfuzz, spfuzz),
+        speedup_spfuzz: mean_speedup(&runs.cmfuzz, &runs.spfuzz),
     }
-}
-
-/// Runs only the Table I grid cells whose cell index falls in `indices`,
-/// sequentially on the calling thread, and returns one
-/// `(index, result, seconds)` per requested cell in grid order.
-///
-/// Each cell is built exactly as [`table1`]'s grid builds it — same
-/// seeds, same options, campaign worker pool off — so a union of shards
-/// covering every index reproduces the full grid bit for bit.
-///
-/// # Errors
-///
-/// The first [`CampaignError`] any cell hit, in cell order.
-pub fn try_table1_shard(
-    scale: &ExperimentScale,
-    telemetry: &Telemetry,
-    indices: &[usize],
-) -> Result<Vec<(usize, CampaignResult, f64)>, CampaignError> {
-    let mut ran = Vec::new();
-    let mut cell_index = 0usize;
-    for spec in all_specs() {
-        for fuzzer in FUZZERS {
-            for rep in 0..scale.repetitions {
-                if indices.contains(&cell_index) {
-                    let mut options = scale.options(0xCAFE + rep * 7919);
-                    options.worker_pool = false;
-                    let scope = telemetry.scoped(VirtualClock::new());
-                    scope
-                        .telemetry()
-                        .progress(format!("table1: {} / {fuzzer} rep {rep}", spec.name));
-                    let started = std::time::Instant::now();
-                    let result = run_fuzzer(fuzzer, &spec, &options, scope.telemetry())?;
-                    let seconds = started.elapsed().as_secs_f64();
-                    scope.commit();
-                    ran.push((cell_index, result, seconds));
-                }
-                cell_index += 1;
-            }
-        }
-    }
-    Ok(ran)
 }
 
 /// One Table I cell-row for a single subject (exposed for the criterion
@@ -514,16 +421,7 @@ pub fn table1_row_with(
         })
     };
     match run_all() {
-        Ok(runs) => {
-            let curves =
-                |rs: &[CampaignResult]| rs.iter().map(|r| r.curve.clone()).collect::<Vec<_>>();
-            table1_row_from_curves(
-                spec.name,
-                &curves(&runs.cmfuzz),
-                &curves(&runs.peach),
-                &curves(&runs.spfuzz),
-            )
-        }
+        Ok(runs) => table1_row_from_runs(spec.name, &runs),
         Err(error) => panic!("table1 row failed: {error}"),
     }
 }
@@ -553,10 +451,10 @@ pub fn figure4(scale: &ExperimentScale) -> Vec<Figure4Series> {
 }
 
 /// [`figure4`] with an observability pipeline attached, run with the
-/// default worker count ([`grid::default_jobs`]).
+/// default worker count ([`default_jobs`]).
 #[must_use]
 pub fn figure4_with(scale: &ExperimentScale, telemetry: &Telemetry) -> Vec<Figure4Series> {
-    figure4_with_jobs(scale, telemetry, grid::default_jobs())
+    figure4_with_jobs(scale, telemetry, default_jobs())
 }
 
 /// [`figure4`] executed as a parallel cell grid on `jobs` workers; the
@@ -626,10 +524,10 @@ pub fn table2(scale: &ExperimentScale) -> Vec<Table2Row> {
 }
 
 /// [`table2`] with an observability pipeline attached, run with the
-/// default worker count ([`grid::default_jobs`]).
+/// default worker count ([`default_jobs`]).
 #[must_use]
 pub fn table2_with(scale: &ExperimentScale, telemetry: &Telemetry) -> Vec<Table2Row> {
-    table2_with_jobs(scale, telemetry, grid::default_jobs())
+    table2_with_jobs(scale, telemetry, default_jobs())
 }
 
 /// [`table2`] executed as a parallel cell grid on `jobs` workers; the
@@ -728,10 +626,10 @@ pub fn ablation(scale: &ExperimentScale) -> Vec<AblationRow> {
 }
 
 /// [`ablation`] with an observability pipeline attached, run with the
-/// default worker count ([`grid::default_jobs`]).
+/// default worker count ([`default_jobs`]).
 #[must_use]
 pub fn ablation_with(scale: &ExperimentScale, telemetry: &Telemetry) -> Vec<AblationRow> {
-    ablation_with_jobs(scale, telemetry, grid::default_jobs())
+    ablation_with_jobs(scale, telemetry, default_jobs())
 }
 
 /// The ablation variant list: label, schedule options, adaptive mutation.
@@ -841,7 +739,7 @@ pub fn try_ablation_with_jobs(
         }
     }
     let collected: Result<Vec<CampaignResult>, CampaignError> =
-        grid::run_cells(jobs, cells).into_iter().collect();
+        run_cells(jobs, cells).into_iter().collect();
     let mut results = collected?.into_iter();
     let mut rows = Vec::new();
     for name in subjects {
@@ -900,37 +798,6 @@ mod tests {
             assert_eq!(s.peach.points().len(), 5);
             assert_eq!(s.spfuzz.points().len(), 5);
         }
-    }
-
-    #[test]
-    fn sharded_grid_reassembles_identically() {
-        let scale = ExperimentScale {
-            budget: 400,
-            ..tiny()
-        };
-        let telemetry = Telemetry::disabled();
-        let (reference, _) = try_table1_with_jobs_timed(&scale, &telemetry, 1).expect("grid runs");
-
-        // Simulate three shard workers in-process: each runs the cells it
-        // owns, the "parent" reassembles them in grid order.
-        let cells = table1_cell_count(&scale);
-        let mut collected = Vec::new();
-        for worker in 0..3 {
-            let indices = crate::shard::owned_indices(worker, 3, cells);
-            collected.extend(try_table1_shard(&scale, &telemetry, &indices).expect("shard runs"));
-        }
-        collected.sort_by_key(|(index, _, _)| *index);
-        assert_eq!(collected.len(), cells);
-        let curves: Vec<_> = collected
-            .iter()
-            .map(|(_, result, _)| result.curve.clone())
-            .collect();
-        let rows = table1_rows_from_curves(&scale, &curves);
-        assert_eq!(
-            crate::report::render_table1(&rows),
-            crate::report::render_table1(&reference),
-            "sharded reassembly must match the in-process grid byte for byte"
-        );
     }
 
     #[test]

@@ -22,17 +22,15 @@
 
 pub mod cli;
 pub mod experiments;
-pub mod grid;
 pub mod report;
 pub mod session;
-pub mod shard;
 
+pub use cli::default_jobs;
 pub use experiments::{
     ablation, ablation_with, ablation_with_jobs, figure4, figure4_with, figure4_with_jobs, table1,
-    table1_cell_count, table1_rows_from_curves, table1_with, table1_with_jobs, table2, table2_with,
-    table2_with_jobs, try_ablation_with_jobs, try_figure4_with_jobs, try_table1_shard,
-    try_table1_with_jobs, try_table1_with_jobs_timed, try_table2_with_jobs, AblationRow,
-    CellTiming, ExperimentScale, Figure4Series, Table1Row, Table2Row,
+    table1_cell_count, table1_with, table1_with_jobs, table2, table2_with, table2_with_jobs,
+    try_ablation_with_jobs, try_figure4_with_jobs, try_table1_with_jobs,
+    try_table1_with_jobs_timed, try_table2_with_jobs, AblationRow, CellTiming, ExperimentScale,
+    Figure4Series, Table1Row, Table2Row,
 };
-pub use grid::{default_jobs, run_cells, run_cells_timed};
 pub use session::{LegacyEngine, NullTarget};

@@ -1129,70 +1129,12 @@ pub fn run_campaign_slice(
     checkpoint: Option<CampaignCheckpoint>,
     slice_budget: Ticks,
 ) -> Result<(CampaignCheckpoint, SliceReport), CampaignError> {
-    run_campaign_slice_with_telemetry(
-        spec,
-        fuzzer,
-        setups,
-        options,
-        checkpoint,
-        slice_budget,
-        &Telemetry::disabled(),
-    )
-}
-
-/// [`run_campaign_slice`] with an observability pipeline attached; the
-/// slice stamps every event with `options.campaign_id` (see
-/// [`CampaignOptions::campaign_id`]).
-///
-/// # Errors
-///
-/// As [`run_campaign_slice`].
-pub fn run_campaign_slice_with_telemetry(
-    spec: &ProtocolSpec,
-    fuzzer: &str,
-    setups: &[InstanceSetup],
-    options: &CampaignOptions,
-    checkpoint: Option<CampaignCheckpoint>,
-    slice_budget: Ticks,
-    telemetry: &Telemetry,
-) -> Result<(CampaignCheckpoint, SliceReport), CampaignError> {
-    run_campaign_slice_with_control(
-        spec,
-        fuzzer,
-        setups,
-        options,
-        checkpoint,
-        slice_budget,
-        telemetry,
-        None,
-    )
-}
-
-/// [`run_campaign_slice_with_telemetry`] that additionally honours live
-/// [`CampaignControl`] signals: the handle is checked at every round
-/// boundary, and a raised pause/kill stops the slice there with
-/// [`SliceReport::interrupted`] set. `None` behaves exactly like the
-/// uncontrolled variant.
-///
-/// # Errors
-///
-/// As [`run_campaign_slice`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_campaign_slice_with_control(
-    spec: &ProtocolSpec,
-    fuzzer: &str,
-    setups: &[InstanceSetup],
-    options: &CampaignOptions,
-    checkpoint: Option<CampaignCheckpoint>,
-    slice_budget: Ticks,
-    telemetry: &Telemetry,
-    control: Option<&CampaignControl>,
-) -> Result<(CampaignCheckpoint, SliceReport), CampaignError> {
+    let telemetry = Telemetry::disabled();
     let mut run = match checkpoint {
         Some(checkpoint) => CampaignRun::resume(spec, fuzzer, setups, options, checkpoint)?,
-        None => CampaignRun::boot(spec, fuzzer, setups, options, telemetry)?,
+        None => CampaignRun::boot(spec, fuzzer, setups, options, &telemetry)?,
     };
-    let report = run.slice(slice_budget, telemetry, control)?;
+    let report = run.slice(slice_budget, &telemetry, None)?;
     Ok((run.into_checkpoint(), report))
 }
 
@@ -1567,43 +1509,28 @@ mod tests {
         control.pause();
         assert!(control.is_paused());
         let telemetry = Telemetry::disabled();
-        let (paused, report) = run_campaign_slice_with_control(
-            &spec,
-            "peach",
-            &setups,
-            &options,
-            None,
-            Ticks::new(10_000),
-            &telemetry,
-            Some(&control),
-        )
-        .expect("paused slice");
+        let mut run =
+            CampaignRun::boot(&spec, "peach", &setups, &options, &telemetry).expect("boots");
+        let report = run
+            .slice(Ticks::new(10_000), &telemetry, Some(&control))
+            .expect("paused slice");
         assert!(report.interrupted, "pause must interrupt the slice");
         assert_eq!(report.rounds, 0);
         assert!(!report.done);
-        assert_eq!(paused.rounds_done(), 0);
+        assert_eq!(run.rounds_done(), 0);
 
-        // Resume mid-slice: raise the pause again after boot, run one
-        // slice that covers the whole budget — it still stops at the first
-        // boundary check it sees the signal at.
+        // Resume: one slice that covers the whole budget runs to the end
+        // and matches the uninterrupted campaign.
         control.resume();
         assert!(!control.should_stop());
-        let (finished, rest) = run_campaign_slice_with_control(
-            &spec,
-            "peach",
-            &setups,
-            &options,
-            Some(paused),
-            Ticks::new(10_000),
-            &telemetry,
-            Some(&control),
-        )
-        .expect("resumed slice");
+        let rest = run
+            .slice(Ticks::new(10_000), &telemetry, Some(&control))
+            .expect("resumed slice");
         assert!(rest.done);
         assert!(!rest.interrupted);
         assert_eq!(
             format!("{reference:?}"),
-            format!("{:?}", finished.into_result()),
+            format!("{:?}", run.into_checkpoint().into_result()),
             "an interrupted-then-resumed campaign must not drift"
         );
 

@@ -56,6 +56,7 @@ pub mod allocation;
 pub mod baseline;
 pub mod campaign;
 mod error;
+pub mod exec;
 pub mod graph;
 
 pub use error::CampaignError;

@@ -164,8 +164,8 @@ pub struct CampaignResult {
     pub budget: Ticks,
     /// Union branch coverage over time, across all instances.
     pub curve: CoverageCurve,
-    /// Final union coverage bitset across all instances — the mergeable
-    /// form shard workers serialize back to the parent process.
+    /// Final union coverage bitset across all instances (mergeable with
+    /// [`CoverageSnapshot::merge`]).
     pub coverage: CoverageSnapshot,
     /// Deduplicated faults across all instances.
     pub faults: FaultLog,

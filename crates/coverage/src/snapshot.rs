@@ -77,34 +77,6 @@ impl CoverageSnapshot {
         &mut self.words
     }
 
-    /// Serializes the snapshot as `<capacity>:<word>:<word>:...` with each
-    /// bitset word in lowercase hex — a text-exact wire form for shard
-    /// workers reporting coverage across a process boundary.
-    #[must_use]
-    pub fn to_hex(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = self.capacity.to_string();
-        for word in &self.words {
-            let _ = write!(out, ":{word:x}");
-        }
-        out
-    }
-
-    /// Parses [`CoverageSnapshot::to_hex`] output; `None` on malformed
-    /// text or a word count that does not match the declared capacity.
-    #[must_use]
-    pub fn from_hex(text: &str) -> Option<CoverageSnapshot> {
-        let mut parts = text.split(':');
-        let capacity: usize = parts.next()?.parse().ok()?;
-        let words = parts
-            .map(|w| u64::from_str_radix(w, 16).ok())
-            .collect::<Option<Vec<u64>>>()?;
-        if words.len() != capacity.div_ceil(64) {
-            return None;
-        }
-        Some(CoverageSnapshot { capacity, words })
-    }
-
     /// Whether branch `id` was covered.
     #[must_use]
     pub fn is_covered(&self, id: BranchId) -> bool {
@@ -190,9 +162,7 @@ impl CoverageSnapshot {
         out
     }
 
-    /// Unions any number of snapshots into one — the shard-merge half of
-    /// multi-process execution: every worker serializes its final coverage
-    /// and the parent folds them back together here. Returns `None` for an
+    /// Unions any number of snapshots into one. Returns `None` for an
     /// empty iterator (there is no capacity to build an empty set from).
     ///
     /// # Panics
@@ -322,34 +292,5 @@ mod tests {
         let s = snap(10, &[9]);
         assert!(!s.is_covered(BranchId::from_index(10)));
         assert!(!s.is_covered(BranchId::from_index(1000)));
-    }
-
-    #[test]
-    fn hex_round_trip_is_exact() {
-        for snapshot in [
-            snap(0, &[]),
-            snap(1, &[0]),
-            snap(130, &[0, 63, 64, 127, 129]),
-            snap(4096, &[17, 1000, 4095]),
-        ] {
-            let text = CoverageSnapshot::from_hex(&snapshot.to_hex()).expect("round-trips");
-            assert_eq!(text, snapshot);
-            assert_eq!(text.covered_count(), snapshot.covered_count());
-        }
-    }
-
-    #[test]
-    fn from_hex_rejects_malformed_text() {
-        assert!(CoverageSnapshot::from_hex("").is_none());
-        assert!(CoverageSnapshot::from_hex("nope").is_none());
-        assert!(
-            CoverageSnapshot::from_hex("128:ff").is_none(),
-            "one word short"
-        );
-        assert!(
-            CoverageSnapshot::from_hex("64:ff:ff").is_none(),
-            "extra word"
-        );
-        assert!(CoverageSnapshot::from_hex("64:xyzzy").is_none(), "bad hex");
     }
 }

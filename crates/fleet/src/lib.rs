@@ -15,9 +15,9 @@
 //!   at a round boundary without changing what it would eventually find.
 //!   The fleet exports each run as a [`CampaignCheckpoint`] only for its
 //!   final report.
-//! - **The bench worker pool** ([`cmfuzz_bench::grid`]): each wave of
-//!   leased slices runs as independent grid cells on a bounded pool,
-//!   with results returned in lease order regardless of thread timing.
+//! - **The cell pool** ([`cmfuzz::exec::run_cells`]): each wave of
+//!   leased slices runs as independent cells on a bounded pool, with
+//!   results returned in lease order regardless of thread timing.
 //!
 //! A pluggable [`SchedulingPolicy`] decides which campaigns lease the
 //! next wave of worker slots: [`RoundRobin`] (the fair baseline),
@@ -103,7 +103,7 @@ pub struct FleetCampaign {
 /// Knobs for one fleet run.
 #[derive(Debug, Clone)]
 pub struct FleetOptions {
-    /// Worker slots leased per wave (also the grid's thread count).
+    /// Worker slots leased per wave (also the wave's thread count).
     pub slots: usize,
     /// Virtual-tick budget per lease; slices pause at the next round
     /// boundary at or below this.

@@ -19,10 +19,10 @@
 //! this type.
 
 use cmfuzz::campaign::{CampaignControl, CampaignOptions, CampaignRun, SliceReport};
+use cmfuzz::exec::run_cells;
 use cmfuzz::metrics::CampaignResult;
 use cmfuzz::preflight::{analyze_fleet_schedule, analyze_reachability_for, FleetEntryView};
 use cmfuzz::CampaignError;
-use cmfuzz_bench::grid;
 use cmfuzz_config_model::ConstraintSet;
 use cmfuzz_coverage::{Ticks, VirtualClock};
 use cmfuzz_fuzzer::{Seed, Target};
@@ -112,7 +112,8 @@ pub enum WaveOutcome {
 pub(crate) struct FleetEntry {
     pub(crate) campaign: FleetCampaign,
     /// `campaign.options` as slices actually run them: labelled with the
-    /// fleet id, worker pool off (the wave grid supplies parallelism).
+    /// fleet id, worker pool off (the wave's exec cells supply
+    /// parallelism).
     prepared: CampaignOptions,
     /// The live campaign, booted at its first lease.
     run: Option<CampaignRun>,
@@ -421,7 +422,7 @@ impl FleetManager {
 
     /// Runs one scheduling wave: asks `policy` to pick up to
     /// [`FleetOptions::slots`] eligible campaigns, leases each a slice of
-    /// the remaining fleet budget, runs the slices as parallel grid cells
+    /// the remaining fleet budget, runs the slices as parallel exec cells
     /// (each in its own telemetry scope, committed in lease order; a
     /// campaign's first lease boots its run), feeds the reports back to
     /// the policy, and performs the wave-boundary rare-seed exchange.
@@ -519,7 +520,7 @@ impl FleetManager {
                 }
             })
             .collect();
-        let reports = grid::run_cells(wave.len(), cells);
+        let reports = run_cells(wave.len(), cells);
 
         let mut failure = None;
         let mut wave_progress = false;

@@ -9,9 +9,9 @@
 use std::process::exit;
 use std::time::Duration;
 
-use cmfuzz_server::json::{parse, JsonValue};
 use cmfuzz_server::net::BlockingClient;
 use cmfuzz_server::proto::{Request, Submission};
+use cmfuzz_telemetry::json::{parse, JsonValue};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();

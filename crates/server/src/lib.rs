@@ -30,14 +30,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod json;
 pub mod net;
 pub mod plane;
 pub mod proto;
 pub mod rate;
 pub mod soak;
 
-pub use json::{parse as parse_json, JsonValue};
+pub use cmfuzz_telemetry::json::{parse as parse_json, JsonValue};
 pub use net::{serve, BlockingClient, ServeSummary, ServerOptions, StopReason};
 pub use plane::{build_policy, ControlPlane, PlaneOptions};
 pub use proto::{

@@ -18,9 +18,7 @@ use cmfuzz::schedule::{build_schedule, ScheduleOptions};
 use cmfuzz_coverage::Ticks;
 use cmfuzz_fleet::FleetCampaign;
 use cmfuzz_protocols::spec_by_name;
-use cmfuzz_telemetry::json::ObjectWriter;
-
-use crate::json::{parse, JsonValue};
+use cmfuzz_telemetry::json::{parse, JsonValue, ObjectWriter};
 
 /// One campaign requested by a client.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -17,10 +17,9 @@ use std::time::{Duration, Instant};
 
 use cmfuzz_coverage::Ticks;
 use cmfuzz_fleet::{FleetOptions, RoundRobin};
-use cmfuzz_telemetry::json::ObjectWriter;
+use cmfuzz_telemetry::json::{parse, JsonValue, ObjectWriter};
 use cmfuzz_telemetry::FanoutOptions;
 
-use crate::json::{parse, JsonValue};
 use crate::net::{serve, BlockingClient, ServerOptions};
 use crate::plane::{ControlPlane, PlaneOptions};
 use crate::proto::{result_digest, CampaignSubmission, Request, Submission};

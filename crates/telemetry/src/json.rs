@@ -1,10 +1,14 @@
-//! Hand-rolled JSON emission (and a small validating parser for tests).
+//! Hand-rolled JSON: a push-based writer and a small owning parser.
 //!
 //! The telemetry JSONL schema is flat and fully known at compile time, so a
 //! tiny push-based object writer beats dragging a serialization framework
-//! into the fuzzing hot path (and keeps this crate dependency-free).
+//! into the fuzzing hot path (and keeps this crate dependency-free). The
+//! recursive-descent [`parse`] builds a [`JsonValue`] tree: the control
+//! plane reads client submissions with it, and [`is_valid`] keeps the
+//! JSONL sinks honest in tests. The offline-shims build policy rules out
+//! serde_json.
 
-use std::fmt::Write;
+use std::fmt::{self, Write};
 
 /// Appends `text` to `out` as a JSON string literal, escaping as required
 /// by RFC 8259.
@@ -89,172 +93,360 @@ impl ObjectWriter {
     }
 }
 
-/// Validates that `text` is one well-formed JSON value (used by the test
-/// suite to keep the JSONL sink honest without a parser dependency).
+/// Whether `text` is one well-formed JSON value (used by the test suite
+/// to keep the JSONL sinks honest).
 #[must_use]
 pub fn is_valid(text: &str) -> bool {
-    let bytes = text.as_bytes();
-    let mut pos = 0;
-    if !parse_value(bytes, &mut pos) {
-        return false;
-    }
-    skip_ws(bytes, &mut pos);
-    pos == bytes.len()
+    parse(text).is_ok()
 }
 
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
+/// One parsed JSON value.
+#[derive(Debug, Clone, PartialEq)]
+pub enum JsonValue {
+    /// `null`.
+    Null,
+    /// `true` / `false`.
+    Bool(bool),
+    /// Any JSON number (parsed as f64; integral accessors re-check range).
+    Number(f64),
+    /// A string, unescaped.
+    String(String),
+    /// An array.
+    Array(Vec<JsonValue>),
+    /// An object as insertion-ordered key/value pairs (duplicate keys:
+    /// last one wins on lookup, matching common parser behaviour).
+    Object(Vec<(String, JsonValue)>),
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> bool {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
-        Some(b'"') => parse_string(bytes, pos),
-        Some(b't') => parse_literal(bytes, pos, b"true"),
-        Some(b'f') => parse_literal(bytes, pos, b"false"),
-        Some(b'n') => parse_literal(bytes, pos, b"null"),
-        Some(_) => parse_number(bytes, pos),
-        None => false,
-    }
-}
-
-fn parse_literal(bytes: &[u8], pos: &mut usize, lit: &[u8]) -> bool {
-    if bytes[*pos..].starts_with(lit) {
-        *pos += lit.len();
-        true
-    } else {
-        false
-    }
-}
-
-fn parse_object(bytes: &[u8], pos: &mut usize) -> bool {
-    *pos += 1; // '{'
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return true;
-    }
-    loop {
-        skip_ws(bytes, pos);
-        if !parse_string(bytes, pos) {
-            return false;
+impl JsonValue {
+    /// Member lookup on objects (`None` on other variants or missing key).
+    #[must_use]
+    pub fn get(&self, key: &str) -> Option<&JsonValue> {
+        match self {
+            JsonValue::Object(members) => members
+                .iter()
+                .rev()
+                .find(|(name, _)| name == key)
+                .map(|(_, value)| value),
+            _ => None,
         }
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) != Some(&b':') {
-            return false;
+    }
+
+    /// The string payload, if this is a string.
+    #[must_use]
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            JsonValue::String(text) => Some(text),
+            _ => None,
         }
-        *pos += 1;
-        if !parse_value(bytes, pos) {
-            return false;
-        }
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return true;
+    }
+
+    /// The number as u64, if this is a non-negative integral number.
+    #[must_use]
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+            JsonValue::Number(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 2f64.powi(53) => {
+                Some(*n as u64)
             }
-            _ => return false,
+            _ => None,
         }
+    }
+
+    /// The boolean payload, if this is a boolean.
+    #[must_use]
+    pub fn as_bool(&self) -> Option<bool> {
+        match self {
+            JsonValue::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+
+    /// The element list, if this is an array.
+    #[must_use]
+    pub fn as_array(&self) -> Option<&[JsonValue]> {
+        match self {
+            JsonValue::Array(items) => Some(items),
+            _ => None,
+        }
+    }
+
+    /// Whether this is `null`.
+    #[must_use]
+    pub fn is_null(&self) -> bool {
+        matches!(self, JsonValue::Null)
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> bool {
-    *pos += 1; // '['
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return true;
-    }
-    loop {
-        if !parse_value(bytes, pos) {
-            return false;
-        }
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return true;
-            }
-            _ => return false,
-        }
+/// Where and why parsing failed.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct JsonError {
+    /// Byte offset of the failure.
+    pub offset: usize,
+    /// Human-oriented description.
+    pub message: &'static str,
+}
+
+impl fmt::Display for JsonError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} at byte {}", self.message, self.offset)
     }
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> bool {
-    if bytes.get(*pos) != Some(&b'"') {
-        return false;
+impl std::error::Error for JsonError {}
+
+/// Parses `text` as exactly one JSON value (trailing whitespace allowed).
+///
+/// # Errors
+///
+/// [`JsonError`] with the byte offset of the first defect.
+pub fn parse(text: &str) -> Result<JsonValue, JsonError> {
+    let mut parser = Parser {
+        bytes: text.as_bytes(),
+        pos: 0,
+    };
+    let value = parser.value()?;
+    parser.skip_ws();
+    if parser.pos != parser.bytes.len() {
+        return Err(parser.error("trailing data after JSON value"));
     }
-    *pos += 1;
-    while let Some(&b) = bytes.get(*pos) {
-        match b {
-            b'"' => {
-                *pos += 1;
-                return true;
+    Ok(value)
+}
+
+struct Parser<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl Parser<'_> {
+    fn error(&self, message: &'static str) -> JsonError {
+        JsonError {
+            offset: self.pos,
+            message,
+        }
+    }
+
+    fn skip_ws(&mut self) {
+        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
+    }
+
+    fn value(&mut self) -> Result<JsonValue, JsonError> {
+        self.skip_ws();
+        match self.bytes.get(self.pos) {
+            Some(b'{') => self.object(),
+            Some(b'[') => self.array(),
+            Some(b'"') => self.string().map(JsonValue::String),
+            Some(b't') => self.literal(b"true", JsonValue::Bool(true)),
+            Some(b'f') => self.literal(b"false", JsonValue::Bool(false)),
+            Some(b'n') => self.literal(b"null", JsonValue::Null),
+            Some(_) => self.number(),
+            None => Err(self.error("unexpected end of input")),
+        }
+    }
+
+    fn literal(&mut self, lit: &[u8], value: JsonValue) -> Result<JsonValue, JsonError> {
+        if self.bytes[self.pos..].starts_with(lit) {
+            self.pos += lit.len();
+            Ok(value)
+        } else {
+            Err(self.error("invalid literal"))
+        }
+    }
+
+    fn object(&mut self) -> Result<JsonValue, JsonError> {
+        self.pos += 1; // '{'
+        let mut members = Vec::new();
+        self.skip_ws();
+        if self.bytes.get(self.pos) == Some(&b'}') {
+            self.pos += 1;
+            return Ok(JsonValue::Object(members));
+        }
+        loop {
+            self.skip_ws();
+            let key = self.string()?;
+            self.skip_ws();
+            if self.bytes.get(self.pos) != Some(&b':') {
+                return Err(self.error("expected ':' after object key"));
             }
-            b'\\' => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => *pos += 1,
-                    Some(b'u') => {
-                        if bytes.len() < *pos + 5
-                            || !bytes[*pos + 1..*pos + 5].iter().all(u8::is_ascii_hexdigit)
-                        {
-                            return false;
+            self.pos += 1;
+            let value = self.value()?;
+            members.push((key, value));
+            self.skip_ws();
+            match self.bytes.get(self.pos) {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(JsonValue::Object(members));
+                }
+                _ => return Err(self.error("expected ',' or '}' in object")),
+            }
+        }
+    }
+
+    fn array(&mut self) -> Result<JsonValue, JsonError> {
+        self.pos += 1; // '['
+        let mut items = Vec::new();
+        self.skip_ws();
+        if self.bytes.get(self.pos) == Some(&b']') {
+            self.pos += 1;
+            return Ok(JsonValue::Array(items));
+        }
+        loop {
+            items.push(self.value()?);
+            self.skip_ws();
+            match self.bytes.get(self.pos) {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    return Ok(JsonValue::Array(items));
+                }
+                _ => return Err(self.error("expected ',' or ']' in array")),
+            }
+        }
+    }
+
+    fn string(&mut self) -> Result<String, JsonError> {
+        if self.bytes.get(self.pos) != Some(&b'"') {
+            return Err(self.error("expected string"));
+        }
+        self.pos += 1;
+        let mut out = String::new();
+        loop {
+            let Some(&b) = self.bytes.get(self.pos) else {
+                return Err(self.error("unterminated string"));
+            };
+            match b {
+                b'"' => {
+                    self.pos += 1;
+                    return Ok(out);
+                }
+                b'\\' => {
+                    self.pos += 1;
+                    match self.bytes.get(self.pos) {
+                        Some(b'"') => out.push('"'),
+                        Some(b'\\') => out.push('\\'),
+                        Some(b'/') => out.push('/'),
+                        Some(b'b') => out.push('\u{8}'),
+                        Some(b'f') => out.push('\u{c}'),
+                        Some(b'n') => out.push('\n'),
+                        Some(b'r') => out.push('\r'),
+                        Some(b't') => out.push('\t'),
+                        Some(b'u') => {
+                            let unit = self.hex4()?;
+                            // Surrogate pairs: a leading surrogate must be
+                            // followed by "\uXXXX" with a trailing one.
+                            if (0xD800..0xDC00).contains(&unit) {
+                                if self.bytes.get(self.pos + 1) != Some(&b'\\')
+                                    || self.bytes.get(self.pos + 2) != Some(&b'u')
+                                {
+                                    return Err(self.error("unpaired surrogate"));
+                                }
+                                self.pos += 2;
+                                let low = self.hex4()?;
+                                if !(0xDC00..0xE000).contains(&low) {
+                                    return Err(self.error("invalid low surrogate"));
+                                }
+                                let code = 0x10000 + ((unit - 0xD800) << 10) + (low - 0xDC00);
+                                match char::from_u32(code) {
+                                    Some(c) => out.push(c),
+                                    None => return Err(self.error("invalid code point")),
+                                }
+                            } else {
+                                match char::from_u32(unit) {
+                                    Some(c) => out.push(c),
+                                    None => return Err(self.error("unpaired surrogate")),
+                                }
+                            }
                         }
-                        *pos += 5;
+                        _ => return Err(self.error("invalid escape")),
                     }
-                    _ => return false,
+                    self.pos += 1;
+                }
+                0x00..=0x1F => return Err(self.error("raw control character in string")),
+                _ => {
+                    // Advance over one UTF-8 scalar (input is &str, so the
+                    // byte stream is valid UTF-8 by construction).
+                    let start = self.pos;
+                    self.pos += 1;
+                    while self
+                        .bytes
+                        .get(self.pos)
+                        .is_some_and(|&b| (b & 0xC0) == 0x80)
+                    {
+                        self.pos += 1;
+                    }
+                    out.push_str(
+                        std::str::from_utf8(&self.bytes[start..self.pos])
+                            .expect("input is valid UTF-8"),
+                    );
                 }
             }
-            0x00..=0x1F => return false,
-            _ => *pos += 1,
         }
     }
-    false
-}
 
-fn parse_number(bytes: &[u8], pos: &mut usize) -> bool {
-    let start = *pos;
-    if bytes.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    let digits_start = *pos;
-    while bytes.get(*pos).is_some_and(u8::is_ascii_digit) {
-        *pos += 1;
-    }
-    if *pos == digits_start {
-        return false;
-    }
-    if bytes.get(*pos) == Some(&b'.') {
-        *pos += 1;
-        let frac_start = *pos;
-        while bytes.get(*pos).is_some_and(u8::is_ascii_digit) {
-            *pos += 1;
+    /// Reads the `XXXX` of a `\uXXXX` escape; on entry `pos` is at `u`.
+    fn hex4(&mut self) -> Result<u32, JsonError> {
+        let digits = self
+            .bytes
+            .get(self.pos + 1..self.pos + 5)
+            .ok_or_else(|| self.error("truncated \\u escape"))?;
+        let mut unit = 0u32;
+        for &d in digits {
+            let nibble = match d {
+                b'0'..=b'9' => u32::from(d - b'0'),
+                b'a'..=b'f' => u32::from(d - b'a') + 10,
+                b'A'..=b'F' => u32::from(d - b'A') + 10,
+                _ => return Err(self.error("invalid \\u escape")),
+            };
+            unit = (unit << 4) | nibble;
         }
-        if *pos == frac_start {
-            return false;
-        }
+        self.pos += 4;
+        Ok(unit)
     }
-    if matches!(bytes.get(*pos), Some(b'e' | b'E')) {
-        *pos += 1;
-        if matches!(bytes.get(*pos), Some(b'+' | b'-')) {
-            *pos += 1;
+
+    fn number(&mut self) -> Result<JsonValue, JsonError> {
+        let start = self.pos;
+        if self.bytes.get(self.pos) == Some(&b'-') {
+            self.pos += 1;
         }
-        let exp_start = *pos;
-        while bytes.get(*pos).is_some_and(u8::is_ascii_digit) {
-            *pos += 1;
+        let int_start = self.pos;
+        while self.bytes.get(self.pos).is_some_and(u8::is_ascii_digit) {
+            self.pos += 1;
         }
-        if *pos == exp_start {
-            return false;
+        if self.pos == int_start {
+            return Err(self.error("expected digit"));
         }
+        if self.bytes.get(self.pos) == Some(&b'.') {
+            self.pos += 1;
+            let frac_start = self.pos;
+            while self.bytes.get(self.pos).is_some_and(u8::is_ascii_digit) {
+                self.pos += 1;
+            }
+            if self.pos == frac_start {
+                return Err(self.error("expected fraction digits"));
+            }
+        }
+        if matches!(self.bytes.get(self.pos), Some(b'e' | b'E')) {
+            self.pos += 1;
+            if matches!(self.bytes.get(self.pos), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            let exp_start = self.pos;
+            while self.bytes.get(self.pos).is_some_and(u8::is_ascii_digit) {
+                self.pos += 1;
+            }
+            if self.pos == exp_start {
+                return Err(self.error("expected exponent digits"));
+            }
+        }
+        let text =
+            std::str::from_utf8(&self.bytes[start..self.pos]).expect("number bytes are ASCII");
+        text.parse::<f64>()
+            .map(JsonValue::Number)
+            .map_err(|_| self.error("number out of range"))
     }
-    *pos > start
 }
 
 #[cfg(test)]
@@ -292,6 +484,7 @@ mod tests {
             r#""unterminated"#,
             "{}extra",
             r#""bad \q escape""#,
+            "nul",
         ] {
             assert!(!is_valid(bad), "{bad}");
         }
@@ -301,5 +494,50 @@ mod tests {
     fn empty_object_is_valid() {
         assert_eq!(ObjectWriter::new().finish(), "{}");
         assert!(is_valid("{}"));
+    }
+
+    #[test]
+    fn parses_nested_values() {
+        let v = parse(r#"{"a": 1, "b": [true, null, "x\nA"], "c": {"d": -2.5e2}}"#).expect("valid");
+        assert_eq!(v.get("a").and_then(JsonValue::as_u64), Some(1));
+        let b = v.get("b").and_then(JsonValue::as_array).expect("array");
+        assert_eq!(b[0].as_bool(), Some(true));
+        assert!(b[1].is_null());
+        assert_eq!(b[2].as_str(), Some("x\nA"));
+        assert_eq!(
+            v.get("c").and_then(|c| c.get("d")),
+            Some(&JsonValue::Number(-250.0))
+        );
+    }
+
+    #[test]
+    fn surrogate_pairs_decode() {
+        let v = parse(r#""😀""#).expect("valid pair");
+        assert_eq!(v.as_str(), Some("\u{1F600}"));
+        assert!(parse(r#""\ud83d""#).is_err(), "unpaired high surrogate");
+        assert!(parse(r#""\ude00""#).is_err(), "unpaired low surrogate");
+    }
+
+    #[test]
+    fn round_trips_the_telemetry_writer_output() {
+        let mut obj = ObjectWriter::new();
+        obj.str_field("msg", "quote \" backslash \\ tab \t");
+        obj.u64_field("n", 42);
+        let v = parse(&obj.finish()).expect("writer output parses");
+        assert_eq!(
+            v.get("msg").and_then(JsonValue::as_str),
+            Some("quote \" backslash \\ tab \t")
+        );
+        assert_eq!(v.get("n").and_then(JsonValue::as_u64), Some(42));
+    }
+
+    #[test]
+    fn integral_accessor_guards_range_and_sign() {
+        assert_eq!(parse("3.5").expect("ok").as_u64(), None);
+        assert_eq!(parse("-1").expect("ok").as_u64(), None);
+        assert_eq!(
+            parse("9007199254740992").expect("ok").as_u64(),
+            Some(1 << 53)
+        );
     }
 }

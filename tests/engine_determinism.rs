@@ -32,7 +32,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// Digests regenerated twice since capture:
 ///
 /// 1. `CampaignResult` gained the `coverage` bitset field (the mergeable
-///    form shard workers report), which is Debug-visible. Branches,
+///    final union coverage), which is Debug-visible. Branches,
 ///    faults, curves, and all pre-existing fields were unchanged —
 ///    `batch_size_does_not_change_campaign_results` pins the full Debug
 ///    render across batch sizes, and the batch-1 render equals the

@@ -2,9 +2,10 @@
 //!
 //! Two levels, two references:
 //!
-//! 1. **Grid level** — the worker pool in `cmfuzz_bench::grid` must render
-//!    every table byte-identically to a one-worker run, no matter how
-//!    cells interleave.
+//! 1. **Grid level** — the cell pool in `cmfuzz::exec` must render every
+//!    table byte-identically to a one-worker run, no matter how cells
+//!    interleave. Across processes, CI compares `table1` output at
+//!    `CMFUZZ_JOBS=1` and `=2` byte for byte.
 //! 2. **Campaign level** — the persistent per-instance worker pool in
 //!    `cmfuzz::campaign` must reproduce the inline (single-threaded)
 //!    execution exactly: same coverage curve, same faults, same stats.
