@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use cmfuzz_telemetry::json::ObjectWriter;
+
 /// Version discriminator opening every JSON diagnostics document, so
 /// downstream consumers can dispatch on shape before parsing findings.
 pub const DIAGNOSTICS_SCHEMA: &str = "cmfuzz.diagnostics.v1";
@@ -265,40 +267,24 @@ impl Report {
     /// of the telemetry v1 envelope — followed by the findings array.
     #[must_use]
     pub fn render_json(&self) -> String {
-        fn escape(s: &str) -> String {
-            let mut out = String::with_capacity(s.len());
-            for c in s.chars() {
-                match c {
-                    '\\' => out.push_str("\\\\"),
-                    '"' => out.push_str("\\\""),
-                    '\n' => out.push_str("\\n"),
-                    '\t' => out.push_str("\\t"),
-                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                    c => out.push(c),
-                }
-            }
-            out
-        }
-        let rendered: Vec<String> = self
+        let findings: Vec<String> = self
             .diagnostics
             .iter()
             .map(|d| {
-                format!(
-                    "{{\"code\":\"{}\",\"severity\":\"{}\",\"model\":\"{}\",\"path\":\"{}\",\"message\":\"{}\",\"hint\":\"{}\"}}",
-                    escape(d.code()),
-                    d.severity().label(),
-                    escape(d.model()),
-                    escape(d.path()),
-                    escape(d.message()),
-                    escape(d.hint())
-                )
+                let mut finding = ObjectWriter::new();
+                finding.str_field("code", d.code());
+                finding.str_field("severity", d.severity().label());
+                finding.str_field("model", d.model());
+                finding.str_field("path", d.path());
+                finding.str_field("message", d.message());
+                finding.str_field("hint", d.hint());
+                finding.finish()
             })
             .collect();
-        format!(
-            "{{\"schema\":\"{}\",\"findings\":[{}]}}",
-            DIAGNOSTICS_SCHEMA,
-            rendered.join(",")
-        )
+        let mut document = ObjectWriter::new();
+        document.str_field("schema", DIAGNOSTICS_SCHEMA);
+        document.raw_field("findings", &format!("[{}]", findings.join(",")));
+        document.finish()
     }
 }
 
@@ -394,6 +380,39 @@ mod tests {
             Report::new().render_json(),
             "{\"schema\":\"cmfuzz.diagnostics.v1\",\"findings\":[]}"
         );
+    }
+
+    #[test]
+    fn json_findings_parse_back_to_the_original_strings() {
+        use cmfuzz_telemetry::json::parse;
+
+        let awkward = "quote\" backslash\\ newline\n tab\t ctrl\u{1}";
+        let mut report = Report::new();
+        report.push(Diagnostic::new(
+            "CM001",
+            Severity::Warn,
+            awkward,
+            "path\\x",
+            "line\nbreak",
+            awkward,
+        ));
+        let document = parse(&report.render_json()).expect("valid JSON");
+        assert_eq!(
+            document.get("schema").and_then(|v| v.as_str()),
+            Some(DIAGNOSTICS_SCHEMA)
+        );
+        let findings = document
+            .get("findings")
+            .and_then(|v| v.as_array())
+            .expect("findings array");
+        assert_eq!(findings.len(), 1);
+        let field = |name: &str| findings[0].get(name).and_then(|v| v.as_str());
+        assert_eq!(field("code"), Some("CM001"));
+        assert_eq!(field("severity"), Some("warn"));
+        assert_eq!(field("model"), Some(awkward));
+        assert_eq!(field("path"), Some("path\\x"));
+        assert_eq!(field("message"), Some("line\nbreak"));
+        assert_eq!(field("hint"), Some(awkward));
     }
 
     #[test]

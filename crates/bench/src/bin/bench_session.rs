@@ -1,56 +1,40 @@
-//! Measures the session loop two ways and records both in
+//! Measures the batched session path and records it in
 //! `BENCH_session.json`.
 //!
-//! **Hot loop** — for every protocol subject, the same workload
-//! (identical Pit, config and RNG seed against the non-allocating
-//! [`NullTarget`]) runs once through [`LegacyEngine`] (the faithful
-//! replica of the pre-rework loop) and once through the current
-//! [`FuzzEngine`]. Coverage and corpus state are asserted identical
-//! afterwards, so the sessions/sec ratios compare the same work.
-//!
-//! **Batched wire path** — the same subjects run behind a real
-//! [`NetworkedTarget`] over a perfect datagram link, once with the
-//! per-session [`FuzzEngine::run_iteration`] loop and once through
+//! Every protocol subject runs behind a real [`NetworkedTarget`] over a
+//! perfect datagram link, once with the per-session
+//! [`FuzzEngine::run_iteration`] loop and once through
 //! [`FuzzEngine::run_batch`]: arena-rendered sessions, burst sends, one
-//! word-parallel coverage diff per batch. Batching is bit-identical by
-//! construction (asserted again here), so the ratio isolates the wire
+//! word-parallel coverage diff per batch. `run_iteration` is the
+//! reference `run_batch` is tested against, and batching is bit-identical
+//! by construction (asserted again here), so the ratio isolates the wire
 //! and diff overhead the batch amortizes.
 //!
-//! Exits non-zero if either geometric-mean speedup falls below 1.5x, so
-//! CI can gate on both optimizations staying real. `--smoke` runs a
-//! shortened measurement that keeps every identity assertion but skips
-//! the throughput gates (CI runners are too noisy for short timings).
+//! Exits non-zero if the geometric-mean speedup falls below 1.5x, so CI
+//! can gate on the optimization staying real. `--smoke` runs a shortened
+//! measurement that keeps every identity assertion but skips the
+//! throughput gate (CI runners are too noisy for short timings).
 
 use std::path::PathBuf;
 use std::process::exit;
 use std::time::Instant;
 
-use cmfuzz_bench::{report, LegacyEngine, NullTarget};
+use cmfuzz_bench::report;
 use cmfuzz_config_model::ResolvedConfig;
 use cmfuzz_fuzzer::{pit, EngineConfig, FuzzEngine};
 use cmfuzz_protocols::{all_specs, NetworkedTarget};
 
 const THRESHOLD: f64 = 1.5;
-const BRANCHES: usize = 64;
 /// Sessions per [`FuzzEngine::run_batch`] call in the batched wire runs.
 const BATCH: usize = 64;
 
 struct SubjectResult {
     name: &'static str,
-    baseline_sessions_per_sec: f64,
-    baseline_messages_per_sec: f64,
-    contender_sessions_per_sec: f64,
-    contender_messages_per_sec: f64,
+    unbatched_sessions_per_sec: f64,
+    unbatched_messages_per_sec: f64,
+    batched_sessions_per_sec: f64,
+    batched_messages_per_sec: f64,
     speedup: f64,
-}
-
-struct Experiment {
-    key: &'static str,
-    target: String,
-    baseline_label: &'static str,
-    contender_label: &'static str,
-    results: Vec<SubjectResult>,
-    geomean: f64,
 }
 
 fn main() {
@@ -107,17 +91,14 @@ fn main() {
         "[bench_session] {scale_label} scale{}: {iterations} sessions per engine per subject",
         if smoke { " (smoke)" } else { "" },
     );
-    let hot_loop = run_hot_loop(warmup, iterations, &config);
-    let batched = run_batched_wire(warmup, iterations, &config);
+    let results = run_batched_wire(warmup, iterations, &config);
+    let geomean =
+        (results.iter().map(|r| r.speedup.ln()).sum::<f64>() / results.len() as f64).exp();
 
-    let mut sections = String::new();
-    for experiment in [&hot_loop, &batched] {
-        sections.push_str(&render_experiment(experiment));
-        sections.push_str(",\n");
-    }
     let json = format!(
-        "{{\n  \"experiment\": \"session_throughput\",\n  \"scale\": \"{scale_label}\",\n  \"smoke\": {smoke},\n  \"sessions_per_engine\": {iterations},\n  \"machine\": {machine},\n{sections}  \"threshold\": {THRESHOLD},\n  \"gated\": {gated}\n}}\n",
+        "{{\n  \"experiment\": \"session_throughput\",\n  \"scale\": \"{scale_label}\",\n  \"smoke\": {smoke},\n  \"sessions_per_engine\": {iterations},\n  \"machine\": {machine},\n{section},\n  \"threshold\": {THRESHOLD},\n  \"gated\": {gated}\n}}\n",
         machine = report::machine_info_json(),
+        section = render_batched_wire(&results, geomean),
         gated = !smoke,
     );
     if let Err(err) = std::fs::write(&out, &json) {
@@ -125,110 +106,26 @@ fn main() {
         exit(2);
     }
     eprintln!(
-        "[bench_session] hot loop geomean {:.2}x, batched wire geomean {:.2}x (threshold {THRESHOLD}x{})",
-        hot_loop.geomean,
-        batched.geomean,
-        if smoke { ", not gated under --smoke" } else { "" },
+        "[bench_session] batched wire geomean {geomean:.2}x (threshold {THRESHOLD}x{})",
+        if smoke {
+            ", not gated under --smoke"
+        } else {
+            ""
+        },
     );
     print!("{json}");
 
-    if !smoke {
-        let mut failed = false;
-        for experiment in [&hot_loop, &batched] {
-            if experiment.geomean < THRESHOLD {
-                eprintln!(
-                    "[bench_session] FAIL: {} geomean speedup {:.2}x below the {THRESHOLD}x gate",
-                    experiment.key, experiment.geomean,
-                );
-                failed = true;
-            }
-        }
-        if failed {
-            exit(1);
-        }
-    }
-}
-
-/// Legacy replica vs the current engine over the non-allocating target.
-fn run_hot_loop(warmup: u64, iterations: u64, config: &EngineConfig) -> Experiment {
-    let mut results = Vec::new();
-    for spec in all_specs() {
-        let parsed = pit::parse(spec.pit_document).expect("pit parses");
-        let mut legacy = LegacyEngine::new(NullTarget::new(BRANCHES), parsed, config.clone());
-        legacy
-            .start(&ResolvedConfig::new())
-            .expect("null target always boots");
-        for _ in 0..warmup {
-            legacy.run_iteration();
-        }
-        let legacy_messages_before = legacy.messages();
-        let started = Instant::now();
-        for _ in 0..iterations {
-            legacy.run_iteration();
-        }
-        let legacy_elapsed = started.elapsed().as_secs_f64().max(1e-9);
-        let legacy_messages = (legacy.messages() - legacy_messages_before) as f64;
-
-        let parsed = pit::parse(spec.pit_document).expect("pit parses");
-        let mut optimized = FuzzEngine::new(NullTarget::new(BRANCHES), parsed, config.clone());
-        optimized
-            .start(&ResolvedConfig::new())
-            .expect("null target always boots");
-        for _ in 0..warmup {
-            optimized.run_iteration();
-        }
-        let optimized_messages_before = optimized.stats().messages;
-        let started = Instant::now();
-        for _ in 0..iterations {
-            optimized.run_iteration();
-        }
-        let optimized_elapsed = started.elapsed().as_secs_f64().max(1e-9);
-        let optimized_messages = (optimized.stats().messages - optimized_messages_before) as f64;
-
-        // Identical seeds walk identical random streams: if the two loops
-        // did different work, the ratio below would be meaningless.
-        assert_eq!(
-            legacy.covered_count(),
-            optimized.covered_count(),
-            "{}: engines diverged in coverage",
-            spec.name
-        );
-        assert_eq!(
-            legacy.corpus_len(),
-            optimized.corpus_len(),
-            "{}: engines diverged in retention",
-            spec.name
-        );
-        assert_eq!(legacy.messages(), optimized.stats().messages);
-
-        let result = SubjectResult {
-            name: spec.name,
-            baseline_sessions_per_sec: iterations as f64 / legacy_elapsed,
-            baseline_messages_per_sec: legacy_messages / legacy_elapsed,
-            contender_sessions_per_sec: iterations as f64 / optimized_elapsed,
-            contender_messages_per_sec: optimized_messages / optimized_elapsed,
-            speedup: legacy_elapsed / optimized_elapsed,
-        };
+    if !smoke && geomean < THRESHOLD {
         eprintln!(
-            "[bench_session] hot loop {:>10}: legacy {:>9.0} sess/s, optimized {:>9.0} sess/s, speedup {:.2}x",
-            result.name, result.baseline_sessions_per_sec, result.contender_sessions_per_sec,
-            result.speedup,
+            "[bench_session] FAIL: batched_wire geomean speedup {geomean:.2}x below the {THRESHOLD}x gate",
         );
-        results.push(result);
+        exit(1);
     }
-    finish(Experiment {
-        key: "hot_loop",
-        target: format!("null (non-allocating, {BRANCHES} branches)"),
-        baseline_label: "legacy",
-        contender_label: "optimized",
-        results,
-        geomean: 0.0,
-    })
 }
 
 /// Per-session iteration loop vs [`FuzzEngine::run_batch`] behind a real
 /// datagram transport on a perfect link.
-fn run_batched_wire(warmup: u64, iterations: u64, config: &EngineConfig) -> Experiment {
+fn run_batched_wire(warmup: u64, iterations: u64, config: &EngineConfig) -> Vec<SubjectResult> {
     let mut results = Vec::new();
     for spec in all_specs() {
         let parsed = pit::parse(spec.pit_document).expect("pit parses");
@@ -296,63 +193,40 @@ fn run_batched_wire(warmup: u64, iterations: u64, config: &EngineConfig) -> Expe
 
         let result = SubjectResult {
             name: spec.name,
-            baseline_sessions_per_sec: iterations as f64 / unbatched_elapsed,
-            baseline_messages_per_sec: unbatched_messages / unbatched_elapsed,
-            contender_sessions_per_sec: iterations as f64 / batched_elapsed,
-            contender_messages_per_sec: batched_messages / batched_elapsed,
+            unbatched_sessions_per_sec: iterations as f64 / unbatched_elapsed,
+            unbatched_messages_per_sec: unbatched_messages / unbatched_elapsed,
+            batched_sessions_per_sec: iterations as f64 / batched_elapsed,
+            batched_messages_per_sec: batched_messages / batched_elapsed,
             speedup: unbatched_elapsed / batched_elapsed,
         };
         eprintln!(
             "[bench_session] batched  {:>10}: unbatched {:>9.0} sess/s, batch({BATCH}) {:>9.0} sess/s, speedup {:.2}x",
-            result.name, result.baseline_sessions_per_sec, result.contender_sessions_per_sec,
+            result.name, result.unbatched_sessions_per_sec, result.batched_sessions_per_sec,
             result.speedup,
         );
         results.push(result);
     }
-    finish(Experiment {
-        key: "batched_wire",
-        target: "networked (datagram link, perfect conditions)".to_owned(),
-        baseline_label: "unbatched",
-        contender_label: "batched",
-        results,
-        geomean: 0.0,
-    })
+    results
 }
 
-fn finish(mut experiment: Experiment) -> Experiment {
-    experiment.geomean = (experiment
-        .results
+fn render_batched_wire(results: &[SubjectResult], geomean: f64) -> String {
+    let subjects: Vec<String> = results
         .iter()
-        .map(|r| r.speedup.ln())
-        .sum::<f64>()
-        / experiment.results.len() as f64)
-        .exp();
-    experiment
-}
-
-fn render_experiment(experiment: &Experiment) -> String {
-    let mut subjects = String::new();
-    for (i, r) in experiment.results.iter().enumerate() {
-        if i > 0 {
-            subjects.push_str(",\n");
-        }
-        subjects.push_str(&format!(
-            "      {{\n        \"name\": \"{}\",\n        \"{base}_sessions_per_sec\": {:.0},\n        \"{base}_messages_per_sec\": {:.0},\n        \"{cont}_sessions_per_sec\": {:.0},\n        \"{cont}_messages_per_sec\": {:.0},\n        \"speedup\": {:.2}\n      }}",
-            r.name,
-            r.baseline_sessions_per_sec,
-            r.baseline_messages_per_sec,
-            r.contender_sessions_per_sec,
-            r.contender_messages_per_sec,
-            r.speedup,
-            base = experiment.baseline_label,
-            cont = experiment.contender_label,
-        ));
-    }
+        .map(|r| {
+            format!(
+                "      {{\n        \"name\": \"{}\",\n        \"unbatched_sessions_per_sec\": {:.0},\n        \"unbatched_messages_per_sec\": {:.0},\n        \"batched_sessions_per_sec\": {:.0},\n        \"batched_messages_per_sec\": {:.0},\n        \"speedup\": {:.2}\n      }}",
+                r.name,
+                r.unbatched_sessions_per_sec,
+                r.unbatched_messages_per_sec,
+                r.batched_sessions_per_sec,
+                r.batched_messages_per_sec,
+                r.speedup,
+            )
+        })
+        .collect();
     format!(
-        "  \"{key}\": {{\n    \"target\": \"{target}\",\n    \"subjects\": [\n{subjects}\n    ],\n    \"geomean_speedup\": {geomean:.2}\n  }}",
-        key = experiment.key,
-        target = experiment.target,
-        geomean = experiment.geomean,
+        "  \"batched_wire\": {{\n    \"target\": \"networked (datagram link, perfect conditions)\",\n    \"subjects\": [\n{}\n    ],\n    \"geomean_speedup\": {geomean:.2}\n  }}",
+        subjects.join(",\n"),
     )
 }
 
@@ -361,7 +235,7 @@ const USAGE: &str =
     \n\
     --scale     measurement length (default: quick)\n\
     --sessions  override the per-engine session count\n\
-    --smoke     shortened run: identity asserts only, no throughput gates\n\
+    --smoke     shortened run: identity asserts only, no throughput gate\n\
     --out       where to write the JSON record (default: BENCH_session.json)";
 
 fn usage_error(message: &str) -> ! {

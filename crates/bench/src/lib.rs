@@ -33,4 +33,4 @@ pub use experiments::{
     try_table1_with_jobs_timed, try_table2_with_jobs, AblationRow, CellTiming, ExperimentScale,
     Figure4Series, Table1Row, Table2Row,
 };
-pub use session::{LegacyEngine, NullTarget};
+pub use session::NullTarget;

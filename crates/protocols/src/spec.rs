@@ -1,6 +1,23 @@
 //! Protocol registry: targets plus their shared Pit documents.
 
-use crate::{Amqp, Coap, Dds, Dns, Dtls, Mqtt, ProtocolTarget};
+use cmfuzz_fuzzer::Target;
+
+use crate::{Amqp, Coap, Dds, Dns, Dtls, Mqtt};
+
+/// A campaign target: any [`Target`] behind one box, whether one of the
+/// six registry servers or a downstream protocol built by a custom
+/// [`ProtocolSpec`].
+///
+/// # Examples
+///
+/// ```
+/// use cmfuzz_fuzzer::Target;
+/// use cmfuzz_protocols::{Mqtt, ProtocolTarget};
+///
+/// let target: ProtocolTarget = Box::new(Mqtt::new());
+/// assert_eq!(target.name(), "mosquitto");
+/// ```
+pub type ProtocolTarget = Box<dyn Target + Send>;
 
 /// One evaluation subject: how to build the target and the Pit document
 /// (data + state models) every fuzzer uses against it — "for fairness, we
@@ -15,8 +32,7 @@ pub struct ProtocolSpec {
     pub name: &'static str,
     /// The protocol the implementation speaks (e.g. `"MQTT"`).
     pub protocol: &'static str,
-    /// Builds a fresh stopped target instance, statically dispatched —
-    /// no heap allocation, no vtable between the engine and the server.
+    /// Builds a fresh stopped target instance.
     pub build: fn() -> ProtocolTarget,
     /// The shared Pit document.
     pub pit_document: &'static str,
@@ -38,37 +54,37 @@ pub fn all_specs() -> Vec<ProtocolSpec> {
         ProtocolSpec {
             name: "mosquitto",
             protocol: "MQTT",
-            build: || ProtocolTarget::Mqtt(Mqtt::new()),
+            build: || Box::new(Mqtt::new()),
             pit_document: MQTT_PIT,
         },
         ProtocolSpec {
             name: "libcoap",
             protocol: "CoAP",
-            build: || ProtocolTarget::Coap(Coap::new()),
+            build: || Box::new(Coap::new()),
             pit_document: COAP_PIT,
         },
         ProtocolSpec {
             name: "cyclonedds",
             protocol: "DDS",
-            build: || ProtocolTarget::Dds(Dds::new()),
+            build: || Box::new(Dds::new()),
             pit_document: DDS_PIT,
         },
         ProtocolSpec {
             name: "openssl",
             protocol: "DTLS",
-            build: || ProtocolTarget::Dtls(Dtls::new()),
+            build: || Box::new(Dtls::new()),
             pit_document: DTLS_PIT,
         },
         ProtocolSpec {
             name: "qpid",
             protocol: "AMQP",
-            build: || ProtocolTarget::Amqp(Amqp::new()),
+            build: || Box::new(Amqp::new()),
             pit_document: AMQP_PIT,
         },
         ProtocolSpec {
             name: "dnsmasq",
             protocol: "DNS",
-            build: || ProtocolTarget::Dns(Dns::new()),
+            build: || Box::new(Dns::new()),
             pit_document: DNS_PIT,
         },
     ]
@@ -490,7 +506,7 @@ mod tests {
     use super::*;
     use cmfuzz_config_model::{extract_model, ResolvedConfig};
     use cmfuzz_coverage::CoverageMap;
-    use cmfuzz_fuzzer::{pit, Target};
+    use cmfuzz_fuzzer::{pit, TargetResponse};
 
     #[test]
     fn all_six_subjects_present() {
@@ -506,6 +522,9 @@ mod tests {
                 "dnsmasq"
             ]
         );
+        for spec in all_specs() {
+            assert_eq!((spec.build)().name(), spec.name);
+        }
     }
 
     #[test]
@@ -562,6 +581,196 @@ mod tests {
                 "{}: too few mutable entities",
                 spec.name
             );
+        }
+    }
+
+    /// Lockstep gate between the declarative constraints and the
+    /// imperative `start` checks: every declared conflict must actually
+    /// refuse to boot, and a clean configuration must both boot and pass
+    /// the declared set.
+    #[test]
+    fn declared_constraints_match_start_behaviour() {
+        for spec in crate::all_specs() {
+            let mut target = (spec.build)();
+            let constraints = target.config_constraints();
+            assert!(
+                !constraints.is_empty(),
+                "{} declares no startup constraints",
+                spec.name
+            );
+
+            let clean = ResolvedConfig::new();
+            assert!(
+                constraints.violations(&clean).is_empty(),
+                "{} flags its own defaults",
+                spec.name
+            );
+            let map = CoverageMap::new(target.branch_count());
+            target
+                .start(&clean, map.probe())
+                .unwrap_or_else(|e| panic!("{} refuses defaults: {e}", spec.name));
+
+            for constraint in constraints.constraints() {
+                let witness = constraint.witness();
+                assert!(
+                    constraint.violated_by(&witness),
+                    "{}: witness fails to violate `{}`",
+                    spec.name,
+                    constraint.reason()
+                );
+                let map = CoverageMap::new(target.branch_count());
+                assert!(
+                    target.start(&witness, map.probe()).is_err(),
+                    "{}: `{}` witness {witness} boots anyway",
+                    spec.name,
+                    constraint.reason()
+                );
+            }
+        }
+    }
+
+    /// Lockstep gate between the declared branch guards and the actual
+    /// coverage behaviour, machine-checked through the reachability
+    /// analyzer:
+    ///
+    /// * global-mode analysis over every subject's extracted model must be
+    ///   diagnostic-free (each guard references known items and every
+    ///   verdict is certified),
+    /// * every startup guard must be proven reachable, and its canonical
+    ///   witness must boot the server *and* cover the guarded branch,
+    /// * on the default configuration, a startup guard's branch must be
+    ///   covered iff its conditions hold — the exactness contract of
+    ///   `GuardKind::Startup`.
+    #[test]
+    fn declared_guards_match_reachability_and_coverage() {
+        use cmfuzz_analyze::{analyze_reachability, ReachSpace, ReachStatus};
+        use cmfuzz_config_model::{extract_model, GuardKind};
+        use cmfuzz_coverage::BranchId;
+
+        for spec in crate::all_specs() {
+            let mut target = (spec.build)();
+            let guards = target.branch_guards();
+            assert!(
+                !guards.is_empty(),
+                "{} declares no branch guards",
+                spec.name
+            );
+            let model = extract_model(&target.config_space());
+            let analysis = analyze_reachability(
+                spec.name,
+                &guards,
+                &target.config_constraints(),
+                &model,
+                target.branch_count(),
+                &ReachSpace::Global,
+            );
+            assert!(
+                analysis.report().diagnostics().is_empty(),
+                "{}: global reachability not clean:\n{}",
+                spec.name,
+                analysis.report().render_text()
+            );
+
+            let defaults = ResolvedConfig::new();
+            let default_map = CoverageMap::new(target.branch_count());
+            target.start(&defaults, default_map.probe()).unwrap();
+            for guard in guards.iter() {
+                if guard.kind() != GuardKind::Startup {
+                    continue;
+                }
+                let holds = guard.conditions().iter().all(|c| c.matches(&defaults));
+                let covered = default_map.hit_count(BranchId::from_index(guard.branch())) > 0;
+                assert_eq!(
+                    covered,
+                    holds,
+                    "{}: default boot covers `{}`={covered} but its guard holds={holds}",
+                    spec.name,
+                    guard.region()
+                );
+            }
+
+            for row in analysis.branches() {
+                if row.kind() != GuardKind::Startup {
+                    continue;
+                }
+                let ReachStatus::Reachable { witness } = row.status() else {
+                    panic!(
+                        "{}: startup guard `{}` not proven reachable: {:?}",
+                        spec.name,
+                        row.region(),
+                        row.status()
+                    );
+                };
+                let map = CoverageMap::new(target.branch_count());
+                target.start(witness, map.probe()).unwrap_or_else(|e| {
+                    panic!(
+                        "{}: witness {witness} for `{}` refuses to boot: {e}",
+                        spec.name,
+                        row.region()
+                    )
+                });
+                assert!(
+                    map.hit_count(BranchId::from_index(row.branch())) > 0,
+                    "{}: witness {witness} boots but does not cover `{}`",
+                    spec.name,
+                    row.region()
+                );
+            }
+        }
+    }
+
+    /// Deterministic pseudo-random probe message for the state round-trip
+    /// test below.
+    fn probe_msg(i: usize) -> Vec<u8> {
+        let mut bytes = vec![0u8; 16];
+        let mut x = (i as u64).wrapping_mul(0x9E37_79B9).wrapping_add(1);
+        for b in &mut bytes {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            *b = (x >> 33) as u8;
+        }
+        bytes
+    }
+
+    /// The `export_state`/`import_state` contract, per subject: a fresh
+    /// instance that starts and imports must answer future traffic exactly
+    /// like the uninterrupted original.
+    #[test]
+    fn exported_state_reproduces_future_behaviour() {
+        const BEFORE: usize = 24;
+        const AFTER: usize = 24;
+        for spec in crate::all_specs() {
+            let start = |target: &mut ProtocolTarget| {
+                let map = CoverageMap::new(target.branch_count());
+                target.start(&ResolvedConfig::new(), map.probe()).unwrap();
+                map
+            };
+            let mut reference = (spec.build)();
+            let _ref_map = start(&mut reference);
+            reference.begin_session();
+            let mut expected = Vec::new();
+            for i in 0..BEFORE + AFTER {
+                let response = reference.handle(&probe_msg(i));
+                if i >= BEFORE {
+                    expected.push(response);
+                }
+            }
+
+            let mut exporter = (spec.build)();
+            let _exp_map = start(&mut exporter);
+            exporter.begin_session();
+            for i in 0..BEFORE {
+                exporter.handle(&probe_msg(i));
+            }
+            let state = exporter.export_state();
+            let mut resumed = (spec.build)();
+            let _res_map = start(&mut resumed);
+            resumed.import_state(&state);
+            let continued: Vec<TargetResponse> = (BEFORE..BEFORE + AFTER)
+                .map(|i| resumed.handle(&probe_msg(i)))
+                .collect();
+            assert_eq!(continued, expected, "{} state round-trip", spec.name);
         }
     }
 

@@ -11,7 +11,7 @@ use cmfuzz::schedule::{build_schedule, ScheduleOptions};
 use cmfuzz_config_model::{ConfigFile, ConfigSpace, ConfigValue, ResolvedConfig};
 use cmfuzz_coverage::{BranchId, CoverageProbe, Ticks};
 use cmfuzz_fuzzer::{Fault, FaultKind, StartError, Target, TargetResponse};
-use cmfuzz_protocols::{ProtocolSpec, ProtocolTarget};
+use cmfuzz_protocols::ProtocolSpec;
 
 /// A toy "ECHO" protocol: `len(u8) | flags(u8) | payload`. Two
 /// configuration items gate behaviour: `compression` enables a second
@@ -135,7 +135,7 @@ fn main() {
     let spec = ProtocolSpec {
         name: "echo",
         protocol: "ECHO",
-        build: || ProtocolTarget::custom(EchoTarget::default()),
+        build: || Box::new(EchoTarget::default()),
         pit_document: ECHO_PIT,
     };
 

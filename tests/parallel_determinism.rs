@@ -125,28 +125,30 @@ fn impaired_campaigns_match_inline_reference() {
     // over an impaired link (loss, duplication, reordering) must stay
     // deterministic — same seed and same `LinkConditions` produce the
     // exact same result whether rounds run on the worker pool or inline.
-    let spec = spec_by_name("libcoap").expect("subject exists");
-    let pooled_options = CampaignOptions {
-        instances: 2,
-        budget: Ticks::new(800),
-        sample_interval: Ticks::new(100),
-        saturation_window: Ticks::new(300),
-        seed: 5,
-        worker_pool: true,
-        link: LinkConditions::new(0.1, 0.05, 0.05),
-        ..CampaignOptions::default()
-    };
-    let inline_options = CampaignOptions {
-        worker_pool: false,
-        ..pooled_options.clone()
-    };
-    let pooled = run_cmfuzz(&spec, &ScheduleOptions::default(), &pooled_options);
-    let inline = run_cmfuzz(&spec, &ScheduleOptions::default(), &inline_options);
-    assert_eq!(
-        format!("{pooled:?}"),
-        format!("{inline:?}"),
-        "impaired campaign depends on the worker pool"
-    );
+    for (subject, seed) in [("libcoap", 5), ("mosquitto", 11)] {
+        let spec = spec_by_name(subject).expect("subject exists");
+        let pooled_options = CampaignOptions {
+            instances: 2,
+            budget: Ticks::new(800),
+            sample_interval: Ticks::new(100),
+            saturation_window: Ticks::new(300),
+            seed,
+            worker_pool: true,
+            link: LinkConditions::new(0.1, 0.05, 0.05),
+            ..CampaignOptions::default()
+        };
+        let inline_options = CampaignOptions {
+            worker_pool: false,
+            ..pooled_options.clone()
+        };
+        let pooled = run_cmfuzz(&spec, &ScheduleOptions::default(), &pooled_options);
+        let inline = run_cmfuzz(&spec, &ScheduleOptions::default(), &inline_options);
+        assert_eq!(
+            format!("{pooled:?}"),
+            format!("{inline:?}"),
+            "{subject}: impaired campaign depends on the worker pool"
+        );
+    }
 }
 
 #[test]

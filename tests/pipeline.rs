@@ -2,13 +2,13 @@
 //! configuration extraction to campaign metrics, on every subject.
 
 use cmfuzz::baseline::{cmfuzz_setups, run_cmfuzz, run_peach, run_spfuzz};
-use cmfuzz::campaign::CampaignOptions;
+use cmfuzz::campaign::{run_campaign, CampaignOptions, InstanceSetup};
 use cmfuzz::metrics::{improvement_pct, speedup};
 use cmfuzz::schedule::{build_schedule, ScheduleOptions};
-use cmfuzz_config_model::extract_model;
-use cmfuzz_coverage::Ticks;
-use cmfuzz_fuzzer::Target;
-use cmfuzz_protocols::all_specs;
+use cmfuzz_config_model::{extract_model, ConfigFile, ConfigSpace, ResolvedConfig};
+use cmfuzz_coverage::{BranchId, CoverageProbe, Ticks};
+use cmfuzz_fuzzer::{StartError, Target, TargetResponse};
+use cmfuzz_protocols::{all_specs, ProtocolSpec};
 
 fn short_options(seed: u64) -> CampaignOptions {
     CampaignOptions {
@@ -159,4 +159,96 @@ fn fault_union_is_config_gated() {
             "cmfuzz missed a baseline-findable fault: {fault}"
         );
     }
+}
+
+/// A downstream target outside the registry: one byte selects a branch,
+/// and a `verbose` configuration item unlocks a second reply path.
+#[derive(Default)]
+struct TallyTarget {
+    probe: Option<CoverageProbe>,
+    verbose: bool,
+}
+
+impl TallyTarget {
+    fn hit(&self, branch: u32) {
+        if let Some(probe) = &self.probe {
+            probe.hit(BranchId::from_index(branch));
+        }
+    }
+}
+
+impl Target for TallyTarget {
+    fn name(&self) -> &str {
+        "tally"
+    }
+
+    fn branch_count(&self) -> usize {
+        10
+    }
+
+    fn config_space(&self) -> ConfigSpace {
+        ConfigSpace {
+            cli: vec![],
+            files: vec![ConfigFile::named("tally.conf", "verbose false\n")],
+        }
+    }
+
+    fn start(&mut self, config: &ResolvedConfig, probe: CoverageProbe) -> Result<(), StartError> {
+        self.verbose = config.bool_or("verbose", false);
+        self.probe = Some(probe);
+        self.hit(0);
+        Ok(())
+    }
+
+    fn begin_session(&mut self) {}
+
+    fn handle(&mut self, input: &[u8]) -> TargetResponse {
+        let Some(&first) = input.first() else {
+            return TargetResponse::empty();
+        };
+        self.hit(1 + u32::from(first % 8));
+        if self.verbose {
+            self.hit(9);
+            return TargetResponse::reply(input.to_vec());
+        }
+        TargetResponse::empty()
+    }
+}
+
+const TALLY_PIT: &str = r#"<Peach>
+  <DataModel name="Count">
+    <Number name="value" size="8" value="1"/>
+    <Blob name="tail" value="tally"/>
+  </DataModel>
+  <StateModel name="TallySession" initialState="Init">
+    <State name="Init">
+      <Action dataModel="Count" next="Init"/>
+    </State>
+  </StateModel>
+</Peach>"#;
+
+#[test]
+fn downstream_target_runs_through_the_campaign_api() {
+    let spec = ProtocolSpec {
+        name: "tally",
+        protocol: "TALLY",
+        build: || Box::new(TallyTarget::default()),
+        pit_document: TALLY_PIT,
+    };
+    let setups = vec![InstanceSetup::default(); 2];
+    let options = CampaignOptions {
+        instances: setups.len(),
+        budget: Ticks::new(600),
+        sample_interval: Ticks::new(100),
+        saturation_window: Ticks::new(300),
+        seed: 9,
+        ..CampaignOptions::default()
+    };
+    let first = run_campaign(&spec, "cmfuzz", &setups, &options);
+    let second = run_campaign(&spec, "cmfuzz", &setups, &options);
+    assert_eq!(format!("{first:?}"), format!("{second:?}"));
+    assert!(
+        first.final_branches() > 0,
+        "the downstream target covered nothing"
+    );
 }
