@@ -65,7 +65,7 @@
 pub mod manager;
 pub mod policy;
 
-pub use manager::{CampaignState, CampaignStatus, FleetManager, IdleReason, WaveOutcome};
+pub use manager::{CampaignState, CampaignStatus, FleetManager, IdleReason, Wave, WaveOutcome};
 pub use policy::{CoverageGradient, RoundRobin, SchedulingPolicy, UcbBandit};
 
 use cmfuzz::campaign::{CampaignCheckpoint, CampaignOptions, InstanceSetup};

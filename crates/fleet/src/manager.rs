@@ -6,10 +6,20 @@
 //! [`FleetManager`] owns one live [`CampaignRun`] per scheduled campaign
 //! and steps the fleet one wave at a time: the caller decides when to
 //! step, which makes live admission ([`FleetManager::admit`]),
-//! pause/resume, budget extension, and kill natural — they all take effect
-//! at the next wave boundary, where every run is parked between rounds.
-//! Runs stay booted from their first lease to [`FleetManager::finish`],
-//! which is the only place they are exported as checkpoints.
+//! pause/resume, budget extension, and kill natural. Runs stay booted from
+//! their first lease to [`FleetManager::finish`], which is the only place
+//! they are exported as checkpoints.
+//!
+//! A wave is three steps, and [`FleetManager::step_wave`] is exactly
+//! these three calls: [`FleetManager::plan_wave`] picks the leases and
+//! takes their runs out of their entries, [`Wave::execute`] runs the
+//! slices without borrowing the manager, and [`FleetManager::commit_wave`]
+//! puts the runs back and feeds the reports to the policy. A caller that
+//! shares the manager behind a lock therefore holds it to plan and to
+//! commit, never while slices run. While a run is out, its entry reports
+//! the progress it had at the lease, is not eligible for planning, and
+//! applies a budget extension at commit; a pause or kill reaches the
+//! running slice at its next round boundary through [`CampaignControl`].
 //!
 //! Determinism is preserved by construction: the manager contains no RNG,
 //! entries are never reordered (killed campaigns become tombstones so
@@ -108,6 +118,27 @@ pub enum WaveOutcome {
     Idle(IdleReason),
 }
 
+/// Progress of one campaign, as [`FleetManager::status`] reports it.
+#[derive(Debug, Clone, Copy, Default)]
+struct Progress {
+    consumed: Ticks,
+    rounds_done: u64,
+    branches: usize,
+}
+
+/// Where an entry's live run is. The run is stored inline: a fleet holds
+/// one slot per campaign, and a parked run is the common case.
+#[derive(Debug)]
+#[allow(clippy::large_enum_variant)]
+enum RunSlot {
+    /// Never leased; the first lease boots the run.
+    Unbooted,
+    /// Parked between leases.
+    Parked(CampaignRun),
+    /// Out on a planned wave, with the progress it had at the lease.
+    Leased(Progress),
+}
+
 #[derive(Debug)]
 pub(crate) struct FleetEntry {
     pub(crate) campaign: FleetCampaign,
@@ -116,7 +147,7 @@ pub(crate) struct FleetEntry {
     /// parallelism).
     prepared: CampaignOptions,
     /// The live campaign, booted at its first lease.
-    run: Option<CampaignRun>,
+    slot: RunSlot,
     /// The subject's declared startup constraints, built at the
     /// campaign's first seed import and vetted against from then on.
     constraints: Option<ConstraintSet>,
@@ -139,7 +170,7 @@ impl FleetEntry {
         FleetEntry {
             campaign,
             prepared,
-            run: None,
+            slot: RunSlot::Unbooted,
             constraints: None,
             leases: 0,
             control: CampaignControl::new(),
@@ -149,8 +180,32 @@ impl FleetEntry {
         }
     }
 
+    /// The parked run; `None` before the first lease and while leased.
+    fn run(&self) -> Option<&CampaignRun> {
+        match &self.slot {
+            RunSlot::Parked(run) => Some(run),
+            _ => None,
+        }
+    }
+
+    fn leased(&self) -> bool {
+        matches!(self.slot, RunSlot::Leased(_))
+    }
+
     fn complete(&self) -> bool {
-        self.run.as_ref().is_some_and(CampaignRun::is_complete)
+        self.run().is_some_and(CampaignRun::is_complete)
+    }
+
+    fn progress(&self) -> Progress {
+        match &self.slot {
+            RunSlot::Unbooted => Progress::default(),
+            RunSlot::Parked(run) => Progress {
+                consumed: run.consumed(),
+                rounds_done: run.rounds_done(),
+                branches: run.union_branches(),
+            },
+            RunSlot::Leased(progress) => *progress,
+        }
     }
 
     fn state(&self) -> CampaignState {
@@ -158,7 +213,7 @@ impl FleetEntry {
             CampaignState::Killed
         } else if self.paused {
             CampaignState::Paused
-        } else if self.run.is_none() {
+        } else if matches!(self.slot, RunSlot::Unbooted) {
             CampaignState::Pending
         } else if self.complete() {
             CampaignState::Complete
@@ -168,17 +223,19 @@ impl FleetEntry {
     }
 
     fn eligible(&self) -> bool {
-        !self.killed && !self.paused && !self.complete()
+        !self.killed && !self.paused && !self.leased() && !self.complete()
     }
 }
 
 /// A running fleet with dynamic membership and live per-campaign control.
 ///
-/// The manager is single-threaded by design: every mutation — admission,
-/// control signals, [`FleetManager::step_wave`] — happens between waves,
-/// on the caller's thread. Concurrent control planes wrap it in a mutex
-/// and flip [`CampaignControl`] signals (which *are* thread-safe and
-/// interrupt an in-flight wave at round boundaries) from outside.
+/// Every mutation — admission, control, planning and committing a wave —
+/// takes `&mut self`; only [`Wave::execute`] runs apart from the manager.
+/// Concurrent control planes wrap the manager in a mutex, hold it to plan
+/// and to commit, and release it while the wave executes: control applied
+/// meanwhile reaches the running slices through their [`CampaignControl`]
+/// signals (which are thread-safe) at the next round boundary. One wave
+/// is meant to be out at a time.
 #[derive(Debug)]
 pub struct FleetManager {
     entries: Vec<FleetEntry>,
@@ -335,7 +392,8 @@ impl FleetManager {
 
     /// Extends a campaign's budget to `budget` (the only live
     /// reconfiguration a run allows: rounds already executed are
-    /// unaffected, the campaign simply keeps going further).
+    /// unaffected, the campaign simply keeps going further). A run out on
+    /// a wave takes the new budget when the wave commits.
     /// Requests below the current budget are rejected. Returns false for
     /// unknown ids, killed campaigns, and non-extensions.
     pub fn extend_budget(&mut self, id: &str, budget: Ticks) -> bool {
@@ -347,7 +405,7 @@ impl FleetManager {
                 }
                 entry.campaign.options.budget = budget;
                 entry.prepared.budget = budget;
-                if let Some(run) = &mut entry.run {
+                if let RunSlot::Parked(run) = &mut entry.slot {
                     run.set_budget(budget);
                 }
                 true
@@ -356,30 +414,41 @@ impl FleetManager {
         }
     }
 
-    /// Status rows for every entry, in admission order.
+    /// Status rows for every entry, in admission order. A campaign out on
+    /// a wave reports the progress it had at the lease, with that lease
+    /// already counted.
     #[must_use]
     pub fn status(&self) -> Vec<CampaignStatus> {
         self.entries
             .iter()
-            .map(|entry| CampaignStatus {
-                id: entry.campaign.id.clone(),
-                state: entry.state(),
-                leases: entry.leases,
-                consumed: entry
-                    .run
-                    .as_ref()
-                    .map_or(Ticks::ZERO, CampaignRun::consumed),
-                rounds_done: entry.run.as_ref().map_or(0, CampaignRun::rounds_done),
-                branches: entry.run.as_ref().map_or(0, CampaignRun::union_branches),
-                reachable_branches: entry.reachable_branches,
+            .map(|entry| {
+                let progress = entry.progress();
+                CampaignStatus {
+                    id: entry.campaign.id.clone(),
+                    state: entry.state(),
+                    leases: entry.leases,
+                    consumed: progress.consumed,
+                    rounds_done: progress.rounds_done,
+                    branches: progress.branches,
+                    reachable_branches: entry.reachable_branches,
+                }
             })
             .collect()
     }
 
+    /// Whether the campaign's run is out on a planned wave that has not
+    /// been committed yet.
+    #[must_use]
+    pub fn is_leased(&self, id: &str) -> bool {
+        self.find(id)
+            .is_some_and(|index| self.entries[index].leased())
+    }
+
     /// The campaign's current result, read from its live run — partial
     /// while the campaign is still running, final once complete. No
-    /// corpus is copied. `None` for unknown ids and campaigns never
-    /// scheduled yet.
+    /// corpus is copied. `None` for unknown ids, campaigns never
+    /// scheduled yet, and campaigns whose run is out on a wave (see
+    /// [`FleetManager::is_leased`]).
     ///
     /// Because per-campaign results are slicing-invariant (with rare-seed
     /// sharing off), a *served* campaign's result here is bit-identical to
@@ -387,10 +456,7 @@ impl FleetManager {
     /// control plane's determinism gate compares exactly this.
     #[must_use]
     pub fn campaign_result(&self, id: &str) -> Option<CampaignResult> {
-        self.entries[self.find(id)?]
-            .run
-            .as_ref()
-            .map(CampaignRun::result)
+        self.entries[self.find(id)?].run().map(CampaignRun::result)
     }
 
     /// Campaigns admitted (tombstones included).
@@ -420,23 +486,34 @@ impl FleetManager {
             .all(FleetEntry::complete)
     }
 
-    /// Runs one scheduling wave: asks `policy` to pick up to
-    /// [`FleetOptions::slots`] eligible campaigns, leases each a slice of
-    /// the remaining fleet budget, runs the slices as parallel exec cells
-    /// (each in its own telemetry scope, committed in lease order; a
-    /// campaign's first lease boots its run), feeds the reports back to
-    /// the policy, and performs the wave-boundary rare-seed exchange.
+    /// Runs one scheduling wave: [`FleetManager::plan_wave`],
+    /// [`Wave::execute`], [`FleetManager::commit_wave`].
     ///
     /// # Errors
     ///
-    /// Propagates the first [`CampaignError`] any lease reports, after
-    /// every run of the wave is back in its entry. A campaign whose slice
-    /// failed is killed: its run keeps the progress made before the
-    /// failing round, for the final report, but is never sliced again.
+    /// As [`FleetManager::commit_wave`].
     pub fn step_wave(
         &mut self,
         policy: &mut dyn SchedulingPolicy,
     ) -> Result<WaveOutcome, CampaignError> {
+        let mut wave = match self.plan_wave(policy) {
+            Ok(wave) => wave,
+            Err(reason) => return Ok(WaveOutcome::Idle(reason)),
+        };
+        wave.execute();
+        self.commit_wave(wave, policy)
+    }
+
+    /// Plans one scheduling wave: asks `policy` to pick up to
+    /// [`FleetOptions::slots`] eligible campaigns, leases each a slice of
+    /// the remaining fleet budget, counts the leases, and takes the leased
+    /// runs out of their entries into the returned [`Wave`].
+    ///
+    /// # Errors
+    ///
+    /// Why no wave was planned; the fleet state is then unchanged apart
+    /// from the policy's reachability priors.
+    pub fn plan_wave(&mut self, policy: &mut dyn SchedulingPolicy) -> Result<Wave, IdleReason> {
         // Hand newly admitted campaigns' reachability priors to the
         // policy before it picks — each entry is primed exactly once, at
         // the first wave after its admission.
@@ -450,14 +527,14 @@ impl FleetManager {
             .filter(|&i| self.entries[i].eligible())
             .collect();
         if eligible.is_empty() {
-            return Ok(WaveOutcome::Idle(IdleReason::NoneEligible));
+            return Err(IdleReason::NoneEligible);
         }
         let remaining = self
             .options
             .total_budget
             .map(|total| total.get().saturating_sub(self.spent));
         if remaining == Some(0) {
-            return Ok(WaveOutcome::Idle(IdleReason::BudgetExhausted));
+            return Err(IdleReason::BudgetExhausted);
         }
 
         let slots = self.options.slots.max(1).min(eligible.len());
@@ -470,7 +547,7 @@ impl FleetManager {
             .collect();
         wave.truncate(slots);
         if wave.is_empty() {
-            return Ok(WaveOutcome::Idle(IdleReason::PolicyDeclined));
+            return Err(IdleReason::PolicyDeclined);
         }
 
         // Split the remaining fleet allowance across this wave's leases.
@@ -488,59 +565,82 @@ impl FleetManager {
             wave.pop();
         }
         if wave.is_empty() {
-            return Ok(WaveOutcome::Idle(IdleReason::BudgetExhausted));
+            return Err(IdleReason::BudgetExhausted);
         }
 
-        let mut runs: Vec<Option<CampaignRun>> = wave
-            .iter()
-            .map(|&index| self.entries[index].run.take())
-            .collect();
-        let cells: Vec<_> = wave
-            .iter()
-            .zip(&lease_budgets)
-            .zip(&mut runs)
-            .map(|((&index, &granted), run)| {
-                let entry = &self.entries[index];
-                let campaign = &entry.campaign;
-                let opts = &entry.prepared;
-                let control = entry.control.clone();
-                let telemetry = self.telemetry.clone();
-                move || {
-                    let scope = telemetry.scoped(VirtualClock::new());
-                    let outcome = lease(
-                        run,
-                        campaign,
-                        opts,
-                        Ticks::new(granted),
-                        scope.telemetry(),
-                        &control,
-                    );
-                    scope.commit();
-                    outcome
+        let leases = wave
+            .into_iter()
+            .zip(lease_budgets)
+            .map(|(index, granted)| {
+                let entry = &mut self.entries[index];
+                entry.leases += 1;
+                self.leases += 1;
+                let leased = RunSlot::Leased(entry.progress());
+                let run = match std::mem::replace(&mut entry.slot, leased) {
+                    RunSlot::Parked(run) => Some(run),
+                    RunSlot::Unbooted | RunSlot::Leased(_) => None,
+                };
+                let boot = run
+                    .is_none()
+                    .then(|| (entry.campaign.clone(), entry.prepared.clone()));
+                Lease {
+                    index,
+                    budget: Ticks::new(granted),
+                    control: entry.control.clone(),
+                    run,
+                    boot,
+                    outcome: None,
                 }
             })
             .collect();
-        let reports = run_cells(wave.len(), cells);
+        Ok(Wave {
+            leases,
+            telemetry: self.telemetry.clone(),
+        })
+    }
 
+    /// Commits an executed wave: puts every run back in its entry (with
+    /// any budget extended meanwhile), feeds the reports to the policy in
+    /// lease order, accounts the ticks spent, and performs the
+    /// wave-boundary rare-seed exchange. A lease that never executed puts
+    /// its run back untouched.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first [`CampaignError`] any lease reports, after
+    /// every run of the wave is back in its entry. A campaign whose slice
+    /// failed is killed: its run keeps the progress made before the
+    /// failing round, for the final report, but is never sliced again.
+    pub fn commit_wave(
+        &mut self,
+        wave: Wave,
+        policy: &mut dyn SchedulingPolicy,
+    ) -> Result<WaveOutcome, CampaignError> {
+        let scheduled = wave.leases.len();
         let mut failure = None;
         let mut wave_progress = false;
-        for ((&index, run), outcome) in wave.iter().zip(runs).zip(reports) {
-            let entry = &mut self.entries[index];
-            entry.run = run;
-            let report = match outcome {
-                Ok(report) => report,
-                Err(error) => {
-                    if entry.run.is_some() {
+        for lease in wave.leases {
+            let entry = &mut self.entries[lease.index];
+            entry.slot = match lease.run {
+                Some(mut run) => {
+                    run.set_budget(entry.prepared.budget);
+                    RunSlot::Parked(run)
+                }
+                None => RunSlot::Unbooted,
+            };
+            let report = match lease.outcome {
+                Some(Ok(report)) => report,
+                Some(Err(error)) => {
+                    if entry.run().is_some() {
                         entry.killed = true;
                         entry.control.kill();
                     }
                     failure.get_or_insert(error);
                     continue;
                 }
+                None => continue,
             };
-            policy.observe(index, &report);
-            entry.leases += 1;
-            self.leases += 1;
+            policy.observe(lease.index, &report);
             let executed = report.rounds * entry.campaign.options.sample_interval.get().max(1);
             self.spent += executed;
             self.ticks_counter.add(executed);
@@ -553,7 +653,7 @@ impl FleetManager {
         }
         self.waves += 1;
         self.waves_counter.incr();
-        self.leases_counter.add(wave.len() as u64);
+        self.leases_counter.add(scheduled as u64);
 
         if self.options.share_rare_seeds > 0 {
             let (accepted, rejected) =
@@ -565,7 +665,7 @@ impl FleetManager {
         }
 
         Ok(WaveOutcome::Ran {
-            scheduled: wave.len(),
+            scheduled,
             progress: wave_progress,
         })
     }
@@ -575,7 +675,9 @@ impl FleetManager {
     /// one at a time so only one exported engine is alive at once;
     /// never-scheduled campaigns are booted for a zero-progress checkpoint,
     /// so every admitted campaign (killed ones included) has an outcome
-    /// row. The telemetry pipeline is drained.
+    /// row. A run still out on a wave that was never committed is gone
+    /// with that wave and reported the same way. The telemetry pipeline is
+    /// drained.
     ///
     /// # Errors
     ///
@@ -586,9 +688,9 @@ impl FleetManager {
             .entries
             .into_iter()
             .map(|entry| {
-                let run = match entry.run {
-                    Some(run) => run,
-                    None => CampaignRun::boot(
+                let run = match entry.slot {
+                    RunSlot::Parked(run) => run,
+                    RunSlot::Unbooted | RunSlot::Leased(_) => CampaignRun::boot(
                         &entry.campaign.spec,
                         &entry.campaign.fuzzer,
                         &entry.campaign.setups,
@@ -645,7 +747,7 @@ fn exchange_rare_seeds(entries: &mut [FleetEntry], max_per_donor: usize) -> (u64
         // A campaign the policy has not scheduled yet has no corpus to
         // donate and no run to import into; a killed campaign is out of
         // the fleet entirely. Skip both this wave.
-        if entry.run.is_none() || entry.killed {
+        if entry.run().is_none() || entry.killed {
             continue;
         }
         match groups.iter_mut().find(|(name, _)| name == group) {
@@ -664,8 +766,7 @@ fn exchange_rare_seeds(entries: &mut [FleetEntry], max_per_donor: usize) -> (u64
             .iter()
             .map(|&i| {
                 entries[i]
-                    .run
-                    .as_ref()
+                    .run()
                     .expect("grouped members are running")
                     .rare_seeds(max_per_donor)
             })
@@ -683,7 +784,9 @@ fn exchange_rare_seeds(entries: &mut [FleetEntry], max_per_donor: usize) -> (u64
                 let constraints = entry
                     .constraints
                     .get_or_insert_with(|| (entry.campaign.spec.build)().config_constraints());
-                let run = entry.run.as_mut().expect("grouped members are running");
+                let RunSlot::Parked(run) = &mut entry.slot else {
+                    unreachable!("grouped members are running");
+                };
                 let (accepted, rejected) = run.import_seeds(seeds, constraints);
                 accepted_total += accepted;
                 rejected_total += rejected;
@@ -693,26 +796,63 @@ fn exchange_rare_seeds(entries: &mut [FleetEntry], max_per_donor: usize) -> (u64
     (accepted_total, rejected_total)
 }
 
-/// One lease: boots the campaign's run on its first lease, then slices it.
-fn lease(
-    run: &mut Option<CampaignRun>,
-    campaign: &FleetCampaign,
-    options: &CampaignOptions,
+/// A planned wave: the leased runs, out of their entries. Made by
+/// [`FleetManager::plan_wave`], run by [`Wave::execute`] without the
+/// manager, and handed back through [`FleetManager::commit_wave`].
+#[derive(Debug)]
+pub struct Wave {
+    leases: Vec<Lease>,
+    telemetry: Telemetry,
+}
+
+#[derive(Debug)]
+struct Lease {
+    index: usize,
     budget: Ticks,
-    telemetry: &Telemetry,
-    control: &CampaignControl,
-) -> Result<SliceReport, CampaignError> {
-    let run = match run {
-        Some(run) => run,
-        None => run.insert(CampaignRun::boot(
-            &campaign.spec,
-            &campaign.fuzzer,
-            &campaign.setups,
-            options,
-            telemetry,
-        )?),
-    };
-    run.slice(budget, telemetry, Some(control))
+    control: CampaignControl,
+    run: Option<CampaignRun>,
+    /// What a first lease boots the run from.
+    boot: Option<(FleetCampaign, CampaignOptions)>,
+    outcome: Option<Result<SliceReport, CampaignError>>,
+}
+
+impl Wave {
+    /// Runs every lease's slice as a parallel exec cell, each in its own
+    /// telemetry scope; a campaign's first lease boots its run. Each slice
+    /// checks its campaign's [`CampaignControl`] at every round boundary.
+    pub fn execute(&mut self) {
+        let cells: Vec<_> = self
+            .leases
+            .iter_mut()
+            .map(|lease| {
+                let telemetry = self.telemetry.clone();
+                move || {
+                    let scope = telemetry.scoped(VirtualClock::new());
+                    lease.outcome = Some(lease.slice(scope.telemetry()));
+                    scope.commit();
+                }
+            })
+            .collect();
+        let _: Vec<()> = run_cells(cells.len(), cells);
+    }
+}
+
+impl Lease {
+    /// Boots the campaign's run on its first lease, then slices it.
+    fn slice(&mut self, telemetry: &Telemetry) -> Result<SliceReport, CampaignError> {
+        let run = match (&mut self.run, &self.boot) {
+            (Some(run), _) => run,
+            (None, Some((campaign, options))) => self.run.insert(CampaignRun::boot(
+                &campaign.spec,
+                &campaign.fuzzer,
+                &campaign.setups,
+                options,
+                telemetry,
+            )?),
+            (None, None) => unreachable!("a lease without a run carries its boot plan"),
+        };
+        run.slice(self.budget, telemetry, Some(&self.control))
+    }
 }
 
 #[cfg(test)]
@@ -967,5 +1107,141 @@ mod tests {
         let status = manager.status();
         assert_eq!(status[0].state, CampaignState::Complete);
         assert_eq!(status[0].consumed, Ticks::new(400));
+    }
+
+    #[test]
+    fn a_hand_driven_wave_split_reproduces_run_fleet() {
+        let fleet = vec![
+            campaign("mosquitto", "m/0", 3, 300),
+            campaign("dnsmasq", "d/0", 7, 300),
+            campaign("libcoap", "c/0", 11, 200),
+        ];
+        let offline =
+            crate::run_fleet(&fleet, &mut RoundRobin::new(), &options()).expect("offline fleet");
+
+        let telemetry = Telemetry::disabled();
+        let mut manager = FleetManager::new(options(), &telemetry);
+        manager.admit_batch(fleet).expect("admission");
+        let mut policy = RoundRobin::new();
+        while let Ok(mut wave) = manager.plan_wave(&mut policy) {
+            wave.execute();
+            let outcome = manager.commit_wave(wave, &mut policy).expect("commit");
+            if !matches!(outcome, WaveOutcome::Ran { progress: true, .. }) {
+                break;
+            }
+        }
+        let by_hand = manager.finish(policy.name()).expect("finish");
+        assert_eq!(format!("{by_hand:?}"), format!("{offline:?}"));
+    }
+
+    #[test]
+    fn a_leased_campaign_reports_its_lease_and_is_not_eligible() {
+        let telemetry = Telemetry::disabled();
+        let mut manager = FleetManager::new(
+            FleetOptions {
+                slots: 1,
+                ..options()
+            },
+            &telemetry,
+        );
+        manager
+            .admit_batch(vec![
+                campaign("mosquitto", "m/0", 3, 400),
+                campaign("dnsmasq", "d/0", 7, 400),
+            ])
+            .expect("admission");
+        let mut policy = RoundRobin::new();
+        manager.step_wave(&mut policy).expect("wave leases m/0");
+        manager.step_wave(&mut policy).expect("wave leases d/0");
+        let before = manager.status();
+        assert_eq!(before[0].consumed, Ticks::new(100));
+
+        let mut first = manager.plan_wave(&mut policy).expect("leases m/0");
+        assert!(manager.is_leased("m/0"));
+        assert!(!manager.is_leased("d/0"));
+        assert!(manager.campaign_result("m/0").is_none());
+        let during = manager.status();
+        assert_eq!(during[0].state, CampaignState::Active);
+        assert_eq!(during[0].leases, 2, "the lease is counted at plan time");
+        assert_eq!(during[0].consumed, before[0].consumed);
+        assert_eq!(during[0].rounds_done, before[0].rounds_done);
+        assert_eq!(during[0].branches, before[0].branches);
+
+        // Only d/0 is eligible while m/0 is out, and then nothing is.
+        let mut second = manager.plan_wave(&mut policy).expect("leases d/0");
+        assert!(manager.is_leased("d/0"));
+        assert_eq!(manager.status()[1].leases, 2);
+        assert_eq!(
+            manager.plan_wave(&mut policy).err(),
+            Some(IdleReason::NoneEligible)
+        );
+
+        // An extension of a leased run lands at commit.
+        assert!(manager.extend_budget("m/0", Ticks::new(500)));
+        first.execute();
+        second.execute();
+        manager.commit_wave(first, &mut policy).expect("commit");
+        manager.commit_wave(second, &mut policy).expect("commit");
+        let after = manager.status();
+        assert!(!manager.is_leased("m/0"));
+        assert_eq!(after[0].consumed, Ticks::new(200));
+        assert_eq!(after[0].leases, 2);
+        while manager.step_wave(&mut policy).expect("wave")
+            != WaveOutcome::Idle(IdleReason::NoneEligible)
+        {}
+        assert_eq!(manager.status()[0].consumed, Ticks::new(500));
+    }
+
+    #[test]
+    fn control_between_plan_and_commit_stops_the_slice_at_a_round_boundary() {
+        let telemetry = Telemetry::disabled();
+        let mut manager = FleetManager::new(options(), &telemetry);
+        manager
+            .admit_batch(vec![
+                campaign("mosquitto", "m/0", 3, 400),
+                campaign("dnsmasq", "d/0", 7, 400),
+            ])
+            .expect("admission");
+        let mut policy = RoundRobin::new();
+        manager.step_wave(&mut policy).expect("first wave");
+        let before = manager.status();
+
+        let mut wave = manager.plan_wave(&mut policy).expect("leases both");
+        assert!(manager.is_leased("m/0") && manager.is_leased("d/0"));
+        assert!(manager.pause("m/0"));
+        assert!(manager.kill("d/0"));
+        assert_eq!(manager.status()[0].state, CampaignState::Paused);
+        wave.execute();
+        assert_eq!(
+            manager.commit_wave(wave, &mut policy).expect("commit"),
+            WaveOutcome::Ran {
+                scheduled: 2,
+                progress: false
+            },
+            "both slices stopped before their first round"
+        );
+        let after = manager.status();
+        for (row, was) in after.iter().zip(&before) {
+            assert_eq!(row.consumed, was.consumed, "{} ran no round", row.id);
+            assert_eq!(row.leases, 2);
+        }
+        assert_eq!(
+            manager.step_wave(&mut policy).expect("idle"),
+            WaveOutcome::Idle(IdleReason::NoneEligible)
+        );
+        assert_eq!(manager.status()[0].leases, 2, "no lease while paused");
+
+        assert!(manager.resume("m/0"));
+        while manager.step_wave(&mut policy).expect("wave")
+            != WaveOutcome::Idle(IdleReason::NoneEligible)
+        {}
+        let status = manager.status();
+        assert_eq!(status[0].state, CampaignState::Complete);
+        assert_eq!(status[0].consumed, Ticks::new(400));
+        assert_eq!(status[1].state, CampaignState::Killed);
+        assert_eq!(
+            status[1].leases, 2,
+            "a killed campaign is never leased again"
+        );
     }
 }

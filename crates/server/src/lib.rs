@@ -7,14 +7,16 @@
 //!
 //! - [`plane::ControlPlane`] owns a [`cmfuzz_fleet::FleetManager`] and a
 //!   dedicated engine thread — the only thread that ever steps waves, so
-//!   engine RNG order is exactly the offline order.
-//! - [`net::serve`] is a non-blocking `std::net` readiness loop speaking
-//!   line-delimited JSON ([`proto`]): submit, status, pause, resume,
-//!   kill, extend, result, metrics, tail, shutdown.
+//!   engine RNG order is exactly the offline order. It holds the manager
+//!   lock only to plan and to commit a wave, never while slices run.
+//! - [`net::serve`] is an accept loop plus one blocking thread per
+//!   connection, speaking line-delimited JSON ([`proto`]): submit,
+//!   status, pause, resume, kill, extend, result, metrics, tail,
+//!   shutdown.
 //! - Telemetry streams to any number of subscribers through the
 //!   [`cmfuzz_telemetry::FanoutHub`], with per-subscriber bounded queues
-//!   and slow-consumer eviction; the TCP layer adds its own output-buffer
-//!   bound on top.
+//!   and slow-consumer eviction; the TCP layer drops a connection whose
+//!   write stays blocked past a fixed timeout.
 //! - [`rate`] puts a token bucket in front of every connection and a
 //!   global `CMFUZZ_KILL` switch in front of the whole service.
 //! - [`soak::run_soak`] is the CI gate: ~1000 concurrent subscribers,
@@ -23,9 +25,9 @@
 //!
 //! The protocol deliberately has no authentication story: the server
 //! binds loopback by default and fuzzing campaigns are not secrets. What
-//! it *does* defend is isolation between clients (rate limits, bounded
-//! buffers) and the engine's reproducibility (control signals only ever
-//! land at round boundaries, where workers are parked).
+//! it *does* defend is isolation between clients (rate limits, a line
+//! cap, write timeouts) and the engine's reproducibility (control signals
+//! only ever land at round boundaries, where workers are parked).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

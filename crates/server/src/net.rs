@@ -1,19 +1,21 @@
 //! Line-delimited TCP front end over the control plane.
 //!
-//! A single-threaded readiness loop over non-blocking `std::net` sockets
-//! (the offline-shims build policy rules out tokio/mio, and the protocol
-//! does not need them): each iteration accepts pending connections, reads
-//! whatever bytes are available, answers complete request lines, pumps
-//! telemetry to tailing connections, and flushes bounded per-connection
-//! output buffers. Slow consumers are handled at two layers — the
+//! An accept loop plus one scoped thread per connection, over blocking
+//! `std::net` sockets (the offline-shims build policy rules out
+//! tokio/mio, and the protocol does not need them). A connection thread
+//! reads a request line as soon as it arrives and writes the answer
+//! straight to its socket; a `tail` turns the thread into a pump from its
+//! telemetry subscriber to the socket. The accept loop ticks only to take
+//! new connections, watch the kill switch and notice a shutdown. Slow
+//! consumers are handled at two layers — the
 //! [`FanoutHub`](cmfuzz_telemetry::FanoutHub) drops and eventually evicts
-//! subscribers that stop polling, and the socket layer drops connections
-//! whose unsent output exceeds [`ServerOptions::max_out_buffer`] — so one
-//! wedged client can never stall the fleet or the other subscribers.
+//! subscribers that stop polling, and a write blocked for longer than a
+//! fixed timeout drops its connection — so one wedged client can never
+//! stall the fleet or the other clients.
 
-use std::io::{self, Read, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -23,30 +25,32 @@ use cmfuzz_telemetry::{schema_header_line, FanoutSubscriber};
 
 use crate::plane::ControlPlane;
 use crate::proto::{error_response, ok_response, Request};
-use crate::rate::{kill_switch_engaged, RateLimits, TokenBucket};
+use crate::rate::{kill_switch_engaged, RateLimits};
+
+/// Longest request line, newline excluded; a connection that sends more
+/// without a newline is dropped.
+const MAX_LINE: usize = 1024 * 1024;
+
+/// How long a write may stay blocked before the connection is dropped as
+/// a slow consumer.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// The accept loop's tick, and a tail's poll interval when idle.
+const TICK: Duration = Duration::from_millis(1);
+
+/// How long a stopping server waits for connection threads to finish
+/// their last replies before it shuts their sockets down entirely.
+const STOP_GRACE: Duration = Duration::from_millis(200);
 
 /// Knobs for one serving loop.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ServerOptions {
     /// Per-connection request rate limits.
     pub limits: RateLimits,
-    /// Unsent output bytes a connection may accumulate before the server
-    /// drops it as a slow consumer.
-    pub max_out_buffer: usize,
     /// Extra kill-switch input OR-ed with the `CMFUZZ_KILL` environment
     /// check — lets embedding code (and tests) engage the switch without
     /// touching process-global state.
     pub kill_override: Option<Arc<AtomicBool>>,
-}
-
-impl Default for ServerOptions {
-    fn default() -> Self {
-        ServerOptions {
-            limits: RateLimits::default(),
-            max_out_buffer: 4 * 1024 * 1024,
-            kill_override: None,
-        }
-    }
 }
 
 /// Why [`serve`] returned.
@@ -69,28 +73,28 @@ pub struct ServeSummary {
     pub connections: u64,
     /// Requests refused by the per-connection rate limiter.
     pub rate_limited: u64,
-    /// Connections dropped for exceeding the output buffer bound.
+    /// Connections dropped because a write stayed blocked past the
+    /// write timeout.
     pub slow_dropped: u64,
 }
 
-struct Conn {
-    stream: TcpStream,
-    inbuf: Vec<u8>,
-    outbuf: Vec<u8>,
-    bucket: Option<TokenBucket>,
-    tail: Option<FanoutSubscriber>,
-    open: bool,
-}
-
-impl Conn {
-    fn push_line(&mut self, line: &str) {
-        self.outbuf.extend_from_slice(line.as_bytes());
-        self.outbuf.push(b'\n');
-    }
+/// State the accept loop shares with its connection threads.
+struct Shared<'a> {
+    plane: &'a ControlPlane,
+    limits: &'a RateLimits,
+    started: Instant,
+    stopping: AtomicBool,
+    /// Set before `stopping` when the kill switch stopped the server.
+    killed: AtomicBool,
+    requests: AtomicU64,
+    rate_limited: AtomicU64,
+    slow_dropped: AtomicU64,
 }
 
 /// Serves the control plane on `listener` until a shutdown request or the
-/// kill switch. Runs on the calling thread.
+/// kill switch. The accept loop runs on the calling thread; every
+/// connection runs on a scoped thread of its own, and all of them are
+/// joined before this returns.
 ///
 /// # Errors
 ///
@@ -102,156 +106,178 @@ pub fn serve(
     options: &ServerOptions,
 ) -> io::Result<ServeSummary> {
     listener.set_nonblocking(true)?;
-    let started = Instant::now();
-    let mut conns: Vec<Conn> = Vec::new();
-    let mut summary = ServeSummary {
-        reason: StopReason::Requested,
-        requests: 0,
-        connections: 0,
-        rate_limited: 0,
-        slow_dropped: 0,
+    let shared = Shared {
+        plane,
+        limits: &options.limits,
+        started: Instant::now(),
+        stopping: AtomicBool::new(false),
+        killed: AtomicBool::new(false),
+        requests: AtomicU64::new(0),
+        rate_limited: AtomicU64::new(0),
+        slow_dropped: AtomicU64::new(0),
     };
-    let mut shutdown = false;
+    let mut connections = 0;
+    let reason = std::thread::scope(|scope| {
+        let mut conns = Vec::new();
+        let reason = loop {
+            if kill_switch_engaged()
+                || options
+                    .kill_override
+                    .as_ref()
+                    .is_some_and(|flag| flag.load(Ordering::Acquire))
+            {
+                plane.kill_all();
+                shared.killed.store(true, Ordering::Release);
+                shared.stopping.store(true, Ordering::Release);
+                break StopReason::KillSwitch;
+            }
+            if shared.stopping.load(Ordering::Acquire) {
+                break StopReason::Requested;
+            }
+            let mut accepted = false;
+            while let Ok((stream, _addr)) = listener.accept() {
+                let Ok(handle) = stream.try_clone() else {
+                    continue;
+                };
+                connections += 1;
+                accepted = true;
+                let shared = &shared;
+                conns.push((scope.spawn(move || connection(stream, shared)), handle));
+            }
+            conns.retain(|(thread, _)| !thread.is_finished());
+            if !accepted {
+                std::thread::sleep(TICK);
+            }
+        };
+        // Wake every reader; each thread finishes the request in hand
+        // (and writes the kill notice) before it exits. Whoever is still
+        // running after the grace period is blocked on a write and loses
+        // its socket.
+        for (_, stream) in &conns {
+            let _ = stream.shutdown(Shutdown::Read);
+        }
+        let deadline = Instant::now() + STOP_GRACE;
+        while conns.iter().any(|(thread, _)| !thread.is_finished()) && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        for (_, stream) in &conns {
+            let _ = stream.shutdown(Shutdown::Both);
+        }
+        reason
+    });
+    Ok(ServeSummary {
+        reason,
+        requests: shared.requests.into_inner(),
+        connections,
+        rate_limited: shared.rate_limited.into_inner(),
+        slow_dropped: shared.slow_dropped.into_inner(),
+    })
+}
 
+/// One connection, from accept to close.
+fn connection(stream: TcpStream, shared: &Shared<'_>) {
+    if stream.set_nonblocking(false).is_err()
+        || stream.set_write_timeout(Some(WRITE_TIMEOUT)).is_err()
+    {
+        return;
+    }
+    let _ = stream.set_nodelay(true);
+    let conn = Conn { stream, shared };
+    let mut reader = BufReader::new(&conn.stream);
+    let mut bucket = shared.limits.bucket();
+    let mut line = Vec::new();
     loop {
-        let now = started.elapsed();
-        let mut activity = false;
-
-        if kill_switch_engaged()
-            || options
-                .kill_override
-                .as_ref()
-                .is_some_and(|flag| flag.load(Ordering::Acquire))
+        line.clear();
+        let limit = MAX_LINE as u64 + 1;
+        match (&mut reader).take(limit).read_until(b'\n', &mut line) {
+            Ok(_) if line.last() == Some(&b'\n') => {}
+            // End of stream (an unterminated last line is dropped with
+            // it), a read error, or a line past the cap.
+            _ => break,
+        }
+        let text = String::from_utf8_lossy(&line);
+        let text = text.trim();
+        if text.is_empty() {
+            continue;
+        }
+        let (reply, action) = if bucket
+            .as_mut()
+            .is_some_and(|bucket| !bucket.try_acquire_at(shared.started.elapsed()))
         {
-            plane.kill_all();
-            let notice = error_response(2, "kill switch engaged; all campaigns killed");
-            for conn in &mut conns {
-                conn.push_line(&notice);
-            }
-            flush_all(&mut conns, &mut summary, options);
-            summary.reason = StopReason::KillSwitch;
-            return Ok(summary);
+            shared.rate_limited.fetch_add(1, Ordering::Relaxed);
+            (error_response(2, "rate limited"), Action::Continue)
+        } else {
+            shared.requests.fetch_add(1, Ordering::Relaxed);
+            answer(text, shared.plane, &conn.stream)
+        };
+        if conn.line(&reply).is_err() {
+            return;
         }
-
-        // Admit pending connections.
-        loop {
-            match listener.accept() {
-                Ok((stream, _addr)) => {
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    summary.connections += 1;
-                    activity = true;
-                    conns.push(Conn {
-                        stream,
-                        inbuf: Vec::new(),
-                        outbuf: Vec::new(),
-                        bucket: options.limits.bucket(),
-                        tail: None,
-                        open: true,
-                    });
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => break,
-                Err(_) => break,
+        match action {
+            Action::Continue => {}
+            Action::Tail(subscriber) => return conn.tail(&subscriber),
+            Action::Shutdown => {
+                shared.stopping.store(true, Ordering::Release);
+                return;
             }
         }
+    }
+    conn.kill_notice();
+}
 
-        // Read and answer.
-        for conn in &mut conns {
-            if !conn.open {
-                continue;
-            }
-            let mut chunk = [0u8; 4096];
-            loop {
-                match conn.stream.read(&mut chunk) {
-                    Ok(0) => {
-                        conn.open = false;
-                        break;
-                    }
-                    Ok(n) => {
-                        conn.inbuf.extend_from_slice(&chunk[..n]);
-                        activity = true;
-                        if conn.inbuf.len() > 1024 * 1024 {
-                            // A megabyte without a newline is not a
-                            // request line; drop the flooder.
-                            conn.open = false;
-                            break;
-                        }
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => break,
-                    Err(_) => {
-                        conn.open = false;
-                        break;
-                    }
-                }
-            }
-            while let Some(newline) = conn.inbuf.iter().position(|&b| b == b'\n') {
-                let line_bytes: Vec<u8> = conn.inbuf.drain(..=newline).collect();
-                let line = String::from_utf8_lossy(&line_bytes);
-                let line = line.trim();
-                if line.is_empty() {
-                    continue;
-                }
-                if conn.tail.is_some() {
-                    // Tailing connections are send-only.
-                    continue;
-                }
-                if let Some(bucket) = &mut conn.bucket {
-                    if !bucket.try_acquire_at(now) {
-                        summary.rate_limited += 1;
-                        conn.push_line(&error_response(2, "rate limited"));
-                        continue;
-                    }
-                }
-                summary.requests += 1;
-                activity = true;
-                match handle_request(line, plane, conn) {
-                    Action::Continue => {}
-                    Action::Shutdown => shutdown = true,
-                }
-            }
-        }
+/// A connection's socket, written with blocking writes.
+struct Conn<'a> {
+    stream: TcpStream,
+    shared: &'a Shared<'a>,
+}
 
-        // Pump telemetry into tailing connections.
-        for conn in &mut conns {
-            let Some(tail) = &conn.tail else { continue };
-            let records = tail.poll();
-            if !records.is_empty() {
-                activity = true;
+impl Conn<'_> {
+    /// Writes `text` and a newline; a write still blocked after the
+    /// write timeout counts the connection as a dropped slow consumer.
+    fn line(&self, text: &str) -> io::Result<()> {
+        let line = format!("{text}\n");
+        (&self.stream).write_all(line.as_bytes()).inspect_err(|e| {
+            if matches!(
+                e.kind(),
+                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+            ) {
+                self.shared.slow_dropped.fetch_add(1, Ordering::Relaxed);
             }
-            for record in &records {
-                let line = record.to_json_line();
-                conn.outbuf.extend_from_slice(line.as_bytes());
-                conn.outbuf.push(b'\n');
+        })
+    }
+
+    /// Pumps telemetry to a tailing connection until the server stops,
+    /// the subscriber is evicted, or a write fails. Tailing connections
+    /// are send-only: nothing more is read from them.
+    fn tail(&self, subscriber: &FanoutSubscriber) {
+        while !self.shared.stopping.load(Ordering::Acquire) {
+            let records = subscriber.poll();
+            let batch: Vec<String> = records.iter().map(|r| r.to_json_line()).collect();
+            if !batch.is_empty() && self.line(&batch.join("\n")).is_err() {
+                return;
             }
-            if tail.is_evicted() {
-                conn.push_line(&error_response(
+            if subscriber.is_evicted() {
+                let _ = self.line(&error_response(
                     2,
                     "tail evicted: subscriber lagged too far",
                 ));
-                conn.open = false;
+                return;
+            }
+            if records.is_empty() {
+                std::thread::sleep(TICK);
             }
         }
+        self.kill_notice();
+    }
 
-        flush_all(&mut conns, &mut summary, options);
-
-        if shutdown {
-            // Best-effort grace period so the final responses reach
-            // their sockets before the listener goes away.
-            for _ in 0..200 {
-                if conns.iter().all(|conn| conn.outbuf.is_empty()) {
-                    break;
-                }
-                std::thread::sleep(Duration::from_millis(1));
-                flush_all(&mut conns, &mut summary, options);
-            }
-            summary.reason = StopReason::Requested;
-            return Ok(summary);
-        }
-        if !activity {
-            std::thread::sleep(Duration::from_millis(1));
+    /// Tells the client why the server is going away, if the kill switch
+    /// stopped it.
+    fn kill_notice(&self) {
+        if self.shared.killed.load(Ordering::Acquire) {
+            let _ = self.line(&error_response(
+                2,
+                "kill switch engaged; all campaigns killed",
+            ));
         }
     }
 }
@@ -294,7 +320,6 @@ impl BlockingClient {
     ///
     /// Socket read failures, timeouts, and a closed peer.
     pub fn read_line(&mut self) -> io::Result<String> {
-        use io::BufRead;
         let mut line = String::new();
         let n = self.reader.read_line(&mut line)?;
         if n == 0 {
@@ -322,18 +347,21 @@ impl BlockingClient {
 
 enum Action {
     Continue,
+    Tail(FanoutSubscriber),
     Shutdown,
 }
 
-fn handle_request(line: &str, plane: &ControlPlane, conn: &mut Conn) -> Action {
+/// Answers one request line from `stream`: the reply (one line, or for
+/// `tail` the acknowledgement and the schema header) and what the
+/// connection does next. A tail subscribes here, before its
+/// acknowledgement goes out, so it sees every event published after the
+/// client reads it.
+fn answer(line: &str, plane: &ControlPlane, stream: &TcpStream) -> (String, Action) {
     let request = match Request::parse_line(line) {
         Ok(request) => request,
-        Err(message) => {
-            conn.push_line(&error_response(2, &message));
-            return Action::Continue;
-        }
+        Err(message) => return (error_response(2, &message), Action::Continue),
     };
-    match request {
+    let reply = match request {
         Request::Submit(submission) => match plane.submit(&submission) {
             Ok(ids) => {
                 let ids = ids
@@ -345,9 +373,9 @@ fn handle_request(line: &str, plane: &ControlPlane, conn: &mut Conn) -> Action {
                     })
                     .collect::<Vec<_>>()
                     .join(",");
-                conn.push_line(&ok_response(&[("admitted", format!("[{ids}]"))]));
+                ok_response(&[("admitted", format!("[{ids}]"))])
             }
-            Err((code, message)) => conn.push_line(&error_response(code, &message)),
+            Err((code, message)) => error_response(code, &message),
         },
         Request::Status => {
             let rows = plane
@@ -368,89 +396,43 @@ fn handle_request(line: &str, plane: &ControlPlane, conn: &mut Conn) -> Action {
                 })
                 .collect::<Vec<_>>()
                 .join(",");
-            conn.push_line(&ok_response(&[("campaigns", format!("[{rows}]"))]));
+            ok_response(&[("campaigns", format!("[{rows}]"))])
         }
-        Request::Pause { id } => push_applied(conn, plane.pause(&id), &id),
-        Request::Resume { id } => push_applied(conn, plane.resume(&id), &id),
-        Request::Kill { id } => push_applied(conn, plane.kill(&id), &id),
+        Request::Pause { id } => applied(plane.pause(&id), &id),
+        Request::Resume { id } => applied(plane.resume(&id), &id),
+        Request::Kill { id } => applied(plane.kill(&id), &id),
         Request::Extend { id, budget } => {
-            push_applied(conn, plane.extend_budget(&id, Ticks::new(budget)), &id);
+            applied(plane.extend_budget(&id, Ticks::new(budget)), &id)
         }
         Request::Result { id } => match plane.result_digest(&id) {
             Some(digest) => {
                 let mut rendered = String::new();
                 cmfuzz_telemetry::json::push_escaped(&mut rendered, &digest);
-                conn.push_line(&ok_response(&[("digest", rendered)]));
+                ok_response(&[("digest", rendered)])
             }
-            None => conn.push_line(&error_response(2, "campaign has no result yet")),
+            None => error_response(2, "campaign has no result yet"),
         },
-        Request::Metrics => {
-            conn.push_line(&ok_response(&[("metrics", plane.metrics_json())]));
-        }
+        Request::Metrics => ok_response(&[("metrics", plane.metrics_json())]),
         Request::Tail => {
-            conn.push_line(&ok_response(&[("streaming", "true".into())]));
-            conn.push_line(&schema_header_line());
-            let name = conn
-                .stream
+            let name = stream
                 .peer_addr()
                 .map_or_else(|_| "tail".to_owned(), |addr| format!("tail:{addr}"));
-            conn.tail = Some(plane.subscribe(&name));
+            let reply = format!(
+                "{}\n{}",
+                ok_response(&[("streaming", "true".into())]),
+                schema_header_line()
+            );
+            return (reply, Action::Tail(plane.subscribe(&name)));
         }
-        Request::Shutdown => {
-            conn.push_line(&ok_response(&[]));
-            return Action::Shutdown;
-        }
-    }
-    Action::Continue
+        Request::Shutdown => return (ok_response(&[]), Action::Shutdown),
+    };
+    (reply, Action::Continue)
 }
 
-fn push_applied(conn: &mut Conn, applied: bool, id: &str) {
+fn applied(applied: bool, id: &str) -> String {
     if applied {
-        conn.push_line(&ok_response(&[]));
+        ok_response(&[])
     } else {
-        conn.push_line(&error_response(
-            2,
-            &format!("no controllable campaign {id:?}"),
-        ));
+        error_response(2, &format!("no controllable campaign {id:?}"))
     }
-}
-
-/// Writes what the sockets will take; drops slow consumers past the
-/// output bound and disconnects closed conns once drained.
-fn flush_all(conns: &mut Vec<Conn>, summary: &mut ServeSummary, options: &ServerOptions) {
-    for conn in conns.iter_mut() {
-        if conn.outbuf.is_empty() {
-            continue;
-        }
-        if conn.outbuf.len() > options.max_out_buffer {
-            summary.slow_dropped += 1;
-            conn.outbuf.clear();
-            conn.open = false;
-            let _ = conn.stream.shutdown(Shutdown::Both);
-            continue;
-        }
-        loop {
-            match conn.stream.write(&conn.outbuf) {
-                Ok(0) => {
-                    conn.open = false;
-                    conn.outbuf.clear();
-                    break;
-                }
-                Ok(n) => {
-                    conn.outbuf.drain(..n);
-                    if conn.outbuf.is_empty() {
-                        break;
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => {
-                    conn.open = false;
-                    conn.outbuf.clear();
-                    break;
-                }
-            }
-        }
-    }
-    conns.retain(|conn| conn.open || !conn.outbuf.is_empty());
 }

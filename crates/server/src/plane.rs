@@ -1,15 +1,19 @@
 //! The campaign control plane: a [`FleetManager`] stepped by a dedicated
 //! engine thread, with thread-safe admission and live control around it.
 //!
-//! The split is strict: the engine thread is the *only* caller of
-//! [`FleetManager::step_wave`], so campaign execution — and with it every
+//! The split is strict: the engine thread is the *only* thread that plans,
+//! executes and commits waves, so campaign execution — and with it every
 //! engine RNG draw — is serialized exactly as an offline
-//! [`cmfuzz_fleet::run_fleet`] would serialize it. The network side only
-//! takes the manager lock between waves, for bounded-time operations
-//! (admission, status, control flips), and streams telemetry through a
-//! [`FanoutHub`] that is fed *after* each wave commits. Nothing a client
-//! does can reorder engine randomness; the worst it can do is decide
-//! *which* campaigns the next wave schedules, which per-campaign results
+//! [`cmfuzz_fleet::run_fleet`] would serialize it. The engine holds the
+//! manager lock only to plan a wave and to commit it, never while the
+//! slices run, so admission, status and control flips are answered
+//! within a plan or commit rather than after a whole wave. Control
+//! applied mid-wave reaches the running slices at their next round
+//! boundary; a `result` for a campaign whose slice is in flight waits for
+//! the commit. Telemetry streams through a [`FanoutHub`] that is fed
+//! *after* each wave commits. Nothing a client does can reorder engine
+//! randomness; the worst it can do is decide *which* campaigns the next
+//! wave schedules, and how far a slice runs, which per-campaign results
 //! are invariant to (the soak gate holds the service to exactly that).
 
 use std::path::PathBuf;
@@ -22,7 +26,7 @@ use cmfuzz::CampaignError;
 use cmfuzz_coverage::{Ticks, VirtualClock};
 use cmfuzz_fleet::{
     CampaignStatus, CoverageGradient, FleetManager, FleetOptions, RoundRobin, SchedulingPolicy,
-    UcbBandit, WaveOutcome,
+    UcbBandit,
 };
 use cmfuzz_telemetry::json::ObjectWriter;
 use cmfuzz_telemetry::sink::JsonlSink;
@@ -70,6 +74,9 @@ struct PlaneShared {
     /// Signaled on admission/resume/extension so an idle engine re-checks
     /// eligibility immediately instead of at its next poll tick.
     wake: Condvar,
+    /// Signaled after every wave commit, for readers waiting on a run that
+    /// was out on the wave.
+    committed: Condvar,
     stop: AtomicBool,
     last_error: Mutex<Option<String>>,
     telemetry: Telemetry,
@@ -112,6 +119,7 @@ impl ControlPlane {
         let shared = Arc::new(PlaneShared {
             manager: Mutex::new(FleetManager::new(options.fleet, &telemetry)),
             wake: Condvar::new(),
+            committed: Condvar::new(),
             stop: AtomicBool::new(false),
             last_error: Mutex::new(None),
             telemetry,
@@ -123,32 +131,31 @@ impl ControlPlane {
             .name("cmfuzz-plane-engine".into())
             .spawn(move || {
                 let shared = engine_shared;
-                let mut manager = lock(&shared.manager);
                 while !shared.stop.load(Ordering::Acquire) {
-                    match manager.step_wave(policy.as_mut()) {
-                        Ok(WaveOutcome::Ran { .. }) => {
-                            // Publish the wave's events to subscribers
-                            // before the next wave starts; drain without
-                            // the manager lock so clients are never
-                            // blocked behind sink I/O.
-                            drop(manager);
-                            shared.telemetry.drain();
-                            manager = lock(&shared.manager);
-                        }
-                        Ok(WaveOutcome::Idle(_)) => {
-                            let (guard, _timeout) = shared
+                    let mut manager = lock(&shared.manager);
+                    let mut wave = match manager.plan_wave(policy.as_mut()) {
+                        Ok(wave) => wave,
+                        Err(_idle) => {
+                            let _ = shared
                                 .wake
                                 .wait_timeout(manager, Duration::from_millis(5))
                                 .unwrap_or_else(PoisonError::into_inner);
-                            manager = guard;
+                            continue;
                         }
-                        Err(error) => {
-                            *lock(&shared.last_error) = Some(error.to_string());
-                            break;
-                        }
+                    };
+                    drop(manager);
+                    wave.execute();
+                    let committed = lock(&shared.manager).commit_wave(wave, policy.as_mut());
+                    shared.committed.notify_all();
+                    if let Err(error) = committed {
+                        *lock(&shared.last_error) = Some(error.to_string());
+                        break;
                     }
+                    // Publish the wave's events to subscribers before the
+                    // next wave starts, without the manager lock so clients
+                    // are never blocked behind sink I/O.
+                    shared.telemetry.drain();
                 }
-                drop(manager);
                 shared.telemetry.drain();
             })
             .map_err(|e| format!("cannot spawn engine thread: {e}"))?;
@@ -248,10 +255,24 @@ impl ControlPlane {
     /// Deterministic FNV-1a digest of the campaign's current result
     /// (`None` until it has been scheduled at least once). The result is
     /// read from the live run under the manager lock; the digest is
-    /// computed after the lock is released.
+    /// computed after the lock is released. While the campaign's slice is
+    /// in flight, this waits for the wave's commit and digests the
+    /// post-wave result.
     #[must_use]
     pub fn result_digest(&self, id: &str) -> Option<String> {
-        let result = lock(&self.shared.manager).campaign_result(id);
+        let mut manager = lock(&self.shared.manager);
+        // The engine commits every wave it plans; only an engine that
+        // died mid-wave leaves a run out for good.
+        while manager.is_leased(id) && self.engine.as_ref().is_some_and(|e| !e.is_finished()) {
+            manager = self
+                .shared
+                .committed
+                .wait_timeout(manager, Duration::from_millis(50))
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+        }
+        let result = manager.campaign_result(id);
+        drop(manager);
         result.map(|result| result_digest(&result))
     }
 
@@ -410,6 +431,45 @@ mod tests {
                 outcome.id
             );
         }
+        plane.shutdown();
+    }
+
+    #[test]
+    fn a_result_for_an_in_flight_slice_waits_for_the_commit() {
+        // One campaign whose whole budget is one lease: once that lease is
+        // counted, the slice is in flight or already committed, and either
+        // way the digest must be the finished campaign's.
+        let mut single = submission();
+        single.campaigns.truncate(1);
+        single.campaigns[0].budget = 2_000;
+        let options = PlaneOptions {
+            fleet: FleetOptions {
+                slots: 1,
+                slice: Ticks::new(2_000),
+                ..FleetOptions::default()
+            },
+            ..PlaneOptions::default()
+        };
+        let plane = ControlPlane::start(options.clone()).expect("plane starts");
+        plane.submit(&single).expect("admitted");
+        assert!(
+            wait_until(10_000, || plane.status()[0].leases == 1),
+            "the campaign is leased"
+        );
+        let digest = plane
+            .result_digest("m/0")
+            .expect("a leased campaign always has a result");
+        let status = plane.status();
+        assert_eq!(status[0].state, CampaignState::Complete);
+        assert_eq!(status[0].consumed, Ticks::new(2_000));
+
+        let offline = cmfuzz_fleet::run_fleet(
+            &single.materialize().expect("materialize"),
+            &mut RoundRobin::new(),
+            &options.fleet,
+        )
+        .expect("offline fleet");
+        assert_eq!(digest, result_digest(&offline.campaigns[0].result()));
         plane.shutdown();
     }
 

@@ -79,6 +79,13 @@ pub struct SoakReport {
     pub killed: bool,
     /// Whether the deliberate burst tripped the rate limiter.
     pub rate_limited: bool,
+    /// Median wall time of a request on the control connection, from
+    /// sending it to reading its reply (informational; no gate).
+    pub request_p50_ms: f64,
+    /// Slowest request on the control connection (informational).
+    pub request_max_ms: f64,
+    /// Requests timed on the control connection.
+    pub requests_timed: u64,
     /// Wall time of the whole run.
     pub wall: Duration,
 }
@@ -117,6 +124,9 @@ impl SoakReport {
         obj.raw_field("paused_resumed", bool_json(self.paused_resumed));
         obj.raw_field("killed", bool_json(self.killed));
         obj.raw_field("rate_limited", bool_json(self.rate_limited));
+        obj.raw_field("request_p50_ms", &format!("{:.3}", self.request_p50_ms));
+        obj.raw_field("request_max_ms", &format!("{:.3}", self.request_max_ms));
+        obj.u64_field("requests_timed", self.requests_timed);
         obj.raw_field("passed", bool_json(self.passed()));
         obj.raw_field("wall_seconds", &format!("{:.3}", self.wall.as_secs_f64()));
         obj.finish()
@@ -160,6 +170,33 @@ fn fleet_options() -> FleetOptions {
         slots: 2,
         slice: Ticks::new(100),
         ..FleetOptions::default()
+    }
+}
+
+/// The soak's control connection: every request on it is timed from
+/// sending it to reading its reply.
+struct TimedClient {
+    client: BlockingClient,
+    ms: Vec<f64>,
+}
+
+impl TimedClient {
+    fn request(&mut self, request: &Request) -> std::io::Result<String> {
+        let started = Instant::now();
+        let reply = self.client.request(request);
+        self.ms.push(started.elapsed().as_secs_f64() * 1e3);
+        reply
+    }
+
+    /// `(p50, max)` of the timed requests, in milliseconds.
+    fn latency(&self) -> (f64, f64) {
+        let mut ms = self.ms.clone();
+        ms.sort_by(f64::total_cmp);
+        let p50 = ms
+            .get(ms.len().saturating_sub(1) / 2)
+            .copied()
+            .unwrap_or(0.0);
+        (p50, ms.last().copied().unwrap_or(0.0))
     }
 }
 
@@ -244,7 +281,10 @@ pub fn run_soak(options: &SoakOptions) -> Result<SoakReport, String> {
     let connect = || {
         BlockingClient::connect(&addr, Duration::from_secs(30)).map_err(|e| format!("connect: {e}"))
     };
-    let mut control = connect()?;
+    let mut control = TimedClient {
+        client: connect()?,
+        ms: Vec::new(),
+    };
 
     // Tail client: runs on its own connection + thread, collecting lines.
     let tail_lines = Arc::new(AtomicU64::new(0));
@@ -389,6 +429,7 @@ pub fn run_soak(options: &SoakOptions) -> Result<SoakReport, String> {
         let _ = thread.join();
     }
 
+    let (request_p50_ms, request_max_ms) = control.latency();
     let hub = plane.hub();
     let report = SoakReport {
         subscribers: options.subscribers,
@@ -403,6 +444,9 @@ pub fn run_soak(options: &SoakOptions) -> Result<SoakReport, String> {
         paused_resumed,
         killed: kill_ok && kill_permanent,
         rate_limited: rate_limited || summary.rate_limited > 0,
+        request_p50_ms,
+        request_max_ms,
+        requests_timed: control.ms.len() as u64,
         wall: started.elapsed(),
     };
     if let Ok(plane) = Arc::try_unwrap(plane) {
@@ -458,5 +502,9 @@ mod tests {
         .expect("soak harness runs");
         assert!(report.passed(), "{}", report.to_json());
         assert_eq!(report.digest_total, 2);
+        // submit, pause, resume, kill, resume-after-kill, two results and
+        // shutdown, all on the control connection.
+        assert_eq!(report.requests_timed, 8);
+        assert!(report.request_p50_ms <= report.request_max_ms);
     }
 }
