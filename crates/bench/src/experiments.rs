@@ -96,24 +96,6 @@ impl ExperimentScale {
     }
 }
 
-/// Emits a human-oriented progress note and drains it immediately so the
-/// progress sink prints it before the (long) work it announces starts.
-fn progress(telemetry: &Telemetry, message: String) {
-    telemetry.progress(message);
-    telemetry.drain();
-}
-
-/// Runs a fuzzer over all repetitions and returns the per-repetition
-/// results.
-fn repeat<F>(scale: &ExperimentScale, mut run: F) -> Result<Vec<CampaignResult>, CampaignError>
-where
-    F: FnMut(&CampaignOptions) -> Result<CampaignResult, CampaignError>,
-{
-    (0..scale.repetitions)
-        .map(|rep| run(&scale.options(0xCAFE + rep * 7919)))
-        .collect()
-}
-
 /// The three evaluation fuzzers, in report-column order.
 const FUZZERS: [&str; 3] = ["cmfuzz", "peach", "spfuzz"];
 
@@ -389,40 +371,6 @@ fn table1_row_from_runs(subject: &str, runs: &SubjectRuns) -> Table1Row {
         spfuzz: spfuzz_mean,
         improv_spfuzz: improvement_pct(cm_mean as usize, spfuzz_mean as usize),
         speedup_spfuzz: mean_speedup(&runs.cmfuzz, &runs.spfuzz),
-    }
-}
-
-/// One Table I cell-row for a single subject (exposed for the criterion
-/// benches and tests, which don't need the whole grid).
-#[must_use]
-pub fn table1_row(spec: &ProtocolSpec, scale: &ExperimentScale) -> Table1Row {
-    table1_row_with(spec, scale, &Telemetry::disabled())
-}
-
-/// [`table1_row`] with an observability pipeline attached.
-///
-/// # Panics
-///
-/// Panics if any campaign fails.
-#[must_use]
-pub fn table1_row_with(
-    spec: &ProtocolSpec,
-    scale: &ExperimentScale,
-    telemetry: &Telemetry,
-) -> Table1Row {
-    progress(telemetry, format!("table1: {}", spec.name));
-    let run_all = || -> Result<SubjectRuns, CampaignError> {
-        Ok(SubjectRuns {
-            cmfuzz: repeat(scale, |o| {
-                try_run_cmfuzz_with(spec, &ScheduleOptions::default(), o, telemetry)
-            })?,
-            peach: repeat(scale, |o| try_run_peach_with(spec, o, telemetry))?,
-            spfuzz: repeat(scale, |o| try_run_spfuzz_with(spec, o, telemetry))?,
-        })
-    };
-    match run_all() {
-        Ok(runs) => table1_row_from_runs(spec.name, &runs),
-        Err(error) => panic!("table1 row failed: {error}"),
     }
 }
 
@@ -776,7 +724,8 @@ mod tests {
     #[test]
     fn table1_row_shape_holds_on_mosquitto() {
         let spec = spec_by_name("mosquitto").unwrap();
-        let row = table1_row(&spec, &tiny());
+        let runs = fuzzer_grid("table1", &[spec], &tiny(), &Telemetry::disabled(), 1).unwrap();
+        let row = table1_row_from_runs(spec.name, &runs[0]);
         assert!(row.cmfuzz > row.peach, "{row:?}");
         assert!(row.improv_peach > 0.0);
         assert!(row.speedup_peach > 1.0, "{row:?}");

@@ -3,8 +3,6 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{ConfigEntity, ConfigModel, ConfigValue};
 
 /// A concrete configuration handed to a protocol target at startup: entity
@@ -29,7 +27,7 @@ use crate::{ConfigEntity, ConfigModel, ConfigValue};
 /// assert_eq!(config.bool_or("persistence", false), true);
 /// assert_eq!(config.int_or("absent", 7), 7);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ResolvedConfig {
     values: BTreeMap<String, ConfigValue>,
 }

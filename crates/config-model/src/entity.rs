@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{ConfigItem, ConfigValue, ValueType};
 
 /// The *Flag* attribute of a configuration entity: whether the scheduler may
@@ -11,7 +9,7 @@ use crate::{ConfigItem, ConfigValue, ValueType};
 ///
 /// Static values such as paths or system directories are `Immutable`;
 /// adjustable values such as numeric ranges or mode settings are `Mutable`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Mutability {
     /// The scheduler may substitute typical values during fuzzing.
     Mutable,
@@ -49,7 +47,7 @@ impl fmt::Display for Mutability {
 /// assert_eq!(entity.mutability(), Mutability::Mutable);
 /// assert!(entity.values().len() >= 3, "typical values derived");
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ConfigEntity {
     name: String,
     value_type: ValueType,

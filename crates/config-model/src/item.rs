@@ -2,10 +2,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Where a configuration item was extracted from (Algorithm 1 inputs).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum ItemSource {
     /// A command-line option (`--option=value`, `-flag`, help text).
     Cli,
@@ -41,7 +39,7 @@ impl fmt::Display for ItemSource {
 /// assert_eq!(item.name(), "max_inflight");
 /// assert_eq!(item.raw_value(), "20");
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConfigItem {
     name: String,
     raw_value: String,

@@ -3,8 +3,6 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::extract::{
     detect_format, extract_cli, extract_custom, extract_json, extract_key_value, extract_toml,
     extract_xml, extract_yaml, FileFormat, ParseRules,
@@ -12,7 +10,7 @@ use crate::extract::{
 use crate::{ConfigEntity, ConfigItem};
 
 /// One configuration file belonging to a protocol's configuration surface.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConfigFile {
     /// File name, used for format detection and provenance.
     pub name: String,
@@ -45,7 +43,7 @@ impl ConfigFile {
 /// };
 /// assert_eq!(space.cli.len(), 1);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ConfigSpace {
     /// CLI option declarations (one per line, help-text style accepted).
     pub cli: Vec<String>,
@@ -73,10 +71,9 @@ pub struct ConfigSpace {
 /// assert!(model.entity("retries").is_some());
 /// assert_eq!(model.mutable_entities().count(), 1);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ConfigModel {
     entities: Vec<ConfigEntity>,
-    #[serde(skip)]
     by_name: HashMap<String, usize>,
 }
 

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// The *Type* attribute of a configuration entity (paper Figure 2).
 ///
 /// Inferred from the raw value's pattern: numeric values are `Number`,
@@ -19,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(ValueType::infer("true"), ValueType::Boolean);
 /// assert_eq!(ValueType::infer("/etc/mosquitto/ca.crt"), ValueType::String);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ValueType {
     /// Integer or floating-point quantity.
     Number,
@@ -81,7 +79,7 @@ fn is_boolean_like(raw: &str) -> bool {
 /// assert_eq!(v.render(), "20");
 /// assert_eq!(ConfigValue::parse("off"), ConfigValue::Bool(false));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ConfigValue {
     /// Boolean toggle.
     Bool(bool),

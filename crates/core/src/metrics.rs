@@ -5,11 +5,10 @@ use std::sync::Arc;
 use cmfuzz_config_model::ConfigValue;
 use cmfuzz_coverage::{CoverageSnapshot, Ticks};
 use cmfuzz_fuzzer::FaultLog;
-use serde::{Deserialize, Serialize};
 
 /// One adaptive configuration mutation applied during a campaign
 /// (paper §III-B2: value mutation on coverage saturation).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ConfigMutationEvent {
     /// Virtual time the mutation was applied.
     pub time: Ticks,
@@ -60,7 +59,7 @@ impl std::error::Error for CurveError {}
 /// assert_eq!(curve.time_to_reach(20), Some(Ticks::new(100)));
 /// assert_eq!(curve.time_to_reach(27), None);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CoverageCurve {
     points: Vec<(Ticks, usize)>,
 }
@@ -113,7 +112,7 @@ impl CoverageCurve {
 
 /// Aggregate execution statistics across a campaign's instances, the
 /// fairness evidence that every fuzzer consumed the same budget.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CampaignStats {
     /// Fuzzing sessions executed, summed over instances.
     pub sessions: u64,
@@ -140,7 +139,7 @@ pub struct CampaignStats {
 /// Final corpus occupancy of one campaign, summed over its instances —
 /// the evidence that corpus memory stays capped no matter how long the
 /// campaign runs.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CorpusOccupancy {
     /// Seeds resident across all instance corpora.
     pub seeds: usize,

@@ -3,8 +3,6 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a single instrumented branch edge inside one target.
 ///
 /// The analogue of a SanitizerCoverage guard index: dense, zero-based and
@@ -21,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// let id = registry.register("mqtt::connect#auth");
 /// assert_eq!(id.index(), 0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct BranchId(u32);
 
 impl BranchId {

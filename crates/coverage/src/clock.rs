@@ -4,8 +4,6 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 /// A duration or instant in virtual campaign time.
 ///
 /// One tick corresponds to one unit of fuzzing work (by convention, a single
@@ -23,9 +21,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(half < budget);
 /// assert_eq!((budget - half).get(), 5_000);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Ticks(u64);
 
 impl Ticks {

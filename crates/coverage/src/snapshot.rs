@@ -1,7 +1,5 @@
 //! Immutable coverage snapshots with set algebra.
 
-use serde::{Deserialize, Serialize};
-
 use crate::BranchId;
 
 /// Immutable bitset of branches covered at some instant.
@@ -26,7 +24,7 @@ use crate::BranchId;
 /// assert_eq!(after.newly_covered(&before), 1);
 /// assert!(before.is_subset_of(&after));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CoverageSnapshot {
     capacity: usize,
     words: Vec<u64>,

@@ -19,8 +19,7 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore};
 
-use crate::sketch::{content_hash, SeedSketch, SKETCH_BANDS, SKETCH_LANES};
-use crate::state_codec::{StateReader, StateWriter};
+use crate::sketch::{content_hash, SeedSketch, SKETCH_BANDS};
 use crate::ModelId;
 
 /// Opt-in corpus intelligence switches.
@@ -150,44 +149,6 @@ impl Seed {
     #[must_use]
     pub fn sketch(&self) -> &SeedSketch {
         &self.sketch
-    }
-
-    /// Serializes the seed — bytes, model, rarity and sketch lanes —
-    /// through the checkpoint codec.
-    pub fn encode(&self, w: &mut StateWriter) {
-        w.bytes(&self.bytes);
-        w.u32(self.model.index() as u32);
-        w.u32(self.rarity);
-        for lane in self.sketch.lanes() {
-            w.u64(*lane);
-        }
-    }
-
-    /// Deserializes a seed written by [`Seed::encode`]. The sketch is
-    /// taken from the wire (and checked against a recompute in debug
-    /// builds), so checkpoints round-trip even if the sketch constants
-    /// ever change between writer and reader builds.
-    #[must_use]
-    pub fn decode(r: &mut StateReader) -> Self {
-        let bytes: Arc<[u8]> = r.bytes().into();
-        let model = ModelId::from_raw(r.u32());
-        let rarity = r.u32();
-        let mut lanes = [0u64; SKETCH_LANES];
-        for lane in &mut lanes {
-            *lane = r.u64();
-        }
-        debug_assert_eq!(
-            lanes,
-            *SeedSketch::compute(&bytes).lanes(),
-            "serialized sketch matches a recompute"
-        );
-        Seed {
-            hash: content_hash(&bytes, model.index()),
-            sketch: SeedSketch::from_lanes(lanes),
-            bytes,
-            model,
-            rarity,
-        }
     }
 }
 
@@ -916,20 +877,6 @@ mod tests {
             let expected = reference.random_range(0..4usize) as u8;
             assert_eq!(picked, expected);
         }
-    }
-
-    #[test]
-    fn seed_codec_round_trips() {
-        let seed = Seed::with_rarity(b"ROUND TRIP PAYLOAD".to_vec(), m(3), 17);
-        let mut w = StateWriter::new();
-        seed.encode(&mut w);
-        let blob = w.finish();
-        let mut r = StateReader::new(&blob);
-        let back = Seed::decode(&mut r);
-        r.finish();
-        assert_eq!(back, seed);
-        assert_eq!(back.content_hash(), seed.content_hash());
-        assert_eq!(back.sketch(), seed.sketch());
     }
 
     #[test]

@@ -3,14 +3,12 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// The sanitizer crash taxonomy of the paper's Table II.
 ///
 /// The paper's targets run under AddressSanitizer; the simulated Rust
 /// targets are memory-safe, so seeded vulnerabilities raise explicit fault
 /// events carrying the kind the real bug exhibited.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum FaultKind {
     /// Use of memory after it was freed.
     HeapUseAfterFree,
@@ -52,7 +50,7 @@ impl fmt::Display for FaultKind {
 ///     "SEGV in coap_handle_request_put_block"
 /// );
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Fault {
     /// Sanitizer-style crash kind.
     pub kind: FaultKind,

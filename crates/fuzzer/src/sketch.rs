@@ -163,18 +163,6 @@ impl SeedSketch {
         }
         hash
     }
-
-    /// Raw signature lanes (for checkpoint serialization).
-    #[must_use]
-    pub fn lanes(&self) -> &[u64; SKETCH_LANES] {
-        &self.lanes
-    }
-
-    /// Rebuilds a sketch from serialized lanes.
-    #[must_use]
-    pub fn from_lanes(lanes: [u64; SKETCH_LANES]) -> Self {
-        SeedSketch { lanes }
-    }
 }
 
 /// FNV-1a content hash over a seed's bytes and model id — the fast
@@ -247,12 +235,6 @@ mod tests {
         assert_ne!(empty, one);
         assert_ne!(one, two);
         assert_ne!(empty, zero, "zero padding must not alias the empty input");
-    }
-
-    #[test]
-    fn lanes_round_trip() {
-        let sketch = SeedSketch::compute(b"round trip me");
-        assert_eq!(SeedSketch::from_lanes(*sketch.lanes()), sketch);
     }
 
     #[test]

@@ -24,10 +24,6 @@ pub enum NetError {
     AddrInUse(Addr),
     /// No socket is bound at the destination address.
     Unreachable(Addr),
-    /// The peer end of a stream connection has been dropped.
-    Disconnected,
-    /// No listener is accepting at the destination address.
-    ConnectionRefused(Addr),
 }
 
 impl fmt::Display for NetError {
@@ -35,8 +31,6 @@ impl fmt::Display for NetError {
         match self {
             NetError::AddrInUse(addr) => write!(f, "address already in use: {addr}"),
             NetError::Unreachable(addr) => write!(f, "destination unreachable: {addr}"),
-            NetError::Disconnected => write!(f, "peer disconnected"),
-            NetError::ConnectionRefused(addr) => write!(f, "connection refused: {addr}"),
         }
     }
 }
@@ -56,11 +50,6 @@ mod tests {
         assert_eq!(
             NetError::Unreachable(Addr::new(1, 2)).to_string(),
             "destination unreachable: 10.77.0.1:2"
-        );
-        assert_eq!(NetError::Disconnected.to_string(), "peer disconnected");
-        assert_eq!(
-            NetError::ConnectionRefused(Addr::new(0, 9)).to_string(),
-            "connection refused: 10.77.0.0:9"
         );
     }
 

@@ -7,12 +7,9 @@
 //! created on different networks can never exchange packets, and everything
 //! runs without touching the host network stack.
 //!
-//! Two transport flavours cover the six protocol targets:
-//!
-//! * [`DatagramSocket`] — UDP-like, used by the CoAP, DNS, DTLS and DDS
-//!   targets.
-//! * [`StreamConn`] / [`StreamListener`] — TCP-like byte streams, used by
-//!   the MQTT and AMQP targets.
+//! All six protocol targets exchange their messages through one transport,
+//! the UDP-like [`DatagramSocket`]: the simulated servers frame their own
+//! protocols, so the MQTT and AMQP targets need no byte-stream layer.
 //!
 //! [`LinkConditions`] can inject seeded loss, duplication and reordering for
 //! robustness testing; experiments run with perfect links for determinism.
@@ -42,10 +39,8 @@ mod addr;
 mod conditions;
 mod error;
 mod network;
-mod stream;
 
 pub use addr::Addr;
 pub use conditions::LinkConditions;
 pub use error::NetError;
 pub use network::{Datagram, DatagramSocket, Network};
-pub use stream::{StreamConn, StreamListener};

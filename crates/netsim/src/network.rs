@@ -1,15 +1,12 @@
 //! The network namespace and datagram transport.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::stream::{self, StreamConn, StreamListener};
 use crate::{Addr, LinkConditions, NetError};
 
 /// A datagram in flight: source, destination and payload.
@@ -31,24 +28,34 @@ struct LinkState {
     held: Option<Datagram>,
 }
 
-pub(crate) struct Inner {
+/// A socket's receive queue, shared by the socket and its binding.
+type Queue = Arc<Mutex<VecDeque<Datagram>>>;
+
+/// Locks `mutex`, recovering the data if a holder panicked: every critical
+/// section here leaves its state consistent, so poisoning carries no
+/// information.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+struct Inner {
     name: String,
-    datagram_bindings: Mutex<HashMap<Addr, Sender<Datagram>>>,
-    pub(crate) listeners: Mutex<HashMap<Addr, Sender<StreamConn>>>,
+    datagram_bindings: Mutex<HashMap<Addr, Queue>>,
     link: Mutex<LinkState>,
 }
 
 impl Inner {
     fn deliver(&self, datagram: Datagram) -> Result<(), NetError> {
-        let bindings = self.datagram_bindings.lock();
-        let sender = bindings
+        let bindings = lock(&self.datagram_bindings);
+        let queue = bindings
             .get(&datagram.dst)
             .ok_or(NetError::Unreachable(datagram.dst))?;
-        sender.send(datagram).map_err(|_| NetError::Disconnected)
+        lock(queue).push_back(datagram);
+        Ok(())
     }
 
     fn transmit(&self, datagram: Datagram) -> Result<(), NetError> {
-        let mut link = self.link.lock();
+        let mut link = lock(&self.link);
         if link.conditions.is_perfect() {
             drop(link);
             return self.deliver(datagram);
@@ -86,8 +93,8 @@ impl Inner {
     /// Transmits a burst of datagrams stored back-to-back in `arena`, each
     /// addressed by an `(offset, len)` range from `src` to `dst`.
     ///
-    /// On a perfect link this resolves the destination's channel once and
-    /// pushes every payload under a single bindings lock; on an impaired
+    /// On a perfect link this resolves the destination's queue once and
+    /// pushes every payload under a single queue lock; on an impaired
     /// link it falls back to per-datagram [`Inner::transmit`] so the
     /// impairment RNG draws in exactly the order sequential sends would.
     fn transmit_many(
@@ -97,7 +104,7 @@ impl Inner {
         arena: &[u8],
         ranges: &[(u32, u32)],
     ) -> Result<(), NetError> {
-        if !self.link.lock().conditions.is_perfect() {
+        if !lock(&self.link).conditions.is_perfect() {
             for &(start, len) in ranges {
                 self.transmit(Datagram {
                     src,
@@ -107,15 +114,13 @@ impl Inner {
             }
             return Ok(());
         }
-        let bindings = self.datagram_bindings.lock();
-        let sender = bindings.get(&dst).ok_or(NetError::Unreachable(dst))?;
-        sender
-            .send_many(ranges.iter().map(|&(start, len)| Datagram {
-                src,
-                dst,
-                payload: arena[start as usize..(start + len) as usize].to_vec(),
-            }))
-            .map_err(|_| NetError::Disconnected)?;
+        let bindings = lock(&self.datagram_bindings);
+        let queue = bindings.get(&dst).ok_or(NetError::Unreachable(dst))?;
+        lock(queue).extend(ranges.iter().map(|&(start, len)| Datagram {
+            src,
+            dst,
+            payload: arena[start as usize..(start + len) as usize].to_vec(),
+        }));
         Ok(())
     }
 }
@@ -148,7 +153,7 @@ impl Inner {
 /// ```
 #[derive(Clone)]
 pub struct Network {
-    pub(crate) inner: Arc<Inner>,
+    inner: Arc<Inner>,
 }
 
 impl Network {
@@ -165,7 +170,6 @@ impl Network {
             inner: Arc::new(Inner {
                 name: name.to_owned(),
                 datagram_bindings: Mutex::new(HashMap::new()),
-                listeners: Mutex::new(HashMap::new()),
                 link: Mutex::new(LinkState {
                     conditions,
                     rng: StdRng::seed_from_u64(seed),
@@ -188,37 +192,17 @@ impl Network {
     /// Returns [`NetError::AddrInUse`] if another datagram socket is already
     /// bound at `addr` on this network.
     pub fn bind_datagram(&self, addr: Addr) -> Result<DatagramSocket, NetError> {
-        let mut bindings = self.inner.datagram_bindings.lock();
+        let mut bindings = lock(&self.inner.datagram_bindings);
         if bindings.contains_key(&addr) {
             return Err(NetError::AddrInUse(addr));
         }
-        let (tx, rx) = unbounded();
-        bindings.insert(addr, tx);
+        let queue = Queue::default();
+        bindings.insert(addr, Arc::clone(&queue));
         Ok(DatagramSocket {
             addr,
-            rx,
+            queue,
             net: Arc::clone(&self.inner),
         })
-    }
-
-    /// Starts a stream listener at `addr`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetError::AddrInUse`] if a listener is already bound at
-    /// `addr` on this network.
-    pub fn listen_stream(&self, addr: Addr) -> Result<StreamListener, NetError> {
-        stream::listen(self, addr)
-    }
-
-    /// Opens a stream connection from `local` to a listener at `remote`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetError::ConnectionRefused`] if nothing is listening at
-    /// `remote` on this network.
-    pub fn connect_stream(&self, local: Addr, remote: Addr) -> Result<StreamConn, NetError> {
-        stream::connect(self, local, remote)
     }
 
     /// The impairment model's mutable state — the RNG stream position and
@@ -226,7 +210,7 @@ impl Network {
     /// checkpointing. Non-destructive.
     #[must_use]
     pub fn export_link_state(&self) -> ([u64; 4], Option<Datagram>) {
-        let link = self.inner.link.lock();
+        let link = lock(&self.inner.link);
         (link.rng.state(), link.held.clone())
     }
 
@@ -234,7 +218,7 @@ impl Network {
     /// [`Network::export_link_state`] into this network (typically a fresh
     /// one built with the same [`LinkConditions`]).
     pub fn restore_link_state(&self, rng: [u64; 4], held: Option<Datagram>) {
-        let mut link = self.inner.link.lock();
+        let mut link = lock(&self.inner.link);
         link.rng = StdRng::from_state(rng);
         link.held = held;
     }
@@ -263,9 +247,8 @@ impl fmt::Debug for Network {
             .field("name", &self.inner.name)
             .field(
                 "datagram_bindings",
-                &self.inner.datagram_bindings.lock().len(),
+                &lock(&self.inner.datagram_bindings).len(),
             )
-            .field("listeners", &self.inner.listeners.lock().len())
             .finish()
     }
 }
@@ -294,7 +277,7 @@ impl fmt::Debug for Network {
 /// ```
 pub struct DatagramSocket {
     addr: Addr,
-    rx: Receiver<Datagram>,
+    queue: Queue,
     net: Arc<Inner>,
 }
 
@@ -342,26 +325,29 @@ impl DatagramSocket {
     /// Receives the next pending datagram, if any.
     #[must_use]
     pub fn try_recv(&self) -> Option<Datagram> {
-        self.rx.try_recv().ok()
+        lock(&self.queue).pop_front()
     }
 
     /// Drains up to `max` pending datagrams into `out` under one queue
     /// lock. Returns how many were moved — the same datagrams, in the
     /// same order, as that many [`DatagramSocket::try_recv`] calls.
     pub fn recv_many(&self, out: &mut Vec<Datagram>, max: usize) -> usize {
-        self.rx.try_recv_many(out, max)
+        let mut queue = lock(&self.queue);
+        let n = max.min(queue.len());
+        out.extend(queue.drain(..n));
+        n
     }
 
     /// Number of datagrams waiting in the receive queue.
     #[must_use]
     pub fn pending(&self) -> usize {
-        self.rx.len()
+        lock(&self.queue).len()
     }
 }
 
 impl Drop for DatagramSocket {
     fn drop(&mut self) {
-        self.net.datagram_bindings.lock().remove(&self.addr);
+        lock(&self.net.datagram_bindings).remove(&self.addr);
     }
 }
 
@@ -369,7 +355,7 @@ impl fmt::Debug for DatagramSocket {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("DatagramSocket")
             .field("addr", &self.addr)
-            .field("pending", &self.rx.len())
+            .field("pending", &self.pending())
             .finish()
     }
 }

@@ -42,7 +42,8 @@ pub use cmfuzz_telemetry::json::{parse as parse_json, JsonValue};
 pub use net::{serve, BlockingClient, ServeSummary, ServerOptions, StopReason};
 pub use plane::{build_policy, ControlPlane, PlaneOptions};
 pub use proto::{
-    error_response, fnv1a_hex, ok_response, result_digest, CampaignSubmission, Request, Submission,
+    error_response, fnv1a_hex, ok_response, result_digest, BoundError, CampaignSubmission, Request,
+    Submission,
 };
 pub use rate::{kill_switch_engaged, RateLimits, TokenBucket, KILL_SWITCH_ENV};
 pub use soak::{run_soak, SoakOptions, SoakReport};

@@ -32,7 +32,7 @@ use cmfuzz_telemetry::json::ObjectWriter;
 use cmfuzz_telemetry::sink::JsonlSink;
 use cmfuzz_telemetry::{FanoutHub, FanoutOptions, FanoutSink, FanoutSubscriber, Telemetry};
 
-use crate::proto::{result_digest, Submission};
+use crate::proto::{result_digest, BoundError, Submission};
 
 /// Configuration for one control plane.
 #[derive(Debug, Clone)]
@@ -184,9 +184,12 @@ impl ControlPlane {
     /// # Errors
     ///
     /// `(exit_code, message)` following the repo convention: 3 for
-    /// preflight/model rejections, 2 for operational failures (unknown
-    /// subjects).
+    /// preflight/model rejections (counts above their admission bounds
+    /// included), 2 for operational failures (unknown subjects).
     pub fn submit(&self, submission: &Submission) -> Result<Vec<String>, (i32, String)> {
+        submission
+            .check_bounds()
+            .map_err(|error| (BoundError::EXIT_CODE, error.to_string()))?;
         let campaigns = submission.materialize().map_err(|m| (2, m))?;
         let ids: Vec<String> = campaigns.iter().map(|c| c.id.clone()).collect();
         let mut manager = lock(&self.shared.manager);

@@ -20,6 +20,38 @@ use cmfuzz_fleet::FleetCampaign;
 use cmfuzz_protocols::spec_by_name;
 use cmfuzz_telemetry::json::{parse, JsonValue, ObjectWriter};
 
+/// A submitted `instances` count above
+/// [`CampaignSubmission::MAX_INSTANCES`].
+///
+/// Admission checks the bound before anything is sized from the
+/// submission; a violation is a preflight rejection (exit code 3).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BoundError {
+    /// Campaign id the count belongs to.
+    pub id: String,
+    /// The submitted `instances`.
+    pub instances: u64,
+}
+
+impl BoundError {
+    /// The exit code a bound violation carries (preflight rejection).
+    pub const EXIT_CODE: i32 = 3;
+}
+
+impl std::fmt::Display for BoundError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "campaign {:?}: \"instances\" is {}, above the admission bound {}",
+            self.id,
+            self.instances,
+            CampaignSubmission::MAX_INSTANCES
+        )
+    }
+}
+
+impl std::error::Error for BoundError {}
+
 /// One campaign requested by a client.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CampaignSubmission {
@@ -72,6 +104,27 @@ impl Submission {
             .map(CampaignSubmission::from_json)
             .collect::<Result<Vec<_>, String>>()?;
         Ok(Submission { campaigns })
+    }
+
+    /// Checks every campaign's `instances` against
+    /// [`CampaignSubmission::MAX_INSTANCES`], the one count admission
+    /// bounds.
+    ///
+    /// # Errors
+    ///
+    /// The first [`BoundError`], in campaign order.
+    pub fn check_bounds(&self) -> Result<(), BoundError> {
+        let oversized = self
+            .campaigns
+            .iter()
+            .find(|c| c.instances > CampaignSubmission::MAX_INSTANCES);
+        match oversized {
+            Some(campaign) => Err(BoundError {
+                id: campaign.id.clone(),
+                instances: campaign.instances as u64,
+            }),
+            None => Ok(()),
+        }
     }
 
     /// Parses a submission from JSON text.
@@ -147,6 +200,17 @@ impl CampaignSubmission {
     pub const DEFAULT_SAMPLE_INTERVAL: u64 = 100;
     /// See [`CampaignSubmission::DEFAULT_SAMPLE_INTERVAL`].
     pub const DEFAULT_SATURATION_WINDOW: u64 = 200;
+
+    /// The most parallel instances one campaign may ask for. The paper and
+    /// every in-tree caller use at most 4. `instances` is the only count
+    /// that sizes an allocation at admission: the schedule's partitions,
+    /// the instance setups, and one booted engine and target per instance.
+    /// The other counts size nothing. `budget` (and `extend`'s `budget`)
+    /// over `sample_interval` is a round count, and a run grows by one
+    /// curve point per round it actually executes; `saturation_window` is
+    /// only compared against elapsed ticks. They keep their lower bound of
+    /// 1 and no upper one.
+    pub const MAX_INSTANCES: usize = 64;
 
     fn from_json(value: &JsonValue) -> Result<Self, String> {
         let id = value
@@ -474,6 +538,26 @@ mod tests {
         let mut unknown = submission();
         unknown.campaigns[0].subject = "no-such-subject".into();
         assert!(unknown.materialize().is_err());
+    }
+
+    #[test]
+    fn instances_are_bounded_at_admission() {
+        let mut at_bound = submission();
+        at_bound.campaigns[0].instances = CampaignSubmission::MAX_INSTANCES;
+        assert_eq!(at_bound.check_bounds(), Ok(()));
+        let parsed = Submission::from_json_text(
+            r#"{"campaigns":[{"id":"x","subject":"dnsmasq","budget":200,"instances":4000000000}]}"#,
+        )
+        .expect("the count parses; admission bounds it");
+        let error = parsed.check_bounds().expect_err("above the bound");
+        assert_eq!(
+            error,
+            BoundError {
+                id: "x".into(),
+                instances: 4_000_000_000,
+            }
+        );
+        assert!(error.to_string().contains("\"instances\" is 4000000000"));
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! The server against clients that misbehave on the wire: requests split
 //! across writes, lines at and past the 1 MiB cap, invalid UTF-8, a client
 //! that connects and stalls, one that disconnects mid-reply, and a tail
-//! that never reads. Each adversary gets the answer (or the drop) it
-//! earned, a well-behaved client on its own connection is served digests
-//! equal to an offline `run_fleet`, and `shutdown` returns with every
-//! connection thread joined.
+//! that never reads. Then against well-framed lines with hostile content:
+//! nesting deep enough to overflow a recursive parser, and counts large
+//! enough to exhaust memory. Each adversary gets the answer (or the drop)
+//! it earned, a well-behaved client on its own connection is served
+//! digests equal to an offline `run_fleet`, and `shutdown` returns with
+//! every connection thread joined.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -111,6 +113,30 @@ fn status_line() -> Vec<u8> {
     line
 }
 
+/// Asserts the offline fleet's digests are the ones `client` is served.
+fn assert_offline_digests(client: &mut BlockingClient) {
+    let offline = cmfuzz_fleet::run_fleet(
+        &submission().materialize().expect("materialize"),
+        &mut RoundRobin::new(),
+        &fleet_options(),
+    )
+    .expect("offline fleet");
+    for outcome in &offline.campaigns {
+        let line = client
+            .request(&Request::Result {
+                id: outcome.id.clone(),
+            })
+            .expect("result");
+        let value = parse_json(&line).expect("result is JSON");
+        assert_eq!(
+            value.get("digest").and_then(JsonValue::as_str),
+            Some(result_digest(&outcome.result()).as_str()),
+            "{} drifted beside misbehaving clients",
+            outcome.id
+        );
+    }
+}
+
 fn wait_complete(client: &mut BlockingClient) {
     let deadline = Instant::now() + TIMEOUT;
     loop {
@@ -190,26 +216,7 @@ fn misbehaving_clients_cannot_disturb_service_or_digests() {
     // The well-behaved client is served throughout, and its digests are
     // the offline fleet's.
     wait_complete(&mut good);
-    let offline = cmfuzz_fleet::run_fleet(
-        &submission().materialize().expect("materialize"),
-        &mut RoundRobin::new(),
-        &fleet_options(),
-    )
-    .expect("offline fleet");
-    for outcome in &offline.campaigns {
-        let line = good
-            .request(&Request::Result {
-                id: outcome.id.clone(),
-            })
-            .expect("result");
-        let value = parse_json(&line).expect("result is JSON");
-        assert_eq!(
-            value.get("digest").and_then(JsonValue::as_str),
-            Some(result_digest(&outcome.result()).as_str()),
-            "{} drifted beside misbehaving clients",
-            outcome.id
-        );
-    }
+    assert_offline_digests(&mut good);
 
     // Shutdown returns with every connection thread joined, the stalled
     // and deaf ones included: their sockets are closed on the way out.
@@ -234,4 +241,58 @@ fn misbehaving_clients_cannot_disturb_service_or_digests() {
         streamed.starts_with(b"{\"ok\":true"),
         "the deaf tail was acknowledged before it stopped reading"
     );
+}
+
+#[test]
+fn hostile_request_content_gets_typed_errors() {
+    let (addr, server) = start_server();
+    let mut good = BlockingClient::connect(&addr, TIMEOUT).expect("connect");
+    assert!(reply_ok(
+        &good
+            .request(&Request::Submit(submission()))
+            .expect("submit")
+    ));
+
+    // 100 000 levels of nesting, 100 KB and 500 KB: well under the line
+    // cap, and deep enough to overflow the connection thread's stack in a
+    // parser without a depth limit. Each is a usage error, and the
+    // connection survives it.
+    let mut nester = Raw::connect(&addr);
+    for unit in ["[", "{\"a\":"] {
+        let mut line = unit.repeat(100_000).into_bytes();
+        line.push(b'\n');
+        nester.write(&line);
+        let error = nester.line().expect("deep nesting answered");
+        assert!(!reply_ok(&error), "{error}");
+        assert!(error.contains("\"exit_code\":2"), "{error}");
+        assert!(error.contains("nesting deeper than the limit"), "{error}");
+    }
+    nester.write(&status_line());
+    assert!(reply_ok(&nester.line().expect("connection survives")));
+
+    // A count that would size four billion instances is a preflight
+    // rejection, answered before anything is allocated from it.
+    let mut hoarder = Raw::connect(&addr);
+    hoarder.write(
+        b"{\"cmd\":\"submit\",\"fleet\":{\"campaigns\":[{\"id\":\"huge\",\
+          \"subject\":\"dnsmasq\",\"budget\":200,\"instances\":4000000000,\
+          \"paused\":true}]}}\n",
+    );
+    let error = hoarder.line().expect("oversized count answered");
+    assert!(!reply_ok(&error), "{error}");
+    assert!(error.contains("\"exit_code\":3"), "{error}");
+    assert!(error.contains("admission bound 64"), "{error}");
+    hoarder.write(&status_line());
+    let status = hoarder.line().expect("connection survives");
+    assert!(reply_ok(&status), "{status}");
+    assert!(!status.contains("huge"), "nothing was admitted: {status}");
+
+    wait_complete(&mut good);
+    assert_offline_digests(&mut good);
+
+    assert!(reply_ok(
+        &good.request(&Request::Shutdown).expect("shutdown")
+    ));
+    let summary = server.join().expect("server thread");
+    assert_eq!(summary.reason, StopReason::Requested);
 }

@@ -195,15 +195,25 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// How many arrays and objects [`parse`] nests before it rejects the
+/// input. The parser recurses once per level, so the limit is what keeps a
+/// line of `[`s from overflowing the parsing thread's stack. The deepest
+/// control-plane request (`submit`: request → fleet → campaigns →
+/// campaign) nests 4 levels, and every document the workspace writes stays
+/// far below this.
+pub const MAX_DEPTH: usize = 64;
+
 /// Parses `text` as exactly one JSON value (trailing whitespace allowed).
 ///
 /// # Errors
 ///
-/// [`JsonError`] with the byte offset of the first defect.
+/// [`JsonError`] with the byte offset of the first defect, including the
+/// first array or object nested deeper than [`MAX_DEPTH`].
 pub fn parse(text: &str) -> Result<JsonValue, JsonError> {
     let mut parser = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let value = parser.value()?;
     parser.skip_ws();
@@ -216,6 +226,8 @@ pub fn parse(text: &str) -> Result<JsonValue, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -235,8 +247,8 @@ impl Parser<'_> {
     fn value(&mut self) -> Result<JsonValue, JsonError> {
         self.skip_ws();
         match self.bytes.get(self.pos) {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => self.string().map(JsonValue::String),
             Some(b't') => self.literal(b"true", JsonValue::Bool(true)),
             Some(b'f') => self.literal(b"false", JsonValue::Bool(false)),
@@ -244,6 +256,21 @@ impl Parser<'_> {
             Some(_) => self.number(),
             None => Err(self.error("unexpected end of input")),
         }
+    }
+
+    /// Parses one array or object with `container`, one level deeper,
+    /// refusing to open a level past [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<JsonValue, JsonError>,
+    ) -> Result<JsonValue, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error("nesting deeper than the limit"));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn literal(&mut self, lit: &[u8], value: JsonValue) -> Result<JsonValue, JsonError> {
@@ -529,6 +556,35 @@ mod tests {
             Some("quote \" backslash \\ tab \t")
         );
         assert_eq!(v.get("n").and_then(JsonValue::as_u64), Some(42));
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_an_error_not_a_stack_overflow() {
+        for unit in ["[", "{\"a\":"] {
+            let error = parse(&unit.repeat(100_000)).expect_err("too deep");
+            assert_eq!(error.message, "nesting deeper than the limit");
+            assert_eq!(error.offset, MAX_DEPTH * unit.len());
+        }
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(is_valid(&at_limit));
+        let past_limit = format!("[{at_limit}]");
+        assert!(!is_valid(&past_limit));
+    }
+
+    #[test]
+    fn the_deepest_legal_request_parses() {
+        // request → fleet → campaigns → campaign: 4 levels.
+        let submit = r#"{"cmd":"submit","fleet":{"campaigns":[{"id":"x","subject":"dnsmasq","budget":200}]}}"#;
+        let value = parse(submit).expect("4 levels parse");
+        let campaigns = value
+            .get("fleet")
+            .and_then(|fleet| fleet.get("campaigns"))
+            .and_then(JsonValue::as_array)
+            .expect("campaign array");
+        assert_eq!(
+            campaigns[0].get("budget").and_then(JsonValue::as_u64),
+            Some(200)
+        );
     }
 
     #[test]

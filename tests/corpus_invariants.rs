@@ -1,12 +1,11 @@
 //! Property-style corpus invariants: any interleaving of adds (fresh,
 //! exact-duplicate, near-duplicate), capacity evictions and
-//! checkpoint/restore round-trips keeps the corpus's secondary indexes
+//! checkpoint/restore replays keeps the corpus's secondary indexes
 //! (`by_model`, the hash index, the LSH bands, the sequence numbering)
 //! consistent with the seed deque — under every combination of
 //! [`CorpusConfig`] flags — and a restored corpus picks identically to
 //! the original.
 
-use cmfuzz_fuzzer::state_codec::{StateReader, StateWriter};
 use cmfuzz_fuzzer::{Corpus, CorpusConfig, ModelId, Seed};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -74,28 +73,19 @@ fn next_seed(lcg: &mut Lcg, history: &[Seed]) -> Seed {
     }
 }
 
-/// Checkpoint the corpus through the state codec and replay it into a
-/// fresh corpus, exactly as an engine restore does.
+/// Checkpoint the corpus as its retained seeds, oldest first, and replay
+/// them into a fresh corpus, exactly as an engine restore does.
 fn checkpoint_restore(corpus: &Corpus) -> Corpus {
-    let mut writer = StateWriter::new();
-    writer.usize(corpus.len());
-    for seed in corpus.iter() {
-        seed.encode(&mut writer);
-    }
-    let pack = writer.finish();
-
-    let mut reader = StateReader::new(&pack);
-    let count = reader.usize();
+    let checkpoint: Vec<Seed> = corpus.iter().cloned().collect();
     let mut restored = Corpus::with_config(CAPACITY, corpus.config());
-    for _ in 0..count {
-        let outcome = restored.add(Seed::decode(&mut reader));
+    for seed in checkpoint {
+        let outcome = restored.add(seed);
         assert!(
             outcome.retained(),
             "survivors are pairwise non-duplicate and within capacity, \
              so a checkpoint replay never drops one"
         );
     }
-    reader.finish();
     restored
 }
 
@@ -148,28 +138,5 @@ fn interleaved_ops_keep_indexes_consistent_under_every_config() {
             !corpus.is_empty(),
             "config {config:?}: the op stream retains seeds"
         );
-    }
-}
-
-#[test]
-fn seed_codec_survives_interleaved_history() {
-    // Every seed the op stream produced round-trips through the
-    // checkpoint codec bit-for-bit, whatever its provenance.
-    let mut lcg = Lcg(0xC0DEC);
-    let mut history: Vec<Seed> = Vec::new();
-    for _ in 0..200 {
-        let seed = next_seed(&mut lcg, &history);
-        let mut writer = StateWriter::new();
-        seed.encode(&mut writer);
-        let pack = writer.finish();
-        let mut reader = StateReader::new(&pack);
-        let back = Seed::decode(&mut reader);
-        reader.finish();
-        assert_eq!(seed.bytes, back.bytes);
-        assert_eq!(seed.model, back.model);
-        assert_eq!(seed.rarity, back.rarity);
-        assert_eq!(seed.content_hash(), back.content_hash());
-        assert_eq!(seed.sketch().lanes(), back.sketch().lanes());
-        history.push(seed);
     }
 }
