@@ -11,7 +11,7 @@ use std::time::Instant;
 
 use cmfuzz::baseline::{try_run_cmfuzz_with, try_run_peach_with, try_run_spfuzz_with};
 use cmfuzz::campaign::CampaignOptions;
-use cmfuzz::exec::run_cells;
+use cmfuzz::exec::Pool;
 use cmfuzz::metrics::{improvement_pct, speedup, CampaignResult, CoverageCurve};
 use cmfuzz::relation::{RelationOptions, WeightMode};
 use cmfuzz::schedule::{GroupingStrategy, ScheduleOptions};
@@ -186,7 +186,7 @@ fn fuzzer_grid_timed(
     }
     // Timings are measurement output only: they never feed back into
     // results, so the grid output stays deterministic.
-    let timed = run_cells(jobs, cells);
+    let timed = Pool::new(jobs.min(cells.len())).run_cells(cells);
     let timings: Vec<CellTiming> = labels
         .into_iter()
         .zip(&timed)
@@ -686,8 +686,10 @@ pub fn try_ablation_with_jobs(
             }
         }
     }
-    let collected: Result<Vec<CampaignResult>, CampaignError> =
-        run_cells(jobs, cells).into_iter().collect();
+    let collected: Result<Vec<CampaignResult>, CampaignError> = Pool::new(jobs.min(cells.len()))
+        .run_cells(cells)
+        .into_iter()
+        .collect();
     let mut results = collected?.into_iter();
     let mut rows = Vec::new();
     for name in subjects {

@@ -2,7 +2,7 @@
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Barrier, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 
 use cmfuzz_config_model::{ConfigValue, ConstraintSet, ResolvedConfig};
 use cmfuzz_coverage::{CoverageSnapshot, SaturationDetector, Ticks};
@@ -16,6 +16,7 @@ use cmfuzz_telemetry::{EngineTelemetry, Event, Telemetry};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::exec::Pool;
 use crate::metrics::{CampaignResult, ConfigMutationEvent, CorpusOccupancy, CoverageCurve};
 
 pub use crate::error::CampaignError;
@@ -45,11 +46,14 @@ pub struct CampaignOptions {
     /// Share retained seeds across instances every N rounds (SPFuzz-style
     /// synchronization); `None` disables sharing.
     pub seed_sync_every_rounds: Option<u32>,
-    /// Run rounds on persistent per-instance worker threads (spawned once
-    /// for the whole campaign and parked on a round barrier in between).
-    /// `false` executes every instance's round inline on the calling
-    /// thread — byte-identical results, kept as the sequential reference
-    /// for determinism tests and for single-core debugging.
+    /// Run each round's instances as cells on an [`exec::Pool`] of one
+    /// job per instance, which the campaign spawns at boot and keeps
+    /// parked between rounds. `false` executes every instance's round
+    /// inline on the calling thread — byte-identical results, kept as the
+    /// sequential reference for determinism tests and for single-core
+    /// debugging.
+    ///
+    /// [`exec::Pool`]: crate::exec::Pool
     pub worker_pool: bool,
     /// Link impairment applied to every instance's network namespace
     /// (loss/duplication/reordering, the paper's lossy IoT radio links).
@@ -119,6 +123,18 @@ struct Instance {
     /// Whether an `InstanceStalled` event was already emitted (non-adaptive
     /// instances only; adaptive ones mutate their way out instead).
     stalled: bool,
+}
+
+impl Instance {
+    /// Runs one round of `iterations` sessions in batches of `batch`.
+    fn run_round(&mut self, iterations: u64, batch: u64) {
+        let mut remaining = iterations;
+        while remaining > 0 {
+            let n = remaining.min(batch) as usize;
+            self.engine.run_batch(n);
+            remaining -= n as u64;
+        }
+    }
 }
 
 /// One instance's share of a [`CampaignCheckpoint`].
@@ -373,6 +389,10 @@ pub struct CampaignRun {
     /// `FaultFound` events fire exactly once per campaign-unique fault.
     seen_faults: FaultLog,
     instances: Vec<Instance>,
+    /// Runs the rounds' instance cells: one job per instance when
+    /// [`CampaignOptions::worker_pool`] is set, otherwise one job, which
+    /// runs them inline.
+    pool: Pool,
 }
 
 impl fmt::Debug for CampaignRun {
@@ -467,6 +487,7 @@ impl CampaignRun {
             curve,
             config_mutations: Vec::new(),
             seen_faults: FaultLog::new(),
+            pool: round_pool(options, &instances),
             instances,
         })
     }
@@ -536,6 +557,7 @@ impl CampaignRun {
             curve: checkpoint.curve,
             config_mutations: checkpoint.config_mutations,
             seen_faults: checkpoint.seen_faults,
+            pool: round_pool(options, &instances),
             instances,
         })
     }
@@ -569,6 +591,21 @@ impl CampaignRun {
         self.curve.final_branches()
     }
 
+    /// Runs one round on every instance, as cells on the run's pool.
+    /// Instances share nothing within a round, so the result is the same
+    /// whether the pool runs them in parallel or inline in order.
+    fn run_round(&mut self, iterations: u64, batch: u64) {
+        let cells = std::mem::take(&mut self.instances)
+            .into_iter()
+            .map(|mut instance| {
+                move || {
+                    instance.run_round(iterations, batch);
+                    instance
+                }
+            });
+        self.instances = self.pool.run_cells(cells);
+    }
+
     /// Changes the campaign's total budget. Rounds already executed are
     /// unaffected; a larger budget re-opens a complete campaign.
     pub fn set_budget(&mut self, budget: Ticks) {
@@ -582,7 +619,7 @@ impl CampaignRun {
     /// Instances run their rounds on real threads when
     /// [`CampaignOptions::worker_pool`] is set (the "parallel" in parallel
     /// fuzzing), but the result is deterministic because instances share
-    /// nothing except the round barrier. The slice emits the campaign's
+    /// nothing within a round. The slice emits the campaign's
     /// events through `telemetry` (labelled with
     /// [`CampaignOptions::campaign_id`]), mirrors engine counters into its
     /// registry, and drains it at every round boundary. `control` is
@@ -612,10 +649,10 @@ impl CampaignRun {
         let mutations_counter = telemetry.counter("campaign.config_mutations");
         let syncs_counter = telemetry.counter("campaign.seed_syncs");
 
-        let options = &self.options;
-        let interval = options.sample_interval;
+        let interval = self.options.sample_interval;
         let iterations_per_round = interval.get().max(1);
-        let batch = options.batch.max(1) as u64;
+        let batch = self.options.batch.max(1) as u64;
+        let seed_sync_every = self.options.seed_sync_every_rounds;
         let rounds_total = self.rounds_total();
         let start_round = self.rounds_done;
         let branches_before = self.curve.final_branches();
@@ -627,205 +664,128 @@ impl CampaignRun {
         let slice_rounds = (slice_budget.get() / iterations_per_round)
             .min(rounds_total.saturating_sub(start_round));
         let end_round = start_round + slice_rounds;
-
-        // The parallel part: one worker thread per instance for the life
-        // of the slice, parked on a round barrier in between rounds.
-        // Instances share nothing except the barriers, so results are
-        // byte-identical to inline execution; the mutex per slot is
-        // uncontended (workers and the round bookkeeping below never hold it
-        // at the same time) and exists to hand `&mut Instance` back and forth.
-        let slots: Vec<Mutex<Instance>> = std::mem::take(&mut self.instances)
-            .into_iter()
-            .map(Mutex::new)
-            .collect();
-        let pool = options.worker_pool && slots.len() > 1 && slice_rounds > 0;
-        let round_start = Barrier::new(slots.len() + 1);
-        let round_done = Barrier::new(slots.len() + 1);
-        let stop = AtomicBool::new(false);
-        // A mid-campaign failure cannot early-return from inside the thread
-        // scope (workers must observe `stop` through the barrier protocol
-        // first), so it is carried out here.
-        let mut failure: Option<CampaignError> = None;
-        // Rounds actually executed; falls short of `end_round` when a control
-        // signal interrupts the slice at a round boundary.
-        let mut executed_through = start_round;
+        // Set when a control signal interrupts the slice at a round
+        // boundary, short of `end_round`.
         let mut interrupted = false;
-        let mut consumed = self.consumed;
-        let curve = &mut self.curve;
-        let config_mutations = &mut self.config_mutations;
-        let seen_faults = &mut self.seen_faults;
-        let target = &self.target;
 
-        std::thread::scope(|scope| {
-            if pool {
-                for slot in &slots {
-                    scope.spawn(|| loop {
-                        round_start.wait();
-                        if stop.load(Ordering::Acquire) {
-                            return;
+        for round in start_round..end_round {
+            // Control signals are honoured strictly between rounds: no
+            // instance state is in flight, so stopping here is as clean as
+            // never having scheduled the round.
+            if control.is_some_and(CampaignControl::should_stop) {
+                interrupted = true;
+                break;
+            }
+            self.run_round(iterations_per_round, batch);
+
+            let now = self.consumed + interval;
+            rounds_counter.incr();
+            if telemetry.is_enabled() {
+                for (index, instance) in self.instances.iter().enumerate() {
+                    telemetry.span_record(index, "fuzzing", interval);
+                    for fault in instance.engine.fault_log().faults() {
+                        if self.seen_faults.record(fault.clone()) {
+                            telemetry.emit(Event::FaultFound {
+                                time: now,
+                                instance: index,
+                                kind: fault.kind.to_string(),
+                                function: fault.function.clone(),
+                            });
                         }
-                        let mut instance = lock(slot);
-                        let mut remaining = iterations_per_round;
-                        while remaining > 0 {
-                            let n = remaining.min(batch) as usize;
-                            instance.engine.run_batch(n);
-                            remaining -= n as u64;
-                        }
-                        drop(instance);
-                        round_done.wait();
+                    }
+                }
+            }
+
+            // SPFuzz-style seed synchronization between rounds.
+            if let Some(every) = seed_sync_every {
+                if every > 0 && (round + 1) % u64::from(every) == 0 {
+                    let shared = sync_seeds(&mut self.instances);
+                    syncs_counter.incr();
+                    telemetry.emit(Event::SeedSynced {
+                        round,
+                        time: now,
+                        seeds_shared: shared,
                     });
                 }
             }
 
-            'rounds: for round in start_round..end_round {
-                // Control signals are honoured strictly between rounds, while
-                // the workers are parked on `round_start`: no instance state
-                // is in flight, so stopping here is as clean as never having
-                // scheduled the round.
-                if control.is_some_and(CampaignControl::should_stop) {
-                    interrupted = true;
-                    break 'rounds;
-                }
-                if pool {
-                    round_start.wait();
-                    round_done.wait();
-                } else {
-                    for slot in &slots {
-                        let mut instance = lock(slot);
-                        let mut remaining = iterations_per_round;
-                        while remaining > 0 {
-                            let n = remaining.min(batch) as usize;
-                            instance.engine.run_batch(n);
-                            remaining -= n as u64;
-                        }
-                    }
-                }
-
-                // Workers are parked on `round_start` now, so the round
-                // bookkeeping below has every instance to itself.
-                let mut guards: Vec<MutexGuard<'_, Instance>> = slots.iter().map(lock).collect();
-                let now = consumed + interval;
-                rounds_counter.incr();
-                if telemetry.is_enabled() {
-                    for (index, instance) in guards.iter().enumerate() {
-                        telemetry.span_record(index, "fuzzing", interval);
-                        for fault in instance.engine.fault_log().faults() {
-                            if seen_faults.record(fault.clone()) {
-                                telemetry.emit(Event::FaultFound {
-                                    time: now,
-                                    instance: index,
-                                    kind: fault.kind.to_string(),
-                                    function: fault.function.clone(),
-                                });
-                            }
-                        }
-                    }
-                }
-
-                // SPFuzz-style seed synchronization between rounds.
-                if let Some(every) = options.seed_sync_every_rounds {
-                    if every > 0 && (round + 1) % u64::from(every) == 0 {
-                        let shared = sync_seeds(&mut guards);
-                        syncs_counter.incr();
-                        telemetry.emit(Event::SeedSynced {
-                            round,
-                            time: now,
-                            seeds_shared: shared,
-                        });
-                    }
-                }
-
-                // Adaptive configuration mutation on saturation (paper
-                // §III-B2). The detector is fed for every instance (its state
-                // is private and RNG-free, so this cannot perturb campaign
-                // results), but only adaptive instances act on it;
-                // non-adaptive ones report a stall once and keep running.
-                for (index, instance) in guards.iter_mut().enumerate() {
-                    let covered = instance.engine.covered_count();
-                    let saturated = instance.saturation.observe(now, covered);
-                    if instance.adaptive.is_empty() {
-                        if saturated && !instance.stalled {
-                            instance.stalled = true;
-                            telemetry.emit(Event::InstanceStalled {
-                                time: now,
-                                instance: index,
-                                covered,
-                            });
-                        }
-                        continue;
-                    }
-                    if saturated {
-                        telemetry.emit(Event::SaturationDetected {
+            // Adaptive configuration mutation on saturation (paper
+            // §III-B2). The detector is fed for every instance (its state
+            // is private and RNG-free, so this cannot perturb campaign
+            // results), but only adaptive instances act on it; non-adaptive
+            // ones report a stall once and keep running.
+            for (index, instance) in self.instances.iter_mut().enumerate() {
+                let covered = instance.engine.covered_count();
+                let saturated = instance.saturation.observe(now, covered);
+                if instance.adaptive.is_empty() {
+                    if saturated && !instance.stalled {
+                        instance.stalled = true;
+                        telemetry.emit(Event::InstanceStalled {
                             time: now,
                             instance: index,
                             covered,
                         });
-                        match mutate_instance_config(instance) {
-                            Ok(Some((entity, value))) => {
-                                mutations_counter.incr();
-                                telemetry.emit(Event::ConfigMutated {
-                                    time: now,
-                                    instance: index,
-                                    entity: entity.to_string(),
-                                    value: value.render(),
-                                });
-                                config_mutations.push(ConfigMutationEvent {
-                                    time: now,
-                                    instance: index,
-                                    entity,
-                                    value,
-                                });
-                            }
-                            Ok(None) => {}
-                            Err(error) => {
-                                // The instance lost its running configuration:
-                                // abort the campaign through the normal worker
-                                // shutdown below.
-                                failure = Some(CampaignError::Restart {
-                                    target: target.clone(),
-                                    instance: index,
-                                    error,
-                                });
-                                break 'rounds;
-                            }
-                        }
-                        instance.saturation.reset_window(now);
                     }
+                    continue;
                 }
-
-                let union_branches = union_coverage(guards.iter().map(|g| &**g)).covered_count();
-                curve
-                    .push(now, union_branches)
-                    .expect("virtual clock is monotone");
-                if telemetry.is_enabled() {
-                    telemetry.emit(Event::RoundCompleted {
-                        round,
+                if saturated {
+                    telemetry.emit(Event::SaturationDetected {
                         time: now,
-                        union_branches,
-                        sessions: guards.iter().map(|i| i.engine.stats().sessions).sum(),
+                        instance: index,
+                        covered,
                     });
-                    telemetry.drain();
+                    match mutate_instance_config(instance) {
+                        Ok(Some((entity, value))) => {
+                            mutations_counter.incr();
+                            telemetry.emit(Event::ConfigMutated {
+                                time: now,
+                                instance: index,
+                                entity: entity.to_string(),
+                                value: value.render(),
+                            });
+                            self.config_mutations.push(ConfigMutationEvent {
+                                time: now,
+                                instance: index,
+                                entity,
+                                value,
+                            });
+                        }
+                        Ok(None) => {}
+                        Err(error) => {
+                            // The instance lost its running configuration:
+                            // the run keeps the rounds before this one.
+                            return Err(CampaignError::Restart {
+                                target: self.target.clone(),
+                                instance: index,
+                                error,
+                            });
+                        }
+                    }
+                    instance.saturation.reset_window(now);
                 }
-                consumed = now;
-                executed_through = round + 1;
             }
 
-            if pool {
-                // Release the workers one last time so they observe `stop`.
-                stop.store(true, Ordering::Release);
-                round_start.wait();
+            let union_branches = union_coverage(&self.instances).covered_count();
+            self.curve
+                .push(now, union_branches)
+                .expect("virtual clock is monotone");
+            if telemetry.is_enabled() {
+                telemetry.emit(Event::RoundCompleted {
+                    round,
+                    time: now,
+                    union_branches,
+                    sessions: self
+                        .instances
+                        .iter()
+                        .map(|i| i.engine.stats().sessions)
+                        .sum(),
+                });
+                telemetry.drain();
             }
-        });
-
-        self.instances = slots
-            .into_iter()
-            .map(|slot| slot.into_inner().unwrap_or_else(PoisonError::into_inner))
-            .collect();
-        self.consumed = consumed;
-        self.rounds_done = executed_through;
-        if let Some(error) = failure {
-            return Err(error);
+            self.consumed = now;
+            self.rounds_done = round + 1;
         }
+        let executed_through = self.rounds_done;
 
         let done = executed_through >= rounds_total;
         if done {
@@ -971,6 +931,15 @@ impl CampaignRun {
     }
 }
 
+fn round_pool(options: &CampaignOptions, instances: &[Instance]) -> Pool {
+    let jobs = if options.worker_pool {
+        instances.len()
+    } else {
+        1
+    };
+    Pool::new(jobs)
+}
+
 fn adaptive_entities(setup: &InstanceSetup) -> Vec<(Arc<str>, Vec<ConfigValue>)> {
     setup
         .adaptive_entities
@@ -1021,7 +990,7 @@ fn build_engine(
 ///
 /// Instances execute their rounds on real threads (the "parallel" in
 /// parallel fuzzing) but the result is deterministic for a given options
-/// struct because instances share nothing except the round barrier.
+/// struct because instances share nothing within a round.
 ///
 /// # Panics
 ///
@@ -1138,27 +1107,19 @@ pub fn run_campaign_slice(
     Ok((run.into_checkpoint(), report))
 }
 
-/// Locks a slot, recovering from poisoning (a panicked worker already
-/// propagates through the thread scope; the lock itself holds plain data).
-fn lock(slot: &Mutex<Instance>) -> MutexGuard<'_, Instance> {
-    slot.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-fn union_coverage<'a, I>(instances: I) -> CoverageSnapshot
-where
-    I: IntoIterator<Item = &'a Instance>,
-{
-    let mut it = instances.into_iter();
-    let first = it.next().expect("campaign needs at least one instance");
+fn union_coverage(instances: &[Instance]) -> CoverageSnapshot {
+    let (first, rest) = instances
+        .split_first()
+        .expect("campaign needs at least one instance");
     let mut union = first.engine.coverage().clone();
-    for instance in it {
+    for instance in rest {
         union.union_with(instance.engine.coverage());
     }
     union
 }
 
 /// Returns the number of seed copies imported across instances.
-fn sync_seeds(instances: &mut [MutexGuard<'_, Instance>]) -> usize {
+fn sync_seeds(instances: &mut [Instance]) -> usize {
     let outboxes: Vec<Vec<Seed>> = instances
         .iter_mut()
         .map(|i| i.engine.export_new_seeds())

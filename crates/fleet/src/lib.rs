@@ -15,9 +15,10 @@
 //!   at a round boundary without changing what it would eventually find.
 //!   The fleet exports each run as a [`CampaignCheckpoint`] only for its
 //!   final report.
-//! - **The cell pool** ([`cmfuzz::exec::run_cells`]): each wave of
-//!   leased slices runs as independent cells on a bounded pool, with
-//!   results returned in lease order regardless of thread timing.
+//! - **The cell pool** ([`cmfuzz::exec::Pool`]): each wave of leased
+//!   slices runs as independent cells on one persistent pool that the
+//!   fleet keeps for its lifetime, with results returned in lease order
+//!   regardless of thread timing.
 //!
 //! A pluggable [`SchedulingPolicy`] decides which campaigns lease the
 //! next wave of worker slots: [`RoundRobin`] (the fair baseline),
@@ -442,6 +443,66 @@ mod tests {
             format!("{:?}", run()),
             format!("{result:?}"),
             "sharing fleets stay deterministic"
+        );
+    }
+
+    fn fnv1a(text: &str) -> u64 {
+        text.bytes().fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+            (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn mixed_share_groups_on_few_slots_keep_their_pinned_exchange_totals() {
+        // Five campaigns on two slots, so most waves leave most campaigns
+        // parked while the exchange still runs over them. The "iot" group
+        // mixes subjects: every mosquitto-dnsmasq donation is rejected, so
+        // the group keeps reaching exchanges that accept nothing yet
+        // reject seeds. The "coap" pair's small corpora keep evicting, so
+        // an exchange that missed a changed member would move the totals.
+        let members = [
+            ("mosquitto", 3_u64, "iot"),
+            ("mosquitto", 5, "iot"),
+            ("dnsmasq", 7, "iot"),
+            ("libcoap", 11, "coap"),
+            ("libcoap", 13, "coap"),
+        ];
+        let fleet: Vec<FleetCampaign> = members
+            .iter()
+            .enumerate()
+            .map(|(i, &(name, seed, group))| FleetCampaign {
+                id: format!("{name}/settle-{i}"),
+                spec: spec_by_name(name).expect("subject exists"),
+                fuzzer: "cmfuzz".into(),
+                setups: vec![InstanceSetup::default(); 2],
+                options: {
+                    let mut options = small_options(seed, 800);
+                    if group == "coap" {
+                        options.engine.corpus_capacity = 24;
+                    }
+                    options
+                },
+                share_group: Some(group.into()),
+            })
+            .collect();
+        let result = run_fleet(
+            &fleet,
+            &mut RoundRobin::new(),
+            &FleetOptions {
+                slots: 2,
+                slice: Ticks::new(100),
+                share_rare_seeds: 4,
+                ..FleetOptions::default()
+            },
+        )
+        .expect("fleet runs");
+        assert!(result.all_complete());
+        assert_eq!(result.seeds_shared, 90);
+        assert_eq!(result.seeds_share_rejected, 304);
+        assert_eq!(
+            fnv1a(&format!("{result:?}")),
+            0x2e73_b2d8_3bc7_c2a2,
+            "the exchange moved"
         );
     }
 

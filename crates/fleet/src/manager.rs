@@ -28,8 +28,10 @@
 //! schedule bit-for-bit — `run_fleet` is itself implemented on top of
 //! this type.
 
+use std::sync::Arc;
+
 use cmfuzz::campaign::{CampaignControl, CampaignOptions, CampaignRun, SliceReport};
-use cmfuzz::exec::run_cells;
+use cmfuzz::exec::Pool;
 use cmfuzz::metrics::CampaignResult;
 use cmfuzz::preflight::{analyze_fleet_schedule, analyze_reachability_for, FleetEntryView};
 use cmfuzz::CampaignError;
@@ -143,7 +145,7 @@ enum RunSlot {
 pub(crate) struct FleetEntry {
     pub(crate) campaign: FleetCampaign,
     /// `campaign.options` as slices actually run them: labelled with the
-    /// fleet id, worker pool off (the wave's exec cells supply
+    /// fleet id, worker pool off (the wave's pool cells supply
     /// parallelism).
     prepared: CampaignOptions,
     /// The live campaign, booted at its first lease.
@@ -255,6 +257,9 @@ pub struct FleetManager {
     /// policy; `step_wave` advances the watermark so every admitted
     /// campaign is primed exactly once, at its first wave.
     primed: usize,
+    /// Runs every wave's slices, one job per slot; spawned at the first
+    /// wave, and each wave holds a clone while it executes.
+    pool: Option<Arc<Pool>>,
 }
 
 impl FleetManager {
@@ -276,6 +281,7 @@ impl FleetManager {
             seeds_shared: 0,
             seeds_share_rejected: 0,
             primed: 0,
+            pool: None,
         }
     }
 
@@ -568,6 +574,8 @@ impl FleetManager {
             return Err(IdleReason::BudgetExhausted);
         }
 
+        let slots = self.options.slots;
+        let pool = Arc::clone(self.pool.get_or_insert_with(|| Arc::new(Pool::new(slots))));
         let leases = wave
             .into_iter()
             .zip(lease_budgets)
@@ -596,6 +604,7 @@ impl FleetManager {
         Ok(Wave {
             leases,
             telemetry: self.telemetry.clone(),
+            pool,
         })
     }
 
@@ -803,6 +812,8 @@ fn exchange_rare_seeds(entries: &mut [FleetEntry], max_per_donor: usize) -> (u64
 pub struct Wave {
     leases: Vec<Lease>,
     telemetry: Telemetry,
+    /// The manager's pool.
+    pool: Arc<Pool>,
 }
 
 #[derive(Debug)]
@@ -817,23 +828,24 @@ struct Lease {
 }
 
 impl Wave {
-    /// Runs every lease's slice as a parallel exec cell, each in its own
-    /// telemetry scope; a campaign's first lease boots its run. Each slice
-    /// checks its campaign's [`CampaignControl`] at every round boundary.
+    /// Runs every lease's slice as a cell on the manager's pool, each in
+    /// its own telemetry scope; a campaign's first lease boots its run.
+    /// With one slot or one lease, the slice runs on the calling thread.
+    /// Each slice checks its campaign's [`CampaignControl`] at every round
+    /// boundary.
     pub fn execute(&mut self) {
-        let cells: Vec<_> = self
-            .leases
-            .iter_mut()
-            .map(|lease| {
+        let cells = std::mem::take(&mut self.leases)
+            .into_iter()
+            .map(|mut lease| {
                 let telemetry = self.telemetry.clone();
                 move || {
                     let scope = telemetry.scoped(VirtualClock::new());
                     lease.outcome = Some(lease.slice(scope.telemetry()));
                     scope.commit();
+                    lease
                 }
-            })
-            .collect();
-        let _: Vec<()> = run_cells(cells.len(), cells);
+            });
+        self.leases = self.pool.run_cells(cells);
     }
 }
 

@@ -2,12 +2,12 @@
 //!
 //! Two levels, two references:
 //!
-//! 1. **Grid level** — the cell pool in `cmfuzz::exec` must render every
+//! 1. **Grid level** — grids on `cmfuzz::exec::Pool` must render every
 //!    table byte-identically to a one-worker run, no matter how cells
 //!    interleave. Across processes, CI compares `table1` output at
 //!    `CMFUZZ_JOBS=1` and `=2` byte for byte.
-//! 2. **Campaign level** — the persistent per-instance worker pool in
-//!    `cmfuzz::campaign` must reproduce the inline (single-threaded)
+//! 2. **Campaign level** — a campaign's rounds on its own pool
+//!    (`worker_pool: true`) must reproduce the inline (single-threaded)
 //!    execution exactly: same coverage curve, same faults, same stats.
 //!
 //! (The third leg — scratch snapshots agreeing with allocating snapshots
