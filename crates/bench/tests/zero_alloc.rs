@@ -1,5 +1,5 @@
-//! Gates: the coverage feedback path and a steady-state session iteration
-//! perform **zero** heap allocations.
+//! Gates: the coverage feedback path, a steady-state session iteration
+//! and a warm datagram link's bursts perform **zero** heap allocations.
 //!
 //! A counting global allocator backs the claims of DESIGN.md §8.3–§8.4.
 //! Its counter is thread-local, so allocations made by the test harness's
@@ -13,7 +13,8 @@ use cmfuzz_bench::NullTarget;
 use cmfuzz_config_model::ResolvedConfig;
 use cmfuzz_coverage::{BranchId, CoverageMap, CoverageSnapshot};
 use cmfuzz_fuzzer::{pit, EngineConfig, FuzzEngine};
-use cmfuzz_protocols::all_specs;
+use cmfuzz_netsim::LinkConditions;
+use cmfuzz_protocols::{all_specs, DatagramLink, Transport};
 
 struct CountingAlloc;
 
@@ -154,4 +155,59 @@ fn steady_state_session_iteration_does_not_allocate() {
             spec.name
         );
     }
+}
+
+/// One session's messages, back to back in an arena, at varied lengths.
+fn session_burst() -> (Vec<u8>, Vec<(u32, u32)>) {
+    let mut arena = Vec::new();
+    let mut ranges = Vec::new();
+    for (i, len) in [12usize, 40, 7, 64, 23, 5, 31, 16].into_iter().enumerate() {
+        let start = arena.len();
+        arena.extend((0..len).map(|b| (b + i) as u8));
+        ranges.push((start as u32, len as u32));
+    }
+    (arena, ranges)
+}
+
+#[test]
+fn warm_datagram_link_bursts_do_not_allocate() {
+    let (arena, ranges) = session_burst();
+
+    // Perfect link: the whole burst is sent, then drained, and the
+    // drained payload buffers go back to the namespace for the next one.
+    let mut link = DatagramLink::new("zero-alloc");
+    link.open().expect("binds");
+    let perfect_burst = |link: &mut DatagramLink| {
+        assert!(link.client_send_batch(&arena, &ranges));
+        let mut bytes = 0;
+        let received = link.server_recv_many(ranges.len(), &mut |payload| bytes += payload.len());
+        assert_eq!(received, ranges.len());
+        black_box(bytes);
+    };
+    for _ in 0..100 {
+        perfect_burst(&mut link);
+    }
+    let allocs = count_allocs(2_000, || perfect_burst(&mut link));
+    assert_eq!(allocs, 0, "a warm perfect-link burst allocated");
+
+    // Impaired link: each message's round trip under one lock per burst,
+    // with a server that answers from a fixed slice. The warmup is long
+    // enough for the queues to reach their deepest point at this seed.
+    const ANSWER: &[u8] = b"2.05 Content: a fixed answer";
+    let mut link =
+        DatagramLink::with_conditions("zero-alloc", LinkConditions::new(0.1, 0.05, 0.05), 7);
+    link.open().expect("binds");
+    let mut served = 0u64;
+    let mut impaired_burst = |link: &mut DatagramLink| {
+        link.round_trips(&arena, &ranges, &mut |_, request, reply| {
+            served += request.len() as u64;
+            reply.extend_from_slice(ANSWER);
+        });
+    };
+    for _ in 0..5_000 {
+        impaired_burst(&mut link);
+    }
+    let allocs = count_allocs(2_000, || impaired_burst(&mut link));
+    assert_eq!(allocs, 0, "a warm impaired-link burst allocated");
+    assert!(served > 0, "no request crossed the impaired link");
 }

@@ -43,4 +43,4 @@ mod network;
 pub use addr::Addr;
 pub use conditions::LinkConditions;
 pub use error::NetError;
-pub use network::{Datagram, DatagramSocket, Network};
+pub use network::{Datagram, DatagramSocket, Network, Wire};

@@ -1,6 +1,6 @@
 //! The network namespace and datagram transport.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -8,6 +8,17 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::{Addr, LinkConditions, NetError};
+
+/// Receive-queue depth at which an impaired link drops further arrivals,
+/// like a full `SO_RCVBUF`. Duplication that outpaces loss would
+/// otherwise leave one more stale datagram queued per round trip, without
+/// bound. Perfect links stay unbounded: a lossless burst fills a queue
+/// and drains it within one call.
+const IMPAIRED_QUEUE_LIMIT: usize = 256;
+
+/// Drained payload buffers a namespace keeps for reuse; any beyond this
+/// are freed, so an idle namespace holds at most this many.
+const FREE_BUFFERS: usize = 64;
 
 /// A datagram in flight: source, destination and payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -28,8 +39,16 @@ struct LinkState {
     held: Option<Datagram>,
 }
 
-/// A socket's receive queue, shared by the socket and its binding.
-type Queue = Arc<Mutex<VecDeque<Datagram>>>;
+/// Everything a namespace's traffic touches, behind its one lock.
+struct State {
+    /// Bound addresses and their receive queues. A namespace binds a
+    /// handful of sockets, so a scan beats hashing.
+    bindings: Vec<(Addr, VecDeque<Datagram>)>,
+    link: LinkState,
+    /// Payload buffers drained from the queues, reused by later copies
+    /// onto the wire.
+    free: Vec<Vec<u8>>,
+}
 
 /// Locks `mutex`, recovering the data if a holder panicked: every critical
 /// section here leaves its state consistent, so poisoning carries no
@@ -38,91 +57,105 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-struct Inner {
-    name: String,
-    datagram_bindings: Mutex<HashMap<Addr, Queue>>,
-    link: Mutex<LinkState>,
+fn queue_at(
+    bindings: &mut [(Addr, VecDeque<Datagram>)],
+    addr: Addr,
+) -> Option<&mut VecDeque<Datagram>> {
+    bindings
+        .iter_mut()
+        .find(|(bound, _)| *bound == addr)
+        .map(|(_, queue)| queue)
 }
 
-impl Inner {
-    fn deliver(&self, datagram: Datagram) -> Result<(), NetError> {
-        let bindings = lock(&self.datagram_bindings);
-        let queue = bindings
-            .get(&datagram.dst)
-            .ok_or(NetError::Unreachable(datagram.dst))?;
-        lock(queue).push_back(datagram);
-        Ok(())
+/// `payload` copied into a recycled buffer.
+fn copy_of(free: &mut Vec<Vec<u8>>, payload: &[u8]) -> Vec<u8> {
+    let mut buffer = free.pop().unwrap_or_default();
+    buffer.extend_from_slice(payload);
+    buffer
+}
+
+impl State {
+    fn recycle(&mut self, mut buffer: Vec<u8>) {
+        if self.free.len() < FREE_BUFFERS {
+            buffer.clear();
+            self.free.push(buffer);
+        }
     }
 
-    fn transmit(&self, datagram: Datagram) -> Result<(), NetError> {
-        let mut link = lock(&self.link);
-        if link.conditions.is_perfect() {
-            drop(link);
-            return self.deliver(datagram);
+    /// Best-effort delivery past the impairment model: a datagram for an
+    /// unbound address or a full queue is dropped.
+    fn deliver_impaired(&mut self, datagram: Datagram) {
+        match queue_at(&mut self.bindings, datagram.dst) {
+            Some(queue) if queue.len() < IMPAIRED_QUEUE_LIMIT => queue.push_back(datagram),
+            _ => self.recycle(datagram.payload),
         }
-        let mut to_deliver = Vec::with_capacity(2);
-        let loss = link.conditions.loss();
-        let dup = link.conditions.duplicate();
-        let reorder = link.conditions.reorder();
+    }
+
+    /// [`State::deliver_impaired`] for a borrowed payload, copied only if
+    /// it will be queued.
+    fn deliver_impaired_copy(&mut self, src: Addr, dst: Addr, payload: &[u8]) {
+        if let Some(queue) = queue_at(&mut self.bindings, dst) {
+            if queue.len() < IMPAIRED_QUEUE_LIMIT {
+                let payload = copy_of(&mut self.free, payload);
+                queue.push_back(Datagram { src, dst, payload });
+            }
+        }
+    }
+
+    fn transmit(&mut self, src: Addr, dst: Addr, payload: &[u8]) -> Result<(), NetError> {
+        let conditions = self.link.conditions;
+        if conditions.is_perfect() {
+            let queue = queue_at(&mut self.bindings, dst).ok_or(NetError::Unreachable(dst))?;
+            let payload = copy_of(&mut self.free, payload);
+            queue.push_back(Datagram { src, dst, payload });
+            return Ok(());
+        }
+        // The draws come in a fixed order (loss, then reorder, then
+        // duplication, each only when it can matter) and never depend on
+        // the queues, so a full or unbound queue cannot shift the stream.
+        let link = &mut self.link;
+        let loss = conditions.loss();
+        let reorder = conditions.reorder();
+        let dup = conditions.duplicate();
         if loss > 0.0 && link.rng.random::<f64>() < loss {
             // Dropped; still release any held datagram so it is not stuck
             // behind a lost packet forever.
             if let Some(held) = link.held.take() {
-                to_deliver.push(held);
+                self.deliver_impaired(held);
             }
         } else if reorder > 0.0 && link.held.is_none() && link.rng.random::<f64>() < reorder {
-            link.held = Some(datagram);
+            let payload = copy_of(&mut self.free, payload);
+            self.link.held = Some(Datagram { src, dst, payload });
         } else {
             let duplicated = dup > 0.0 && link.rng.random::<f64>() < dup;
+            let held = link.held.take();
             if duplicated {
-                to_deliver.push(datagram.clone());
+                self.deliver_impaired_copy(src, dst, payload);
             }
-            to_deliver.push(datagram);
-            if let Some(held) = link.held.take() {
-                to_deliver.push(held);
+            self.deliver_impaired_copy(src, dst, payload);
+            if let Some(held) = held {
+                self.deliver_impaired(held);
             }
         }
-        drop(link);
-        for d in to_deliver {
-            // Best-effort: an unreachable duplicate must not fail the send.
-            let _ = self.deliver(d);
-        }
+        // Best-effort: an unreachable datagram must not fail the send.
         Ok(())
     }
 
-    /// Transmits a burst of datagrams stored back-to-back in `arena`, each
-    /// addressed by an `(offset, len)` range from `src` to `dst`.
-    ///
-    /// On a perfect link this resolves the destination's queue once and
-    /// pushes every payload under a single queue lock; on an impaired
-    /// link it falls back to per-datagram [`Inner::transmit`] so the
-    /// impairment RNG draws in exactly the order sequential sends would.
-    fn transmit_many(
-        &self,
-        src: Addr,
-        dst: Addr,
-        arena: &[u8],
-        ranges: &[(u32, u32)],
-    ) -> Result<(), NetError> {
-        if !lock(&self.link).conditions.is_perfect() {
-            for &(start, len) in ranges {
-                self.transmit(Datagram {
-                    src,
-                    dst,
-                    payload: arena[start as usize..(start + len) as usize].to_vec(),
-                })?;
-            }
-            return Ok(());
-        }
-        let bindings = lock(&self.datagram_bindings);
-        let queue = bindings.get(&dst).ok_or(NetError::Unreachable(dst))?;
-        lock(queue).extend(ranges.iter().map(|&(start, len)| Datagram {
-            src,
-            dst,
-            payload: arena[start as usize..(start + len) as usize].to_vec(),
-        }));
-        Ok(())
+    /// Moves the next datagram queued at `at` into `buffer`, recycling
+    /// `buffer`'s old allocation. Returns whether one was pending.
+    fn recv_into(&mut self, at: Addr, buffer: &mut Vec<u8>) -> bool {
+        let Some(datagram) = queue_at(&mut self.bindings, at).and_then(VecDeque::pop_front) else {
+            return false;
+        };
+        let old = std::mem::replace(buffer, datagram.payload);
+        self.recycle(old);
+        true
     }
+}
+
+struct Inner {
+    name: String,
+    state: Mutex<State>,
 }
 
 /// One isolated network namespace.
@@ -169,14 +202,21 @@ impl Network {
         Network {
             inner: Arc::new(Inner {
                 name: name.to_owned(),
-                datagram_bindings: Mutex::new(HashMap::new()),
-                link: Mutex::new(LinkState {
-                    conditions,
-                    rng: StdRng::seed_from_u64(seed),
-                    held: None,
+                state: Mutex::new(State {
+                    bindings: Vec::new(),
+                    link: LinkState {
+                        conditions,
+                        rng: StdRng::seed_from_u64(seed),
+                        held: None,
+                    },
+                    free: Vec::new(),
                 }),
             }),
         }
+    }
+
+    fn state(&self) -> MutexGuard<'_, State> {
+        lock(&self.inner.state)
     }
 
     /// Namespace name, for logs.
@@ -192,17 +232,44 @@ impl Network {
     /// Returns [`NetError::AddrInUse`] if another datagram socket is already
     /// bound at `addr` on this network.
     pub fn bind_datagram(&self, addr: Addr) -> Result<DatagramSocket, NetError> {
-        let mut bindings = lock(&self.inner.datagram_bindings);
-        if bindings.contains_key(&addr) {
+        let mut state = self.state();
+        if queue_at(&mut state.bindings, addr).is_some() {
             return Err(NetError::AddrInUse(addr));
         }
-        let queue = Queue::default();
-        bindings.insert(addr, Arc::clone(&queue));
+        state.bindings.push((addr, VecDeque::new()));
         Ok(DatagramSocket {
             addr,
-            queue,
-            net: Arc::clone(&self.inner),
+            net: self.clone(),
         })
+    }
+
+    /// Holds the namespace's lock for a burst of sends and receives, so
+    /// each move costs no lock of its own. The moves behave exactly like
+    /// the socket calls they stand for, impairment draws included.
+    ///
+    /// Every other call on this namespace — socket calls included —
+    /// blocks until the guard drops, so a thread holding it must not make
+    /// one.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use cmfuzz_netsim::{Addr, Network};
+    ///
+    /// let net = Network::new("ns");
+    /// let (a, b) = (Addr::new(1, 1), Addr::new(2, 2));
+    /// let _sockets = (net.bind_datagram(a).unwrap(), net.bind_datagram(b).unwrap());
+    /// let mut wire = net.wire();
+    /// let mut buf = Vec::new();
+    /// wire.send_to(a, b, b"ping").unwrap();
+    /// assert!(wire.recv_into(b, &mut buf));
+    /// assert_eq!(buf, b"ping");
+    /// ```
+    #[must_use]
+    pub fn wire(&self) -> Wire<'_> {
+        Wire {
+            state: self.state(),
+        }
     }
 
     /// The impairment model's mutable state — the RNG stream position and
@@ -210,17 +277,17 @@ impl Network {
     /// checkpointing. Non-destructive.
     #[must_use]
     pub fn export_link_state(&self) -> ([u64; 4], Option<Datagram>) {
-        let link = lock(&self.inner.link);
-        (link.rng.state(), link.held.clone())
+        let state = self.state();
+        (state.link.rng.state(), state.link.held.clone())
     }
 
     /// Restores impairment state captured by
     /// [`Network::export_link_state`] into this network (typically a fresh
     /// one built with the same [`LinkConditions`]).
     pub fn restore_link_state(&self, rng: [u64; 4], held: Option<Datagram>) {
-        let mut link = lock(&self.inner.link);
-        link.rng = StdRng::from_state(rng);
-        link.held = held;
+        let mut state = self.state();
+        state.link.rng = StdRng::from_state(rng);
+        state.link.held = held;
     }
 
     /// Delivers `datagram` directly to its destination socket, bypassing
@@ -237,7 +304,10 @@ impl Network {
     /// Returns [`NetError::Unreachable`] if no socket is bound at the
     /// datagram's destination.
     pub fn inject(&self, datagram: Datagram) -> Result<(), NetError> {
-        self.inner.deliver(datagram)
+        queue_at(&mut self.state().bindings, datagram.dst)
+            .ok_or(NetError::Unreachable(datagram.dst))?
+            .push_back(datagram);
+        Ok(())
     }
 }
 
@@ -245,11 +315,34 @@ impl fmt::Debug for Network {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Network")
             .field("name", &self.inner.name)
-            .field(
-                "datagram_bindings",
-                &lock(&self.inner.datagram_bindings).len(),
-            )
+            .field("datagram_bindings", &self.state().bindings.len())
             .finish()
+    }
+}
+
+/// A namespace's wire held for a burst: see [`Network::wire`].
+pub struct Wire<'a> {
+    state: MutexGuard<'a, State>,
+}
+
+impl Wire<'_> {
+    /// Sends `payload` from `src` to `dst`, like
+    /// [`DatagramSocket::send_to`] on a socket bound at `src`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NetError::Unreachable`] if the link is perfect and no
+    /// socket is bound at `dst`.
+    pub fn send_to(&mut self, src: Addr, dst: Addr, payload: &[u8]) -> Result<(), NetError> {
+        self.state.transmit(src, dst, payload)
+    }
+
+    /// Moves the payload of the next datagram queued at `at` into
+    /// `buffer`, replacing its contents, and returns `true`; returns
+    /// `false`, leaving `buffer` alone, when none is pending. The old
+    /// allocation is recycled, so a warm burst allocates nothing.
+    pub fn recv_into(&mut self, at: Addr, buffer: &mut Vec<u8>) -> bool {
+        self.state.recv_into(at, buffer)
     }
 }
 
@@ -277,8 +370,7 @@ impl fmt::Debug for Network {
 /// ```
 pub struct DatagramSocket {
     addr: Addr,
-    queue: Queue,
-    net: Arc<Inner>,
+    net: Network,
 }
 
 impl DatagramSocket {
@@ -288,24 +380,26 @@ impl DatagramSocket {
         self.addr
     }
 
+    fn queue<R>(&self, f: impl FnOnce(&mut VecDeque<Datagram>) -> R) -> R {
+        let mut state = self.net.state();
+        // A socket's binding lives until the socket drops.
+        f(queue_at(&mut state.bindings, self.addr).expect("socket is bound"))
+    }
+
     /// Sends `payload` to `dst` on this socket's network.
     ///
     /// # Errors
     ///
     /// Returns [`NetError::Unreachable`] if no socket is bound at `dst`.
     pub fn send_to(&self, dst: Addr, payload: &[u8]) -> Result<(), NetError> {
-        self.net.transmit(Datagram {
-            src: self.addr,
-            dst,
-            payload: payload.to_vec(),
-        })
+        self.net.state().transmit(self.addr, dst, payload)
     }
 
     /// Sends a burst of payloads stored back-to-back in `arena`, each
     /// addressed by an `(offset, len)` range, to `dst` — observably
     /// identical to calling [`DatagramSocket::send_to`] once per range in
-    /// order (same delivery sequence, same impairment RNG draws), but on a
-    /// perfect link the whole burst crosses under one bindings lock.
+    /// order (same delivery sequence, same impairment RNG draws), but the
+    /// whole burst crosses under one namespace lock.
     ///
     /// # Errors
     ///
@@ -319,35 +413,56 @@ impl DatagramSocket {
         arena: &[u8],
         ranges: &[(u32, u32)],
     ) -> Result<(), NetError> {
-        self.net.transmit_many(self.addr, dst, arena, ranges)
+        let mut state = self.net.state();
+        for &(start, len) in ranges {
+            state.transmit(
+                self.addr,
+                dst,
+                &arena[start as usize..(start + len) as usize],
+            )?;
+        }
+        Ok(())
     }
 
     /// Receives the next pending datagram, if any.
     #[must_use]
     pub fn try_recv(&self) -> Option<Datagram> {
-        lock(&self.queue).pop_front()
+        self.queue(VecDeque::pop_front)
     }
 
-    /// Drains up to `max` pending datagrams into `out` under one queue
-    /// lock. Returns how many were moved — the same datagrams, in the
-    /// same order, as that many [`DatagramSocket::try_recv`] calls.
+    /// Drains up to `max` pending datagrams into `out` under one lock.
+    /// Returns how many were moved — the same datagrams, in the same
+    /// order, as that many [`DatagramSocket::try_recv`] calls.
     pub fn recv_many(&self, out: &mut Vec<Datagram>, max: usize) -> usize {
-        let mut queue = lock(&self.queue);
-        let n = max.min(queue.len());
-        out.extend(queue.drain(..n));
-        n
+        self.queue(|queue| {
+            let n = max.min(queue.len());
+            out.extend(queue.drain(..n));
+            n
+        })
+    }
+
+    /// Hands the payload buffers of received datagrams back to the
+    /// namespace, so later sends copy into them instead of allocating.
+    pub fn recycle(&self, drained: impl IntoIterator<Item = Datagram>) {
+        let mut state = self.net.state();
+        for datagram in drained {
+            state.recycle(datagram.payload);
+        }
     }
 
     /// Number of datagrams waiting in the receive queue.
     #[must_use]
     pub fn pending(&self) -> usize {
-        lock(&self.queue).len()
+        self.queue(|queue| queue.len())
     }
 }
 
 impl Drop for DatagramSocket {
     fn drop(&mut self) {
-        lock(&self.net.datagram_bindings).remove(&self.addr);
+        self.net
+            .state()
+            .bindings
+            .retain(|(bound, _)| *bound != self.addr);
     }
 }
 
@@ -631,6 +746,84 @@ mod tests {
             a.send_many_to(Addr::new(5, 5), b"xy", &[(0, 2)]),
             Err(NetError::Unreachable(_))
         ));
+    }
+
+    #[test]
+    fn wire_moves_match_socket_calls() {
+        // A burst under one guard must be observably identical to the same
+        // sends and receives made through the sockets: same payloads, same
+        // impairment draws, same link state afterwards.
+        let conditions = LinkConditions::new(0.2, 0.3, 0.3);
+        let (a_addr, b_addr) = (Addr::new(1, 1), Addr::new(2, 2));
+        let run = |wire: bool| {
+            let net = Network::with_conditions("t", conditions, 42);
+            let a = net.bind_datagram(a_addr).unwrap();
+            let b = net.bind_datagram(b_addr).unwrap();
+            let mut got = Vec::new();
+            let mut guard = wire.then(|| net.wire());
+            let mut buf = Vec::new();
+            for n in 0u8..32 {
+                let received = match guard.as_mut() {
+                    Some(w) => {
+                        w.send_to(a_addr, b_addr, &[n]).unwrap();
+                        w.recv_into(b_addr, &mut buf).then(|| buf.clone())
+                    }
+                    None => {
+                        a.send_to(b_addr, &[n]).unwrap();
+                        b.try_recv().map(|d| d.payload)
+                    }
+                };
+                got.push(received);
+            }
+            drop(guard);
+            (got, net.export_link_state(), b.pending())
+        };
+        assert_eq!(run(true), run(false));
+    }
+
+    #[test]
+    fn recv_into_leaves_the_buffer_alone_when_nothing_is_pending() {
+        let net = Network::new("t");
+        let _a = net.bind_datagram(Addr::new(1, 1)).unwrap();
+        let mut buf = b"kept".to_vec();
+        assert!(!net.wire().recv_into(Addr::new(1, 1), &mut buf));
+        assert!(!net.wire().recv_into(Addr::new(9, 9), &mut buf));
+        assert_eq!(buf, b"kept");
+    }
+
+    #[test]
+    fn impaired_queues_stay_bounded_under_duplication() {
+        // Duplication outpacing loss leaves one more stale datagram queued
+        // per round trip; an impaired queue stops at the limit instead of
+        // growing with the run.
+        let net = Network::with_conditions("t", LinkConditions::new(0.0, 1.0, 0.05), 42);
+        let client = net.bind_datagram(Addr::new(2, 2)).unwrap();
+        let server = net.bind_datagram(Addr::new(1, 1)).unwrap();
+        let mut deepest = 0;
+        for n in 0u32..100_000 {
+            client.send_to(server.addr(), &n.to_le_bytes()).unwrap();
+            deepest = deepest.max(server.pending());
+            if let Some(request) = server.try_recv() {
+                server.send_to(client.addr(), &request.payload).unwrap();
+            }
+            deepest = deepest.max(client.pending());
+            let _ = client.try_recv();
+        }
+        assert_eq!(
+            deepest, IMPAIRED_QUEUE_LIMIT,
+            "the bound was reached and held"
+        );
+    }
+
+    #[test]
+    fn perfect_queues_are_unbounded() {
+        let net = Network::new("t");
+        let a = net.bind_datagram(Addr::new(1, 1)).unwrap();
+        let b = net.bind_datagram(Addr::new(2, 2)).unwrap();
+        let arena = [7u8; 1000];
+        let ranges: Vec<(u32, u32)> = (0..1000).map(|i| (i, 1)).collect();
+        a.send_many_to(b.addr(), &arena, &ranges).unwrap();
+        assert_eq!(b.pending(), 1000);
     }
 
     #[test]

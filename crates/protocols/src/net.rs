@@ -160,16 +160,19 @@ impl<T: Target, L: Transport> Target for NetworkedTarget<T, L> {
         ranges: &[(u32, u32)],
         faults: &mut Vec<(usize, Fault)>,
     ) {
+        let NetworkedTarget { inner, link } = self;
         // Impaired links draw impairment RNG per datagram in both
-        // directions, so only the exact per-message path keeps the draw
-        // order (and thus every recorded digest) intact.
-        if !self.link.is_lossless() {
-            for (i, &(start, len)) in ranges.iter().enumerate() {
-                let message = &arena[start as usize..(start + len) as usize];
-                if let Some(fault) = self.handle(message).fault {
-                    faults.push((i, fault));
+        // directions, so each message's round trip completes before the
+        // next is sent — the draw order of `handle`, and thus every
+        // recorded digest, stays intact.
+        if !link.is_lossless() {
+            link.round_trips(arena, ranges, &mut |index, request, reply| {
+                let response = inner.handle(request);
+                match response.fault {
+                    Some(fault) => faults.push((index, fault)),
+                    None => *reply = response.bytes,
                 }
-            }
+            });
             return;
         }
         // Lossless burst: every message crosses the wire under one send,
@@ -177,10 +180,9 @@ impl<T: Target, L: Transport> Target for NetworkedTarget<T, L> {
         // back — on a lossless link the reply round-trip consumes no RNG
         // and leaves both queues empty, and batch callers discard reply
         // bytes, so skipping it is state-identical to `handle`.
-        if !self.link.client_send_batch(arena, ranges) {
+        if !link.client_send_batch(arena, ranges) {
             return; // closed link: inert, like per-message sends failing
         }
-        let NetworkedTarget { inner, link } = self;
         let mut index = 0;
         link.server_recv_many(ranges.len(), &mut |payload| {
             if let Some(fault) = inner.handle(payload).fault {

@@ -16,6 +16,11 @@ use cmfuzz_fuzzer::state_codec::{StateReader, StateWriter};
 use cmfuzz_fuzzer::StartError;
 use cmfuzz_netsim::{Addr, Datagram, DatagramSocket, LinkConditions, Network};
 
+/// The server side of [`Transport::round_trips`]: answers the request
+/// that message `index` delivered into the emptied reply buffer, or
+/// leaves it empty to send nothing back.
+type Serve<'a> = dyn FnMut(usize, &[u8], &mut Vec<u8>) + 'a;
+
 /// A bidirectional client↔server link carrying fuzzed datagrams.
 ///
 /// The lifecycle mirrors a daemon's listening socket: [`Transport::open`]
@@ -92,6 +97,34 @@ pub trait Transport: fmt::Debug + Send {
 
     /// Next datagram pending at the client, if any.
     fn client_recv(&mut self) -> Option<Vec<u8>>;
+
+    /// Carries a burst of client → server → client round trips. Each
+    /// message of `arena` at `ranges` is sent; when a datagram reaches
+    /// the server, `serve(index, request, reply)` answers it into the
+    /// emptied `reply`, and a non-empty reply is sent back and taken off
+    /// the client's queue. `index` is the position in `ranges` of the
+    /// message whose send delivered `request`.
+    ///
+    /// The default is exactly that sequence of per-message calls; links
+    /// that can carry a burst more cheaply override it with the same
+    /// observable effect, impairment draws included.
+    fn round_trips(&mut self, arena: &[u8], ranges: &[(u32, u32)], serve: &mut Serve<'_>) {
+        let mut reply = Vec::new();
+        for (index, &(start, len)) in ranges.iter().enumerate() {
+            if !self.client_send(&arena[start as usize..(start + len) as usize]) {
+                continue;
+            }
+            let Some(request) = self.server_recv() else {
+                continue;
+            };
+            reply.clear();
+            serve(index, &request, &mut reply);
+            if !reply.is_empty() {
+                let _ = self.server_send(&reply);
+                let _ = self.client_recv();
+            }
+        }
+    }
 
     /// Exports the link's mutable state (impairment RNG position,
     /// held-back and in-flight datagrams) as opaque bytes for
@@ -285,38 +318,47 @@ pub struct DatagramLink {
     server: Option<DatagramSocket>,
     client: Option<DatagramSocket>,
     /// Fixed at construction: perfect links never draw impairment RNG, so
-    /// burst sends are safe; impaired links must send datagram by
-    /// datagram to keep the RNG stream aligned.
+    /// a burst may cross as all sends, then all receives; impaired links
+    /// interleave each message's round trip to keep the RNG stream
+    /// aligned.
     lossless: bool,
     /// Reused across [`Transport::server_recv_many`] drains so a batch
-    /// drain costs one queue lock and no fresh allocation.
+    /// drain costs one lock and no fresh allocation.
     recv_scratch: Vec<Datagram>,
+    /// The request, then the discarded reply, of the current
+    /// [`Transport::round_trips`] message.
+    rx: Vec<u8>,
+    /// The server's answer to the current round trip.
+    reply: Vec<u8>,
 }
 
 impl DatagramLink {
+    fn on(network: Network, lossless: bool) -> Self {
+        DatagramLink {
+            network,
+            server: None,
+            client: None,
+            lossless,
+            recv_scratch: Vec::new(),
+            rx: Vec::new(),
+            reply: Vec::new(),
+        }
+    }
+
     /// A perfect-link namespace named after the instance.
     #[must_use]
     pub fn new(namespace: &str) -> Self {
-        DatagramLink {
-            network: Network::new(namespace),
-            server: None,
-            client: None,
-            lossless: true,
-            recv_scratch: Vec::new(),
-        }
+        DatagramLink::on(Network::new(namespace), true)
     }
 
     /// A namespace whose link drops/duplicates/reorders datagrams
     /// following `conditions`, driven by the RNG seeded with `seed`.
     #[must_use]
     pub fn with_conditions(namespace: &str, conditions: LinkConditions, seed: u64) -> Self {
-        DatagramLink {
-            network: Network::with_conditions(namespace, conditions, seed),
-            server: None,
-            client: None,
-            lossless: conditions.is_perfect(),
-            recv_scratch: Vec::new(),
-        }
+        DatagramLink::on(
+            Network::with_conditions(namespace, conditions, seed),
+            conditions.is_perfect(),
+        )
     }
 
     /// The namespace this link runs in.
@@ -387,7 +429,7 @@ impl Transport for DatagramLink {
         for datagram in &self.recv_scratch {
             each(&datagram.payload);
         }
-        self.recv_scratch.clear();
+        server.recycle(self.recv_scratch.drain(..));
         received
     }
 
@@ -403,6 +445,32 @@ impl Transport for DatagramLink {
             .as_ref()
             .and_then(DatagramSocket::try_recv)
             .map(|datagram| datagram.payload)
+    }
+
+    fn round_trips(&mut self, arena: &[u8], ranges: &[(u32, u32)], serve: &mut Serve<'_>) {
+        if !self.is_open() {
+            return; // every send would fail, as in the default
+        }
+        let DatagramLink {
+            network, rx, reply, ..
+        } = self;
+        // One lock for the whole burst; the server runs under it and never
+        // touches the namespace. Both endpoints are bound while the link
+        // is open, so no send can fail.
+        let mut wire = network.wire();
+        for (index, &(start, len)) in ranges.iter().enumerate() {
+            let request = &arena[start as usize..(start + len) as usize];
+            let _ = wire.send_to(CLIENT_ADDR, SERVER_ADDR, request);
+            if !wire.recv_into(SERVER_ADDR, rx) {
+                continue;
+            }
+            reply.clear();
+            serve(index, rx, reply);
+            if !reply.is_empty() {
+                let _ = wire.send_to(SERVER_ADDR, CLIENT_ADDR, reply);
+                wire.recv_into(CLIENT_ADDR, rx);
+            }
+        }
     }
 
     fn export_state(&mut self) -> Vec<u8> {
@@ -516,13 +584,7 @@ mod tests {
     fn open_reports_transport_kind_when_an_address_is_taken() {
         let link_net = DatagramLink::new("t");
         let _squatter = link_net.network().bind_datagram(SERVER_ADDR).unwrap();
-        let mut link = DatagramLink {
-            network: link_net.network().clone(),
-            server: None,
-            client: None,
-            lossless: true,
-            recv_scratch: Vec::new(),
-        };
+        let mut link = DatagramLink::on(link_net.network().clone(), true);
         let err = link.open().unwrap_err();
         assert_eq!(err.kind(), StartErrorKind::Transport);
         assert!(err.reason().contains("bind failed"));
@@ -627,6 +689,68 @@ mod tests {
                 vec![b"reqA".to_vec(), b"reqB".to_vec(), b"reqC".to_vec()]
             );
         }
+    }
+
+    /// A datagram link seen only through the per-message methods, so the
+    /// trait's default `round_trips` runs.
+    #[derive(Debug)]
+    struct PerMessage(DatagramLink);
+
+    impl Transport for PerMessage {
+        fn open(&mut self) -> Result<(), StartError> {
+            self.0.open()
+        }
+        fn close(&mut self) {
+            self.0.close();
+        }
+        fn is_open(&self) -> bool {
+            self.0.is_open()
+        }
+        fn client_send(&mut self, payload: &[u8]) -> bool {
+            self.0.client_send(payload)
+        }
+        fn server_recv(&mut self) -> Option<Vec<u8>> {
+            self.0.server_recv()
+        }
+        fn server_send(&mut self, payload: &[u8]) -> bool {
+            self.0.server_send(payload)
+        }
+        fn client_recv(&mut self) -> Option<Vec<u8>> {
+            self.0.client_recv()
+        }
+        fn export_state(&mut self) -> Vec<u8> {
+            self.0.export_state()
+        }
+    }
+
+    #[test]
+    fn round_trips_burst_matches_the_per_message_default() {
+        // The one-lock burst must serve the same requests, at the same
+        // indices, and leave the same link state as the default sequence.
+        let arena: Vec<u8> = (0u8..96).collect();
+        let ranges: Vec<(u32, u32)> = (0..24).map(|i| (i * 4, 4)).collect();
+        let run = |link: &mut dyn Transport| {
+            link.open().unwrap();
+            let mut served = Vec::new();
+            for _ in 0..8 {
+                link.round_trips(&arena, &ranges, &mut |index, request, reply| {
+                    served.push((index, request.to_vec()));
+                    // Answer all but every third request, like a server
+                    // that stays silent on some inputs.
+                    if request[0] % 3 != 0 {
+                        reply.extend_from_slice(&request[..2]);
+                    }
+                });
+            }
+            (served, link.export_state())
+        };
+        let conditions = LinkConditions::new(0.2, 0.3, 0.3);
+        let burst = run(&mut DatagramLink::with_conditions("t", conditions, 42));
+        let default = run(&mut PerMessage(DatagramLink::with_conditions(
+            "t", conditions, 42,
+        )));
+        assert!(!burst.0.is_empty());
+        assert_eq!(burst, default);
     }
 
     #[test]

@@ -23,6 +23,13 @@ use cmfuzz_netsim::LinkConditions;
 use cmfuzz_protocols::spec_by_name;
 use cmfuzz_telemetry::{RingBufferSink, Telemetry};
 
+/// FNV-1a over a string.
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
 /// Small enough for CI, large enough to exercise multiple rounds, seed
 /// sync, and adaptive mutation in every cell.
 fn tiny_scale() -> ExperimentScale {
@@ -125,7 +132,13 @@ fn impaired_campaigns_match_inline_reference() {
     // over an impaired link (loss, duplication, reordering) must stay
     // deterministic — same seed and same `LinkConditions` produce the
     // exact same result whether rounds run on the worker pool or inline.
-    for (subject, seed) in [("libcoap", 5), ("mosquitto", 11)] {
+    // The FNV pins (measured before the netsim wire went single-lock)
+    // catch a rewrite that re-rolls the impairment draw order on both
+    // sides at once.
+    for (subject, seed, digest) in [
+        ("libcoap", 5, 0x39af_15e2_ac0c_c2cd),
+        ("mosquitto", 11, 0x36b0_7a5c_218f_cf1a),
+    ] {
         let spec = spec_by_name(subject).expect("subject exists");
         let pooled_options = CampaignOptions {
             instances: 2,
@@ -147,6 +160,11 @@ fn impaired_campaigns_match_inline_reference() {
             format!("{pooled:?}"),
             format!("{inline:?}"),
             "{subject}: impaired campaign depends on the worker pool"
+        );
+        assert_eq!(
+            fnv1a(&format!("{inline:?}")),
+            digest,
+            "{subject}: impaired campaign drifted from its pinned digest"
         );
     }
 }
