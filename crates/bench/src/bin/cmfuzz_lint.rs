@@ -12,8 +12,8 @@
 //! Per-subject mode proves reachability over the *whole* configuration
 //! space: a `CM061` error means a declared branch guard is unsatisfiable
 //! under any configuration the server accepts — dead code or a wrong
-//! guard. `--fleet` additionally builds the bench fleet schedule
-//! (relation-aware partitions via `build_schedule` + `cmfuzz_setups`),
+//! guard. `--fleet` additionally builds the partition fleet schedule
+//! (relation-aware partitions via `cmfuzz_bench::partition_fleet`),
 //! validates it with the fleet preflight, and re-proves reachability
 //! inside each partition — `CM060` warnings there enumerate the branches
 //! a partition can never cover, which is expected (that is what makes
@@ -26,11 +26,9 @@
 
 use std::process::exit;
 
-use cmfuzz::baseline::cmfuzz_setups;
-use cmfuzz::campaign::InstanceSetup;
 use cmfuzz::preflight::{analyze_fleet_schedule, analyze_reachability_for, FleetEntryView};
-use cmfuzz::schedule::{build_schedule, ScheduleOptions};
 use cmfuzz_analyze::{analyze_models, analyze_reachability, ReachSpace, Report};
+use cmfuzz_bench::partition_fleet;
 use cmfuzz_coverage::Ticks;
 use cmfuzz_fuzzer::pit;
 use cmfuzz_fuzzer::Target;
@@ -93,33 +91,24 @@ fn lint_subject(spec: &ProtocolSpec) -> Report {
     report
 }
 
-/// Rebuilds the bench fleet schedule (the same `build_schedule` +
-/// `cmfuzz_setups` pipeline `bench_fleet` runs) and lints it: the fleet
-/// preflight over all partitions together, then partition-space
-/// reachability for each campaign.
+/// Lints the partition fleet ([`partition_fleet`], the fleet the policy
+/// tests schedule): the fleet preflight over all partitions together, then
+/// partition-space reachability for each campaign.
 fn lint_fleet(subjects: &[ProtocolSpec], partitions: usize) -> Report {
     let mut report = Report::new();
-    let mut campaigns: Vec<(String, ProtocolSpec, Vec<InstanceSetup>)> = Vec::new();
-    for spec in subjects {
-        let mut scratch = (spec.build)();
-        let schedule = build_schedule(&mut scratch, partitions, &ScheduleOptions::default());
-        let setups = cmfuzz_setups(&schedule, partitions);
-        for (part, setup) in setups.into_iter().enumerate() {
-            campaigns.push((format!("{}/part-{part}", spec.name), *spec, vec![setup]));
-        }
-    }
-    let views: Vec<FleetEntryView<'_>> = campaigns
+    let fleet = partition_fleet(subjects, partitions, Ticks::new(600), 0);
+    let views: Vec<FleetEntryView<'_>> = fleet
         .iter()
-        .map(|(id, spec, setups)| FleetEntryView {
-            id,
-            spec,
-            budget: Ticks::new(600),
-            setups,
+        .map(|campaign| FleetEntryView {
+            id: &campaign.id,
+            spec: &campaign.spec,
+            budget: campaign.options.budget,
+            setups: &campaign.setups,
         })
         .collect();
     report.merge(analyze_fleet_schedule(&views));
-    for (_, spec, setups) in &campaigns {
-        report.merge(analyze_reachability_for(spec, setups).into_report());
+    for campaign in &fleet {
+        report.merge(analyze_reachability_for(&campaign.spec, &campaign.setups).into_report());
     }
     report
 }
@@ -184,7 +173,7 @@ const USAGE: &str =
     "usage: cmfuzz-lint [--format text|json] [--fleet] [--partitions <n>] [subject...]\n\
 \n\
   --format      output format (default: text)\n\
-  --fleet       also lint the bench fleet schedule: fleet preflight plus\n\
+  --fleet       also lint the partition fleet schedule: fleet preflight plus\n\
                 partition-space reachability for every campaign (CM060\n\
                 warnings enumerate partition-dead branches)\n\
   --partitions  relation-aware partitions per subject in --fleet mode (default: 3)\n\

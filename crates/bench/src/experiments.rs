@@ -7,7 +7,6 @@
 //! count.
 
 use std::collections::HashMap;
-use std::time::Instant;
 
 use cmfuzz::baseline::{try_run_cmfuzz_with, try_run_peach_with, try_run_spfuzz_with};
 use cmfuzz::campaign::CampaignOptions;
@@ -133,33 +132,7 @@ fn fuzzer_grid(
     telemetry: &Telemetry,
     jobs: usize,
 ) -> Result<Vec<SubjectRuns>, CampaignError> {
-    fuzzer_grid_timed(experiment, specs, scale, telemetry, jobs).map(|(runs, _)| runs)
-}
-
-/// Wall-clock cost of one executed grid cell.
-///
-/// Timings are measurement output only (they never feed back into
-/// results); `BENCH_grid.json` records them so per-cell cost claims are
-/// checkable instead of inferred from the grid total.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CellTiming {
-    /// Human-readable cell label (`"table1: mosquitto / peach rep 2"`).
-    pub label: String,
-    /// Wall-clock seconds the cell took on its worker.
-    pub seconds: f64,
-}
-
-/// [`fuzzer_grid`], also reporting each cell's wall-clock duration (in
-/// cell order, matching the labels the cells log).
-fn fuzzer_grid_timed(
-    experiment: &str,
-    specs: &[ProtocolSpec],
-    scale: &ExperimentScale,
-    telemetry: &Telemetry,
-    jobs: usize,
-) -> Result<(Vec<SubjectRuns>, Vec<CellTiming>), CampaignError> {
     let mut cells = Vec::new();
-    let mut labels = Vec::new();
     for spec in specs {
         for fuzzer in FUZZERS {
             for rep in 0..scale.repetitions {
@@ -172,46 +145,34 @@ fn fuzzer_grid_timed(
                 options.worker_pool = false;
                 let telemetry = telemetry.clone();
                 let label = format!("{experiment}: {} / {fuzzer} rep {rep}", spec.name);
-                labels.push(label.clone());
                 cells.push(move || {
-                    let started = Instant::now();
                     let scope = telemetry.scoped(VirtualClock::new());
                     scope.telemetry().progress(label);
                     let result = run_fuzzer(fuzzer, &spec, &options, scope.telemetry());
                     scope.commit();
-                    (result, started.elapsed())
+                    result
                 });
             }
         }
     }
-    // Timings are measurement output only: they never feed back into
-    // results, so the grid output stays deterministic.
-    let timed = Pool::new(jobs.min(cells.len())).run_cells(cells);
-    let timings: Vec<CellTiming> = labels
+    let collected: Result<Vec<CampaignResult>, CampaignError> = Pool::new(jobs.min(cells.len()))
+        .run_cells(cells)
         .into_iter()
-        .zip(&timed)
-        .map(|(label, (_, duration))| CellTiming {
-            label,
-            seconds: duration.as_secs_f64(),
-        })
         .collect();
-    let collected: Result<Vec<CampaignResult>, CampaignError> =
-        timed.into_iter().map(|(result, _)| result).collect();
     let mut results = collected?.into_iter();
     let mut reps = || -> Vec<CampaignResult> {
         (0..scale.repetitions)
             .map(|_| results.next().expect("one result per cell"))
             .collect()
     };
-    let runs = specs
+    Ok(specs
         .iter()
         .map(|_| SubjectRuns {
             cmfuzz: reps(),
             peach: reps(),
             spfuzz: reps(),
         })
-        .collect();
-    Ok((runs, timings))
+        .collect())
 }
 
 fn mean_branches(results: &[CampaignResult]) -> f64 {
@@ -326,35 +287,13 @@ pub fn try_table1_with_jobs(
     telemetry: &Telemetry,
     jobs: usize,
 ) -> Result<Vec<Table1Row>, CampaignError> {
-    try_table1_with_jobs_timed(scale, telemetry, jobs).map(|(rows, _)| rows)
-}
-
-/// [`try_table1_with_jobs`], also reporting each grid cell's wall-clock
-/// cost in cell order (`bench_grid` records them in `BENCH_grid.json`).
-///
-/// # Errors
-///
-/// As [`try_table1_with_jobs`].
-pub fn try_table1_with_jobs_timed(
-    scale: &ExperimentScale,
-    telemetry: &Telemetry,
-    jobs: usize,
-) -> Result<(Vec<Table1Row>, Vec<CellTiming>), CampaignError> {
     let specs = all_specs();
-    let (grid_runs, timings) = fuzzer_grid_timed("table1", &specs, scale, telemetry, jobs)?;
-    let rows = specs
+    let grid_runs = fuzzer_grid("table1", &specs, scale, telemetry, jobs)?;
+    Ok(specs
         .iter()
         .zip(&grid_runs)
         .map(|(spec, runs)| table1_row_from_runs(spec.name, runs))
-        .collect();
-    Ok((rows, timings))
-}
-
-/// Number of cells in the Table I grid at `scale` (subject × fuzzer ×
-/// repetition).
-#[must_use]
-pub fn table1_cell_count(scale: &ExperimentScale) -> usize {
-    all_specs().len() * FUZZERS.len() * scale.repetitions as usize
+        .collect())
 }
 
 /// Assembles one Table I row from a subject's per-fuzzer repetitions.

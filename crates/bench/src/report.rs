@@ -115,23 +115,6 @@ pub fn render_ablation(rows: &[AblationRow]) -> String {
     out
 }
 
-/// The machine-identification JSON object every `BENCH_*.json` writer
-/// embeds under a `"machine"` key, so numbers from different hosts are
-/// never compared as if they came from the same one.
-///
-/// One line, no trailing newline: `{"os": ..., "arch": ...,
-/// "available_parallelism": N}`. `bench_grid` and `bench_fleet` share
-/// this helper; keep any new bench writer on it too.
-#[must_use]
-pub fn machine_info_json() -> String {
-    let cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    format!(
-        "{{\"os\": \"{}\", \"arch\": \"{}\", \"available_parallelism\": {cpus}}}",
-        std::env::consts::OS,
-        std::env::consts::ARCH,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,14 +138,6 @@ mod tests {
         assert!(text.contains("mosquitto"));
         assert!(text.contains("AVERAGE"));
         assert!(text.contains("+42.9%"));
-    }
-
-    #[test]
-    fn machine_info_is_a_valid_json_object() {
-        let info = machine_info_json();
-        assert!(cmfuzz_telemetry::json::is_valid(&info), "{info}");
-        assert!(info.contains("\"available_parallelism\""));
-        assert!(!info.contains('\n'));
     }
 
     #[test]

@@ -78,7 +78,7 @@ mod tests {
         let mut engine = FuzzEngine::new(NullTarget::new(32), parsed, EngineConfig::default());
         engine.start(&ResolvedConfig::new()).expect("starts");
         for _ in 0..200 {
-            engine.run_iteration();
+            engine.run_batch(1);
         }
         assert!(engine.covered_count() > 1, "first-byte branches get hit");
         assert_eq!(

@@ -16,8 +16,11 @@ use cmfuzz_fuzzer::{pit, EngineConfig, FuzzEngine};
 use cmfuzz_protocols::{spec_by_name, NetworkedTarget, ProtocolTarget};
 use cmfuzz_telemetry::{EngineTelemetry, Telemetry};
 
-const WARMUP: u32 = 2_000;
-const MEASURED: u32 = 50_000;
+/// Sessions per `run_batch` call (the campaign default), and the warm-up
+/// and measured batches: 2 000 and 50 000 sessions.
+const BATCH: usize = 16;
+const WARMUP: u32 = 125;
+const MEASURED: u32 = 3_125;
 
 fn engine(namespace: &str) -> FuzzEngine<NetworkedTarget<ProtocolTarget>> {
     let spec = spec_by_name("mosquitto").expect("subject exists");
@@ -30,30 +33,30 @@ fn engine(namespace: &str) -> FuzzEngine<NetworkedTarget<ProtocolTarget>> {
     engine
 }
 
-/// Mean wall-clock nanoseconds per `run_iteration` after a warmup.
-fn ns_per_iteration(engine: &mut FuzzEngine<NetworkedTarget<ProtocolTarget>>) -> f64 {
+/// Mean wall-clock nanoseconds per session after a warmup.
+fn ns_per_session(engine: &mut FuzzEngine<NetworkedTarget<ProtocolTarget>>) -> f64 {
     for _ in 0..WARMUP {
-        black_box(engine.run_iteration());
+        black_box(engine.run_batch(BATCH));
     }
     let started = Instant::now();
     for _ in 0..MEASURED {
-        black_box(engine.run_iteration());
+        black_box(engine.run_batch(BATCH));
     }
-    started.elapsed().as_nanos() as f64 / f64::from(MEASURED)
+    started.elapsed().as_nanos() as f64 / f64::from(MEASURED * BATCH as u32)
 }
 
 #[test]
 #[ignore = "wall-clock measurement; run in release with --ignored --nocapture"]
 fn telemetry_overhead() {
-    let disabled = ns_per_iteration(&mut engine("bench-telemetry-off"));
+    let disabled = ns_per_session(&mut engine("bench-telemetry-off"));
 
     let telemetry = Telemetry::builder(VirtualClock::new()).build();
     let mut enabled_engine = engine("bench-telemetry-on");
     enabled_engine.attach_telemetry(EngineTelemetry::for_pipeline(&telemetry));
-    let enabled = ns_per_iteration(&mut enabled_engine);
+    let enabled = ns_per_session(&mut enabled_engine);
 
     println!(
-        "telemetry_overhead: disabled {disabled:.0} ns/iter, enabled {enabled:.0} ns/iter \
+        "telemetry_overhead: disabled {disabled:.0} ns/session, enabled {enabled:.0} ns/session \
          ({:+.2}%)",
         (enabled / disabled - 1.0) * 100.0
     );

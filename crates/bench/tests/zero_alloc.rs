@@ -1,5 +1,7 @@
-//! Gates: the coverage feedback path, a steady-state session iteration
-//! and a warm datagram link's bursts perform **zero** heap allocations.
+//! Gates: the coverage feedback path, a steady-state session iteration,
+//! a warm datagram link's bursts, seed sketches and corpus picks perform
+//! **zero** heap allocations, and warm networked batches (the path
+//! campaigns run) fewer than one per thousand sessions.
 //!
 //! A counting global allocator backs the claims of DESIGN.md §8.3–§8.4.
 //! Its counter is thread-local, so allocations made by the test harness's
@@ -12,9 +14,13 @@ use std::hint::black_box;
 use cmfuzz_bench::NullTarget;
 use cmfuzz_config_model::ResolvedConfig;
 use cmfuzz_coverage::{BranchId, CoverageMap, CoverageSnapshot};
-use cmfuzz_fuzzer::{pit, EngineConfig, FuzzEngine};
+use cmfuzz_fuzzer::{
+    pit, Corpus, CorpusConfig, EngineConfig, FuzzEngine, ModelId, Seed, SeedSketch, Target,
+};
 use cmfuzz_netsim::LinkConditions;
-use cmfuzz_protocols::{all_specs, DatagramLink, Transport};
+use cmfuzz_protocols::{all_specs, DatagramLink, NetworkedTarget, Transport};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 struct CountingAlloc;
 
@@ -87,15 +93,16 @@ fn coverage_feedback_does_not_allocate() {
 }
 
 /// An engine warmed into the steady state: coverage saturated, corpus
-/// populated, scratch capacities at their high-water marks.
+/// populated, scratch capacities at their high-water marks, after 5 000
+/// sessions run `batch` at a time.
 ///
-/// The engine runs against [`NullTarget`], whose `handle` is
-/// allocation-free, so any count observed is the engine's own. Field-level
-/// model mutation is configured off: its `String` repair path may allocate
-/// by design on invalid UTF-8, and the steady-state claim covers the
-/// seed-reuse and fresh-render paths, both of which the measured window is
-/// asserted to exercise.
-fn steady_engine(pit_document: &str) -> FuzzEngine<NullTarget> {
+/// The engine runs against [`NullTarget`] (or a transport in front of it),
+/// whose `handle` is allocation-free, so any count observed is the
+/// engine's or the wire's own. Field-level model mutation is configured
+/// off: its `String` repair path may allocate by design on invalid UTF-8,
+/// and the steady-state claim covers the seed-reuse and fresh-render
+/// paths, both of which the measured window is asserted to exercise.
+fn steady_engine<T: Target>(pit_document: &str, target: T, batch: usize) -> FuzzEngine<T> {
     let parsed = pit::parse(pit_document).expect("pit parses");
     let config = EngineConfig {
         seed: 7,
@@ -105,12 +112,12 @@ fn steady_engine(pit_document: &str) -> FuzzEngine<NullTarget> {
         dictionary: vec![b"$SYS/#".to_vec(), b"admin".to_vec()],
         ..EngineConfig::default()
     };
-    let mut engine = FuzzEngine::new(NullTarget::new(32), parsed, config);
+    let mut engine = FuzzEngine::new(target, parsed, config);
     engine
         .start(&ResolvedConfig::new())
         .expect("null target always boots");
-    for _ in 0..5_000 {
-        engine.run_iteration();
+    for _ in 0..5_000 / batch {
+        engine.run_batch(batch);
     }
     assert_eq!(
         engine.covered_count(),
@@ -122,33 +129,45 @@ fn steady_engine(pit_document: &str) -> FuzzEngine<NullTarget> {
     engine
 }
 
+/// Runs `batches` calls of `run_batch(batch)` on a warmed engine, asserts
+/// the window exercised seed reuse, fresh renders and byte havoc, and
+/// returns the heap allocations it made.
+fn measured_window<T: Target>(
+    name: &str,
+    engine: &mut FuzzEngine<T>,
+    batches: u64,
+    batch: usize,
+) -> u64 {
+    let stats_before = engine.stats();
+    let allocs = count_allocs(batches, || {
+        black_box(engine.run_batch(batch));
+    });
+    let stats_after = engine.stats();
+
+    // The window must exercise both steady-state byte sources.
+    let reused = stats_after.seed_reuses - stats_before.seed_reuses;
+    let messages = stats_after.messages - stats_before.messages;
+    assert!(reused > 0, "{name}: no seed-reuse message measured");
+    assert!(
+        messages > reused,
+        "{name}: no fresh-render message measured"
+    );
+    assert!(
+        stats_after.byte_mutations > stats_before.byte_mutations,
+        "{name}: no byte-mutated message measured"
+    );
+    allocs
+}
+
 #[test]
 fn steady_state_session_iteration_does_not_allocate() {
     // Session planning over interned ids, seed reuse from `Arc`-shared
     // bytes, precompiled renders, byte-level havoc (dictionary splices
-    // included) and coverage feedback, on every subject's data model.
+    // included) and coverage feedback, on every subject's data model,
+    // one session per `run_batch` call.
     for spec in all_specs() {
-        let mut engine = steady_engine(spec.pit_document);
-        let stats_before = engine.stats();
-        let allocs = count_allocs(2_000, || {
-            black_box(engine.run_iteration());
-        });
-        let stats_after = engine.stats();
-
-        // The window must exercise both steady-state byte sources.
-        let reused = stats_after.seed_reuses - stats_before.seed_reuses;
-        let messages = stats_after.messages - stats_before.messages;
-        assert!(reused > 0, "{}: no seed-reuse message measured", spec.name);
-        assert!(
-            messages > reused,
-            "{}: no fresh-render message measured",
-            spec.name
-        );
-        assert!(
-            stats_after.byte_mutations > stats_before.byte_mutations,
-            "{}: no byte-mutated message measured",
-            spec.name
-        );
+        let mut engine = steady_engine(spec.pit_document, NullTarget::new(32), 1);
+        let allocs = measured_window(spec.name, &mut engine, 2_000, 1);
         assert_eq!(
             allocs, 0,
             "{}: steady-state session iteration allocated",
@@ -210,4 +229,69 @@ fn warm_datagram_link_bursts_do_not_allocate() {
     let allocs = count_allocs(2_000, || impaired_burst(&mut link));
     assert_eq!(allocs, 0, "a warm impaired-link burst allocated");
     assert!(served > 0, "no request crossed the impaired link");
+}
+
+#[test]
+fn warm_networked_batches_allocate_less_than_once_per_thousand_sessions() {
+    // The path campaigns run: `run_batch(16)` through a datagram link,
+    // perfect and impaired. A warm window reads 0 to 2 allocations, each a
+    // `realloc` of a recycled netsim payload buffer or the batch arena to a
+    // new high-water mark (DESIGN.md §8.4); one allocation per session or
+    // message would read at least 8 000.
+    const BATCH: usize = 16;
+    const BATCHES: u64 = 500;
+    let sessions = BATCHES * BATCH as u64;
+    for spec in all_specs() {
+        for conditions in [None, Some(LinkConditions::new(0.1, 0.05, 0.05))] {
+            let namespace = format!("zero-alloc-{}", spec.name);
+            let target = match conditions {
+                None => NetworkedTarget::new(NullTarget::new(32), &namespace),
+                Some(conditions) => {
+                    NetworkedTarget::with_conditions(NullTarget::new(32), &namespace, conditions, 7)
+                }
+            };
+            let mut engine = steady_engine(spec.pit_document, target, BATCH);
+            let allocs = measured_window(spec.name, &mut engine, BATCHES, BATCH);
+            assert!(
+                allocs * 1_000 < sessions,
+                "{} over {conditions:?}: {allocs} allocations in {sessions} warm \
+                 networked sessions",
+                spec.name
+            );
+        }
+    }
+}
+
+#[test]
+fn corpus_sketch_and_picks_do_not_allocate() {
+    // Computing a seed sketch, and picking from a rarity-weighted corpus
+    // at its high-water mark: every alias-table buffer reached its final
+    // capacity during the adds, so steady-state picks are table lookups.
+    let payload: Vec<u8> = (0..256u32)
+        .map(|i| (i.wrapping_mul(37) % 251) as u8)
+        .collect();
+    let allocs = count_allocs(2_000, || {
+        black_box(SeedSketch::compute(black_box(&payload)));
+    });
+    assert_eq!(allocs, 0, "SeedSketch::compute allocated");
+
+    let mut corpus = Corpus::with_config(64, CorpusConfig::intelligent());
+    for i in 0..64u32 {
+        let bytes: Vec<u8> = (0..64u32)
+            .map(|j| (i.wrapping_mul(131).wrapping_add(j * 17) % 251) as u8)
+            .collect();
+        corpus.add(Seed::with_rarity(bytes, ModelId::from_raw(i % 3), i % 11));
+    }
+    assert!(corpus.len() > 1, "the measured corpus retained seeds");
+
+    let mut rng = StdRng::seed_from_u64(0xBEEF);
+    let allocs = count_allocs(2_000, || {
+        black_box(corpus.pick(&mut rng));
+    });
+    assert_eq!(allocs, 0, "Corpus::pick allocated");
+    let mut rng = StdRng::seed_from_u64(0xFEED);
+    let allocs = count_allocs(2_000, || {
+        black_box(corpus.pick_for_model(&mut rng, ModelId::from_raw(1)));
+    });
+    assert_eq!(allocs, 0, "Corpus::pick_for_model allocated");
 }

@@ -263,7 +263,8 @@ pub struct FleetEntryView<'a> {
 /// subjects whose pit does not parse (`CM052`), and session plans
 /// referencing data models absent from their subject's pit (`CM040`).
 ///
-/// `bench_fleet` and `run_fleet` run this as their preflight; like
+/// `run_fleet` and `FleetManager` admission run this as their preflight,
+/// and `cmfuzz-lint --fleet` runs it on the partition fleet; like
 /// [`preflight_campaign`] the pass is RNG-free, so it cannot perturb
 /// fleet determinism.
 #[must_use]

@@ -208,9 +208,6 @@ pub struct FuzzEngine<T: Target> {
     compiled_state: Option<CompiledStateModel>,
     /// Reusable session-plan buffer.
     plan_scratch: Vec<ModelId>,
-    /// Reusable per-message byte buffers; capacities stabilize at each
-    /// position's high-water message length.
-    sent_bufs: Vec<Vec<u8>>,
     /// Batch arena: every message of a [`FuzzEngine::run_batch`] call,
     /// rendered back to back; capacity stabilizes at the high-water batch
     /// footprint.
@@ -306,7 +303,6 @@ impl<T: Target> FuzzEngine<T> {
             lengths_scratch,
             compiled_state,
             plan_scratch: Vec::new(),
-            sent_bufs: Vec::new(),
             arena: Vec::new(),
             arena_ranges: Vec::new(),
             batch_faults: Vec::new(),
@@ -512,89 +508,17 @@ impl<T: Target> FuzzEngine<T> {
         Ok(())
     }
 
-    /// Runs one fuzzing iteration: walks a session through the state model,
-    /// generating/mutating one message per transition, and feeds back
-    /// coverage.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the engine was never successfully [`start`](Self::start)ed.
-    pub fn run_iteration(&mut self) -> IterationOutcome {
-        assert!(self.started, "run_iteration before successful start");
-        self.target.begin_session();
-
-        // Plan the session into the reusable id buffer. The buffer is
-        // taken out of `self` for the iteration (and restored at the end)
-        // so borrowing it does not pin the rest of the engine.
-        let mut plan = std::mem::take(&mut self.plan_scratch);
-        plan.clear();
-        if !self.session_plans.is_empty() {
-            plan.extend_from_slice(&self.session_plans[self.next_plan % self.session_plans.len()]);
-            self.next_plan = self.next_plan.wrapping_add(1);
-        } else {
-            self.plan_random_session_into(&mut plan);
-        }
-
-        let mut outcome = IterationOutcome::default();
-        let mut bufs = std::mem::take(&mut self.sent_bufs);
-        if bufs.len() < plan.len() {
-            bufs.resize_with(plan.len(), Vec::new);
-        }
-        for (i, &model_id) in plan.iter().enumerate() {
-            let buf = &mut bufs[i];
-            buf.clear();
-            self.generate_message_into(model_id, buf, 0);
-
-            let response = self.target.handle(buf);
-            outcome.messages_sent += 1;
-            self.stats.messages += 1;
-            self.telemetry.messages.incr();
-            if let Some(fault) = response.fault {
-                self.stats.crashes_observed += 1;
-                self.telemetry.faults_observed.incr();
-                if self.faults.record(fault) {
-                    outcome.new_faults += 1;
-                }
-            }
-        }
-
-        // Coverage feedback: retain the whole session's inputs if anything
-        // new was reached. The map merges first-hit words straight into the
-        // accumulated set, so sessions that find nothing new never touch
-        // the heap here; seed bytes are copied into shared `Arc` buffers
-        // only on this cold path. Rarity must be peeked before the absorb
-        // drains the dirty words it is computed from.
-        let rarity = self.pending_rarity();
-        outcome.new_branches = self.map.absorb_new(&mut self.accumulated);
-        if outcome.new_branches > 0 {
-            for (i, &model_id) in plan.iter().enumerate() {
-                let seed = Seed::with_rarity(bufs[i].as_slice(), model_id, rarity);
-                let added = self.corpus.add(seed.clone());
-                self.record_add(added);
-                if added.retained() {
-                    self.outbox.push(seed);
-                }
-            }
-        }
-        self.plan_scratch = plan;
-        self.sent_bufs = bufs;
-        self.iterations += 1;
-        self.stats.sessions += 1;
-        self.telemetry.sessions.incr();
-        self.telemetry
-            .session_messages
-            .record(outcome.messages_sent as u64);
-        outcome
-    }
-
-    /// Runs `sessions` fuzzing iterations as one batch: every session is
-    /// planned and rendered into the shared byte arena, its messages cross
-    /// the target as one burst ([`Target::handle_batch`]), and the whole
-    /// batch is settled with a single word-parallel coverage diff.
+    /// Runs `sessions` fuzzing iterations as one batch: each session walks
+    /// the state model and generates or mutates one message per
+    /// transition, every message is rendered into the shared byte arena,
+    /// each session's messages cross the target as one burst
+    /// ([`Target::handle_batch`]), and the whole batch is settled with a
+    /// single word-parallel coverage diff. `run_batch(1)` is one fuzzing
+    /// iteration.
     ///
     /// Batching is purely a throughput knob — `run_batch(n)` is
-    /// bit-identical to `n` [`FuzzEngine::run_iteration`] calls, for every
-    /// `n`: generation draws the same RNG sequence (mutations are confined
+    /// bit-identical to `n` calls of `run_batch(1)`, for every `n`:
+    /// generation draws the same RNG sequence (mutations are confined
     /// to each message's arena tail), per-session retention decisions come
     /// from the map's first-hit counter (exactly what the per-session
     /// absorb would have returned, since the accumulated set tracks the
@@ -701,10 +625,8 @@ impl<T: Target> FuzzEngine<T> {
         outcome
     }
 
-    /// Generates one message for `model_id` into `data[from..]` — the one
-    /// generation path shared by [`FuzzEngine::run_iteration`] (a cleared
-    /// per-message buffer, `from == 0`) and [`FuzzEngine::run_batch`] (the
-    /// arena tail). Mutations are confined to the appended tail, so the
+    /// Generates one message for `model_id` into the arena tail
+    /// `data[from..]`. Mutations are confined to the appended tail, so the
     /// draw sequence and resulting bytes are independent of `from`.
     fn generate_message_into(&mut self, model_id: ModelId, data: &mut Vec<u8>, from: usize) {
         // Generation-side mutation perturbs a persistent scratch twin
@@ -973,7 +895,7 @@ mod tests {
     #[should_panic(expected = "before successful start")]
     fn iteration_without_start_panics() {
         let mut engine = FuzzEngine::new(ToyTarget::new(), toy_pit(), EngineConfig::default());
-        let _ = engine.run_iteration();
+        let _ = engine.run_batch(1);
     }
 
     #[test]
@@ -989,7 +911,7 @@ mod tests {
         engine.start(&ResolvedConfig::new()).unwrap();
         let mut total_new = 0;
         for _ in 0..300 {
-            let outcome = engine.run_iteration();
+            let outcome = engine.run_batch(1);
             total_new += outcome.new_branches;
         }
         // Branch 1 always; branch 2 (0xFF head) should be found by havoc.
@@ -1015,7 +937,7 @@ mod tests {
             engine.start(&ResolvedConfig::new()).unwrap();
             let mut news = Vec::new();
             for _ in 0..100 {
-                news.push(engine.run_iteration().new_branches);
+                news.push(engine.run_batch(1).new_branches);
             }
             (
                 news,
@@ -1049,7 +971,7 @@ mod tests {
         );
         engine.start(&ResolvedConfig::new()).unwrap();
         for _ in 0..100 {
-            engine.run_iteration();
+            engine.run_batch(1);
         }
         let stats = engine.stats();
         assert_eq!(stats.sessions, 100);
@@ -1079,10 +1001,11 @@ mod tests {
         );
         engine.attach_telemetry(EngineTelemetry::for_pipeline(&telemetry));
         engine.start(&ResolvedConfig::new()).unwrap();
+        // Single-session and multi-session batches must flush into the
+        // same counters.
         for _ in 0..25 {
-            engine.run_iteration();
+            engine.run_batch(1);
         }
-        // Batched execution must flush into the same counters.
         engine.run_batch(25);
         let stats = engine.stats();
         let snap = telemetry.metrics_snapshot();
@@ -1110,10 +1033,10 @@ mod tests {
         let (_, hist) = histogram("engine.session_messages");
         assert_eq!(hist.count, stats.sessions);
         assert_eq!(hist.sum, stats.messages);
-        assert_eq!(snap.counter("engine.batches"), Some(1));
+        assert_eq!(snap.counter("engine.batches"), Some(26));
         let (_, batches) = histogram("engine.batch_sessions");
-        assert_eq!(batches.count, 1);
-        assert_eq!(batches.sum, 25);
+        assert_eq!(batches.count, 26);
+        assert_eq!(batches.sum, 50);
     }
 
     #[test]
@@ -1132,7 +1055,7 @@ mod tests {
         );
         engine.start(&ResolvedConfig::new()).unwrap();
         for _ in 0..300 {
-            engine.run_iteration();
+            engine.run_batch(1);
         }
         assert_eq!(engine.covered_count(), 3, "coverage still found");
         assert_eq!(engine.corpus_len(), 1, "capacity 1 evicts to one seed");
@@ -1157,7 +1080,7 @@ mod tests {
         reference.start(&config).unwrap();
         let mut expected = Vec::new();
         for _ in 0..120 {
-            expected.push(reference.run_iteration());
+            expected.push(reference.run_batch(1));
         }
 
         // Checkpoint after 50, resume into a fresh engine, run the rest.
@@ -1165,7 +1088,7 @@ mod tests {
         first.start(&config).unwrap();
         let mut observed = Vec::new();
         for _ in 0..50 {
-            observed.push(first.run_iteration());
+            observed.push(first.run_batch(1));
         }
         let cp = first.checkpoint();
         drop(first);
@@ -1173,7 +1096,7 @@ mod tests {
         resumed.restore(&config, &cp).unwrap();
         assert_eq!(resumed.iterations(), 50);
         for _ in 0..70 {
-            observed.push(resumed.run_iteration());
+            observed.push(resumed.run_batch(1));
         }
 
         assert_eq!(observed, expected);
@@ -1273,18 +1196,14 @@ mod tests {
             let mut remaining = total;
             while remaining > 0 {
                 let n = batch.min(remaining);
-                let outcome = if batch == 0 {
-                    engine.run_iteration()
-                } else {
-                    engine.run_batch(n)
-                };
-                news.push(outcome.new_branches);
-                remaining -= if batch == 0 { 1 } else { n };
+                news.push(engine.run_batch(n).new_branches);
+                remaining -= n;
             }
             (news, state_digest(&mut engine))
         };
-        let (reference_news, reference_state) = run(0);
-        for batch in [1usize, 7, 64, 256] {
+        // Batch size 1 is the iteration loop: one session per call.
+        let (reference_news, reference_state) = run(1);
+        for batch in [7usize, 64, 256] {
             let (news, state) = run(batch);
             assert_eq!(
                 state, reference_state,
@@ -1296,8 +1215,6 @@ mod tests {
                 "batch size {batch} found different total coverage"
             );
         }
-        // Batch size 1 also matches outcome-for-outcome, not just in sum.
-        assert_eq!(run(1).0, reference_news);
     }
 
     #[test]
@@ -1394,7 +1311,7 @@ mod tests {
         .unwrap();
         let mut engine = FuzzEngine::new(ToyTarget::new(), pit, EngineConfig::default());
         engine.start(&ResolvedConfig::new()).unwrap();
-        let outcome = engine.run_iteration();
+        let outcome = engine.run_batch(1);
         assert_eq!(outcome.messages_sent, 1);
     }
 }

@@ -217,8 +217,9 @@ impl<T: Target, L: Transport> Target for NetworkedTarget<T, L> {
 mod tests {
     use super::*;
     use crate::transport::{DirectLink, SERVER_ADDR};
+    use crate::{all_specs, ProtocolSpec, ProtocolTarget};
     use cmfuzz_coverage::CoverageMap;
-    use cmfuzz_fuzzer::{Fault, FaultKind};
+    use cmfuzz_fuzzer::{pit, EngineConfig, Fault, FaultKind, FuzzEngine};
     use cmfuzz_netsim::Addr;
 
     /// Echo target used to test the wrapper plumbing.
@@ -404,6 +405,115 @@ mod tests {
             final_state(false),
             "impaired fallback diverged"
         );
+    }
+
+    /// A [`NetworkedTarget`] that keeps [`Target::handle_batch`]'s default:
+    /// one [`Target::handle`] call per message, the reference the lossless
+    /// burst must match.
+    struct PerMessage(NetworkedTarget<ProtocolTarget>);
+
+    impl Target for PerMessage {
+        fn name(&self) -> &str {
+            self.0.name()
+        }
+        fn branch_count(&self) -> usize {
+            self.0.branch_count()
+        }
+        fn config_space(&self) -> ConfigSpace {
+            self.0.config_space()
+        }
+        fn start(
+            &mut self,
+            config: &ResolvedConfig,
+            probe: CoverageProbe,
+        ) -> Result<(), StartError> {
+            self.0.start(config, probe)
+        }
+        fn begin_session(&mut self) {
+            self.0.begin_session();
+        }
+        fn handle(&mut self, input: &[u8]) -> TargetResponse {
+            self.0.handle(input)
+        }
+        fn export_state(&mut self) -> Vec<u8> {
+            self.0.export_state()
+        }
+        fn import_state(&mut self, state: &[u8]) {
+            self.0.import_state(state);
+        }
+    }
+
+    /// Boots an engine at seed 7 over `target` on the subject's defaults
+    /// and runs 200 warm-up then 2 000 sessions, `batch` at a time.
+    fn subject_engine<T: Target>(spec: &ProtocolSpec, target: T, batch: usize) -> FuzzEngine<T> {
+        let parsed = pit::parse(spec.pit_document).expect("pit parses");
+        let config = EngineConfig {
+            seed: 7,
+            ..EngineConfig::default()
+        };
+        let mut engine = FuzzEngine::new(target, parsed, config);
+        engine
+            .start(&ResolvedConfig::new())
+            .expect("subject boots on defaults");
+        for mut remaining in [200, 2_000] {
+            while remaining > 0 {
+                let n = remaining.min(batch);
+                engine.run_batch(n);
+                remaining -= n;
+            }
+        }
+        engine
+    }
+
+    /// Coverage, corpus size, messages and sessions of a run.
+    fn counts<T: Target>(e: &FuzzEngine<T>) -> (usize, usize, u64, u64) {
+        let stats = e.stats();
+        (
+            e.covered_count(),
+            e.corpus_len(),
+            stats.messages,
+            stats.sessions,
+        )
+    }
+
+    /// The counts must agree, and so must the full engine state, target
+    /// and link included.
+    fn assert_same_run<A: Target, B: Target>(
+        context: &str,
+        mut a: FuzzEngine<A>,
+        mut b: FuzzEngine<B>,
+    ) {
+        assert_eq!(counts(&a), counts(&b), "{context}: counts");
+        assert_eq!(
+            format!("{:?}", a.checkpoint()),
+            format!("{:?}", b.checkpoint()),
+            "{context}: engine state"
+        );
+    }
+
+    #[test]
+    fn lossless_batch_matches_per_message_handling() {
+        // On a perfect link the batch path sends each session as one burst
+        // and skips the reply round trip; every subject must see exactly
+        // what per-message `handle` calls deliver.
+        for spec in all_specs() {
+            let reference = subject_engine(
+                &spec,
+                PerMessage(NetworkedTarget::new((spec.build)(), "per-message")),
+                64,
+            );
+            let burst = subject_engine(&spec, NetworkedTarget::new((spec.build)(), "burst"), 64);
+            assert_same_run(spec.name, reference, burst);
+        }
+    }
+
+    #[test]
+    fn batch_size_is_invisible_over_a_lossless_link() {
+        for spec in all_specs() {
+            let one = subject_engine(&spec, NetworkedTarget::new((spec.build)(), "batch-1"), 1);
+            let many = subject_engine(&spec, NetworkedTarget::new((spec.build)(), "batch-64"), 64);
+            assert_same_run(spec.name, one, many);
+        }
     }
 
     #[test]

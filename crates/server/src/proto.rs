@@ -153,8 +153,8 @@ impl Submission {
 
     /// Materializes the submission into fleet campaigns: each subject's
     /// relation-aware schedule is built for `instances` partitions and
-    /// converted into CMFuzz instance setups, exactly as `bench_fleet`
-    /// builds its fleet. Pure and deterministic — the same submission
+    /// converted into CMFuzz instance setups, as the partition fleet of
+    /// `cmfuzz-bench` is built. Pure and deterministic — the same submission
     /// always yields the same campaigns, on the server or offline.
     ///
     /// # Errors

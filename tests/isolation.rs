@@ -81,7 +81,7 @@ fn seed_sync_transfers_retained_inputs() {
     };
     let mut producer = make_engine(1);
     for _ in 0..200 {
-        producer.run_iteration();
+        producer.run_batch(1);
     }
     let exported = producer.export_new_seeds();
     assert!(!exported.is_empty(), "producer retained seeds");

@@ -78,7 +78,7 @@ fn export_drains_exactly_once() {
     let mut producer = FuzzEngine::new(target, parsed, EngineConfig::default());
     producer.start(&ResolvedConfig::new()).expect("boots");
     for _ in 0..200 {
-        producer.run_iteration();
+        producer.run_batch(1);
     }
     let exported = producer.export_new_seeds();
     assert!(!exported.is_empty(), "producer retained seeds");
@@ -139,7 +139,7 @@ fn imported_seed_is_picked_for_its_model() {
     let id = consumer.model_id("Msg").expect("pit model interned");
     consumer.import_seeds(&[Seed::new(MAGIC, id)]);
 
-    let outcome = consumer.run_iteration();
+    let outcome = consumer.run_batch(1);
     assert!(outcome.messages_sent > 0);
     assert_eq!(
         consumer.fault_log().unique_count(),
