@@ -452,6 +452,27 @@ mod tests {
         })
     }
 
+    /// FNV-1a over what a fleet run reports: its scalars and each
+    /// outcome's `(id, leases, consumed, completed, result())`.
+    fn result_digest(result: &FleetResult) -> u64 {
+        let mut text = format!(
+            "{} {} {} {:?} {} {}",
+            result.policy,
+            result.waves,
+            result.leases,
+            result.spent,
+            result.seeds_shared,
+            result.seeds_share_rejected
+        );
+        for c in &result.campaigns {
+            text += &format!(
+                "{:?}",
+                (&c.id, c.leases, c.consumed, c.completed, c.result())
+            );
+        }
+        fnv1a(&text)
+    }
+
     #[test]
     fn mixed_share_groups_on_few_slots_keep_their_pinned_exchange_totals() {
         // Five campaigns on two slots, so most waves leave most campaigns
@@ -503,6 +524,11 @@ mod tests {
             fnv1a(&format!("{result:?}")),
             0x2e73_b2d8_3bc7_c2a2,
             "the exchange moved"
+        );
+        assert_eq!(
+            result_digest(&result),
+            0x879e_283e_db4e_6774,
+            "the exchange's results moved"
         );
     }
 

@@ -15,7 +15,7 @@ use cmfuzz::campaign::{run_campaign_slice, try_run_campaign, CampaignOptions, In
 use cmfuzz::metrics::CampaignResult;
 use cmfuzz::schedule::{build_schedule, ScheduleOptions};
 use cmfuzz_coverage::Ticks;
-use cmfuzz_fleet::{run_fleet, CoverageGradient, FleetCampaign, FleetOptions};
+use cmfuzz_fleet::{run_fleet, CoverageGradient, FleetCampaign, FleetOptions, FleetResult};
 use cmfuzz_fuzzer::CorpusConfig;
 use cmfuzz_netsim::LinkConditions;
 use cmfuzz_protocols::{spec_by_name, ProtocolSpec};
@@ -216,6 +216,28 @@ fn fnv1a(text: &str) -> u64 {
     })
 }
 
+/// FNV-1a over what a fleet run reports: its scalars and each outcome's
+/// `(id, leases, consumed, completed, result())`. Unlike the whole
+/// `Debug` render, it does not depend on how an outcome stores its run.
+fn result_digest(result: &FleetResult) -> u64 {
+    let mut text = format!(
+        "{} {} {} {:?} {} {}",
+        result.policy,
+        result.waves,
+        result.leases,
+        result.spent,
+        result.seeds_shared,
+        result.seeds_share_rejected
+    );
+    for c in &result.campaigns {
+        text += &format!(
+            "{:?}",
+            (&c.id, c.leases, c.consumed, c.completed, c.result())
+        );
+    }
+    fnv1a(&text)
+}
+
 #[test]
 fn rare_seed_sharing_fleet_matches_its_pinned_digest() {
     // The benchmark's fleet shape in small: single-instance relation-aware
@@ -262,5 +284,10 @@ fn rare_seed_sharing_fleet_matches_its_pinned_digest() {
         fnv1a(&format!("{result:?}")),
         0x4f04_7a47_126b_db61,
         "the sharing fleet drifted from its pinned digest"
+    );
+    assert_eq!(
+        result_digest(&result),
+        0xe4f6_6bf3_15d4_d4d6,
+        "the sharing fleet's results drifted from their pinned digest"
     );
 }
