@@ -59,7 +59,7 @@ impl fmt::Display for GuardKind {
 
 /// One branch's guard: the conditions gating one coverage region.
 ///
-/// `branch` is the dense [`cmfuzz_coverage`-style] branch index inside the
+/// `branch` is the dense `cmfuzz_coverage`-style branch index inside the
 /// declaring target's ID space; `region` is a stable human-readable label
 /// (`"module::function#case"` by convention) used in diagnostics.
 #[derive(Debug, Clone, PartialEq)]

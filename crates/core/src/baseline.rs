@@ -57,16 +57,6 @@ pub fn peach_setups(instances: usize) -> Vec<InstanceSetup> {
 /// the state space; retained seeds are synchronized by the campaign
 /// runner. Still default-configuration only — that is the gap CMFuzz
 /// exploits.
-#[must_use]
-pub fn spfuzz_setups(spec: &ProtocolSpec, instances: usize) -> Vec<InstanceSetup> {
-    match try_spfuzz_setups(spec, instances) {
-        Ok(setups) => setups,
-        Err(error) => panic!("{error}"),
-    }
-}
-
-/// [`spfuzz_setups`] with the registry Pit parse surfaced as a typed
-/// error instead of a panic.
 ///
 /// # Errors
 ///
@@ -153,30 +143,12 @@ pub fn run_cmfuzz(
     schedule_options: &ScheduleOptions,
     options: &CampaignOptions,
 ) -> CampaignResult {
-    run_cmfuzz_with(spec, schedule_options, options, &Telemetry::disabled())
+    try_run_cmfuzz_with(spec, schedule_options, options, &Telemetry::disabled())
+        .unwrap_or_else(|error| panic!("campaign failed: {error}"))
 }
 
 /// [`run_cmfuzz`] with an observability pipeline attached to both the
-/// scheduling phase and the campaign.
-///
-/// # Panics
-///
-/// Panics on any [`CampaignError`]; use [`try_run_cmfuzz_with`] to handle
-/// failures programmatically.
-#[must_use]
-pub fn run_cmfuzz_with(
-    spec: &ProtocolSpec,
-    schedule_options: &ScheduleOptions,
-    options: &CampaignOptions,
-    telemetry: &Telemetry,
-) -> CampaignResult {
-    match try_run_cmfuzz_with(spec, schedule_options, options, telemetry) {
-        Ok(result) => result,
-        Err(error) => panic!("campaign failed: {error}"),
-    }
-}
-
-/// [`run_cmfuzz_with`] with typed campaign failures.
+/// scheduling phase and the campaign, and typed campaign failures.
 ///
 /// # Errors
 ///
@@ -202,28 +174,12 @@ pub fn try_run_cmfuzz_with(
 /// generation, exactly as with the community edition the paper builds on).
 #[must_use]
 pub fn run_peach(spec: &ProtocolSpec, options: &CampaignOptions) -> CampaignResult {
-    run_peach_with(spec, options, &Telemetry::disabled())
+    try_run_peach_with(spec, options, &Telemetry::disabled())
+        .unwrap_or_else(|error| panic!("campaign failed: {error}"))
 }
 
-/// [`run_peach`] with an observability pipeline attached.
-///
-/// # Panics
-///
-/// Panics on any [`CampaignError`]; use [`try_run_peach_with`] to handle
-/// failures programmatically.
-#[must_use]
-pub fn run_peach_with(
-    spec: &ProtocolSpec,
-    options: &CampaignOptions,
-    telemetry: &Telemetry,
-) -> CampaignResult {
-    match try_run_peach_with(spec, options, telemetry) {
-        Ok(result) => result,
-        Err(error) => panic!("campaign failed: {error}"),
-    }
-}
-
-/// [`run_peach_with`] with typed campaign failures.
+/// [`run_peach`] with an observability pipeline attached and typed
+/// campaign failures.
 ///
 /// # Errors
 ///
@@ -243,28 +199,12 @@ pub fn try_run_peach_with(
 /// every 4 rounds unless the caller configured it).
 #[must_use]
 pub fn run_spfuzz(spec: &ProtocolSpec, options: &CampaignOptions) -> CampaignResult {
-    run_spfuzz_with(spec, options, &Telemetry::disabled())
+    try_run_spfuzz_with(spec, options, &Telemetry::disabled())
+        .unwrap_or_else(|error| panic!("campaign failed: {error}"))
 }
 
-/// [`run_spfuzz`] with an observability pipeline attached.
-///
-/// # Panics
-///
-/// Panics on any [`CampaignError`]; use [`try_run_spfuzz_with`] to handle
-/// failures programmatically.
-#[must_use]
-pub fn run_spfuzz_with(
-    spec: &ProtocolSpec,
-    options: &CampaignOptions,
-    telemetry: &Telemetry,
-) -> CampaignResult {
-    match try_run_spfuzz_with(spec, options, telemetry) {
-        Ok(result) => result,
-        Err(error) => panic!("campaign failed: {error}"),
-    }
-}
-
-/// [`run_spfuzz_with`] with typed campaign failures.
+/// [`run_spfuzz`] with an observability pipeline attached and typed
+/// campaign failures.
 ///
 /// # Errors
 ///
@@ -302,7 +242,7 @@ mod tests {
     #[test]
     fn spfuzz_setups_partition_paths() {
         let spec = spec_by_name("mosquitto").unwrap();
-        let setups = spfuzz_setups(&spec, 3);
+        let setups = try_spfuzz_setups(&spec, 3).expect("pit parses");
         assert_eq!(setups.len(), 3);
         let total_paths: usize = setups.iter().map(|s| s.session_plans.len()).sum();
         assert!(total_paths > 3, "MQTT state model has many simple paths");

@@ -7,9 +7,7 @@ use std::sync::Arc;
 use cmfuzz_config_model::{ConfigValue, ConstraintSet, ResolvedConfig};
 use cmfuzz_coverage::{CoverageSnapshot, SaturationDetector, Ticks};
 use cmfuzz_fuzzer::pit::{self, PitDefinition};
-use cmfuzz_fuzzer::{
-    EngineCheckpoint, EngineConfig, EngineStats, FaultLog, FuzzEngine, Seed, StartError,
-};
+use cmfuzz_fuzzer::{EngineConfig, FaultLog, FuzzEngine, Seed, StartError};
 use cmfuzz_netsim::LinkConditions;
 use cmfuzz_protocols::{NetworkedTarget, ProtocolSpec, ProtocolTarget};
 use cmfuzz_telemetry::{EngineTelemetry, Event, Telemetry};
@@ -137,145 +135,12 @@ impl Instance {
     }
 }
 
-/// One instance's share of a [`CampaignCheckpoint`].
-#[derive(Debug, Clone)]
-struct InstanceCheckpoint {
-    engine: EngineCheckpoint,
-    /// The configuration running at pause time (adaptive mutation may have
-    /// moved it away from the setup's `initial_config`).
-    config: ResolvedConfig,
-    rng: [u64; 4],
-    saturation: SaturationDetector,
-    stalled: bool,
-}
-
-/// A campaign paused at a round boundary: everything
-/// [`CampaignRun::resume`] needs to rebuild it and reproduce the
-/// uninterrupted [`run_campaign`] byte-for-byte.
-///
-/// The checkpoint owns clones of all mutable campaign state (engine
-/// corpora, accumulated coverage, RNG stream positions, fault logs, the
-/// coverage curve, the virtual clock reading), so it stays valid on its
-/// own. It is the export format of a [`CampaignRun`]: a fleet keeps its
-/// campaigns live and materializes checkpoints only for its final report.
-#[derive(Debug, Clone)]
-pub struct CampaignCheckpoint {
-    fuzzer: String,
-    target: String,
-    budget: Ticks,
-    rounds_total: u64,
-    rounds_done: u64,
-    consumed: Ticks,
-    curve: CoverageCurve,
-    config_mutations: Vec<ConfigMutationEvent>,
-    seen_faults: FaultLog,
-    instances: Vec<InstanceCheckpoint>,
-}
-
-impl CampaignCheckpoint {
-    /// Rounds executed so far.
-    #[must_use]
-    pub fn rounds_done(&self) -> u64 {
-        self.rounds_done
-    }
-
-    /// Virtual time consumed so far.
-    #[must_use]
-    pub fn consumed(&self) -> Ticks {
-        self.consumed
-    }
-
-    /// Whether the campaign's whole budget has been executed.
-    #[must_use]
-    pub fn is_complete(&self) -> bool {
-        self.rounds_done >= self.rounds_total
-    }
-
-    /// Union branch coverage across instances at pause time.
-    #[must_use]
-    pub fn union_branches(&self) -> usize {
-        self.curve.final_branches()
-    }
-
-    /// Converts the checkpoint into the [`CampaignResult`] the equivalent
-    /// uninterrupted [`run_campaign`] would have returned. Normally called
-    /// once [`CampaignCheckpoint::is_complete`]; calling earlier yields the
-    /// partial result up to the pause point.
-    #[must_use]
-    pub fn into_result(self) -> CampaignResult {
-        let corpus = self.corpus_occupancy();
-        assemble_result(
-            self.fuzzer,
-            self.target,
-            self.budget,
-            self.curve,
-            self.config_mutations,
-            corpus,
-            &self
-                .instances
-                .iter()
-                .map(|i| (&i.engine.faults, i.engine.stats, &i.engine.accumulated))
-                .collect::<Vec<_>>(),
-        )
-    }
-
-    /// Corpus occupancy at pause time, summed over instances — the
-    /// memory-cap evidence fleet benchmarks report per campaign.
-    #[must_use]
-    pub fn corpus_occupancy(&self) -> CorpusOccupancy {
-        let mut occupancy = CorpusOccupancy::default();
-        for instance in &self.instances {
-            occupancy.seeds += instance.engine.corpus.len();
-            occupancy.approx_bytes += instance
-                .engine
-                .corpus
-                .iter()
-                .map(|s| s.bytes.len())
-                .sum::<usize>();
-        }
-        occupancy
-    }
-}
-
-/// Sums per-instance faults, statistics and coverage into a
-/// [`CampaignResult`] — shared by live runs and checkpoints.
-fn assemble_result(
-    fuzzer: String,
-    target: String,
-    budget: Ticks,
-    curve: CoverageCurve,
-    config_mutations: Vec<ConfigMutationEvent>,
-    corpus: CorpusOccupancy,
-    instances: &[(&FaultLog, EngineStats, &CoverageSnapshot)],
-) -> CampaignResult {
-    let mut faults = FaultLog::new();
-    let mut stats = crate::metrics::CampaignStats::default();
-    for (instance_faults, engine, _) in instances {
-        faults.merge(instance_faults);
-        stats.sessions += engine.sessions;
-        stats.messages += engine.messages;
-        stats.crashes_observed += engine.crashes_observed;
-        stats.seeds_retained += engine.seeds_retained;
-        stats.seeds_deduped_exact += engine.seeds_deduped_exact;
-        stats.seeds_deduped_near += engine.seeds_deduped_near;
-        stats.seeds_evicted += engine.seeds_evicted;
-        stats.seeds_imported += engine.seeds_imported;
-    }
-    let coverage = CoverageSnapshot::merge(instances.iter().map(|(_, _, coverage)| *coverage))
-        .unwrap_or_else(|| CoverageSnapshot::empty(0));
-    CampaignResult {
-        fuzzer,
-        target,
-        instances: instances.len(),
-        budget,
-        curve,
-        coverage,
-        faults,
-        config_mutations,
-        stats,
-        corpus,
-    }
-}
+/// A campaign paused at a round boundary: the parked [`CampaignRun`]
+/// itself, handed back by [`run_campaign_slice`] and continued by the
+/// next call. Its instances stay booted in memory between slices, as the
+/// paper's long-lived fuzzer processes do, so nothing is exported or
+/// replayed.
+pub type CampaignCheckpoint = CampaignRun;
 
 /// What one [`CampaignRun::slice`] actually executed — the scheduling
 /// signal fleet policies feed on.
@@ -370,10 +235,7 @@ impl CampaignControl {
 /// This is the paper's long-lived parallel campaign. Slicing it is
 /// invisible: any partition of the budget into slices reproduces the
 /// uninterrupted [`run_campaign`] byte-for-byte, because the instances
-/// simply stay in memory between slices. [`CampaignRun::into_checkpoint`]
-/// exports the run and [`CampaignRun::resume`] rebuilds it — re-parsing
-/// the Pit, re-booting every target and replaying every corpus — with the
-/// same guarantee, for callers that must let go of the run in between.
+/// simply stay in memory between slices.
 ///
 /// The run keeps its own copy of the [`CampaignOptions`] it was booted
 /// with; only the budget may change later ([`CampaignRun::set_budget`]).
@@ -487,76 +349,6 @@ impl CampaignRun {
             curve,
             config_mutations: Vec::new(),
             seen_faults: FaultLog::new(),
-            pool: round_pool(options, &instances),
-            instances,
-        })
-    }
-
-    /// Rebuilds a run from a [`CampaignRun::into_checkpoint`] export.
-    /// `spec`, `fuzzer`, `setups` and `options` must be the ones the run
-    /// was booted with (the budget may have grown); the checkpoint stores
-    /// only mutable state. Preflight does not run again.
-    ///
-    /// # Errors
-    ///
-    /// [`CampaignError::NoInstances`], [`CampaignError::PitParse`], and
-    /// [`CampaignError::TargetBoot`] when an instance cannot re-boot its
-    /// checkpointed configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `checkpoint` came from a campaign with a different subject
-    /// or instance count.
-    pub fn resume(
-        spec: &ProtocolSpec,
-        fuzzer: &str,
-        setups: &[InstanceSetup],
-        options: &CampaignOptions,
-        checkpoint: CampaignCheckpoint,
-    ) -> Result<Self, CampaignError> {
-        if setups.is_empty() {
-            return Err(CampaignError::NoInstances);
-        }
-        assert_eq!(
-            checkpoint.target, spec.name,
-            "checkpoint is for {}",
-            checkpoint.target
-        );
-        assert_eq!(
-            checkpoint.instances.len(),
-            setups.len(),
-            "checkpoint was taken with a different instance count"
-        );
-        let pit = parse_pit(spec)?;
-        let mut instances = Vec::with_capacity(setups.len());
-        for (i, (setup, saved)) in setups.iter().zip(checkpoint.instances).enumerate() {
-            let mut engine = build_engine(spec, fuzzer, options, &pit, i);
-            engine.set_session_plans(&setup.session_plans);
-            engine
-                .restore(&saved.config, &saved.engine)
-                .map_err(|error| CampaignError::TargetBoot {
-                    target: spec.name.to_owned(),
-                    instance: i,
-                    error,
-                })?;
-            instances.push(Instance {
-                engine,
-                config: saved.config,
-                adaptive: adaptive_entities(setup),
-                saturation: saved.saturation,
-                rng: StdRng::from_state(saved.rng),
-                stalled: saved.stalled,
-            });
-        }
-        Ok(CampaignRun {
-            fuzzer: fuzzer.to_owned(),
-            target: spec.name.to_owned(),
-            options: options.clone(),
-            rounds_done: checkpoint.rounds_done,
-            consumed: checkpoint.consumed,
-            curve: checkpoint.curve,
-            config_mutations: checkpoint.config_mutations,
-            seen_faults: checkpoint.seen_faults,
             pool: round_pool(options, &instances),
             instances,
         })
@@ -823,57 +615,45 @@ impl CampaignRun {
     #[must_use]
     pub fn result(&self) -> CampaignResult {
         let mut corpus = CorpusOccupancy::default();
+        let mut faults = FaultLog::new();
+        let mut stats = crate::metrics::CampaignStats::default();
         for instance in &self.instances {
-            // Queued imports count as resident, as in a checkpoint.
+            // Queued imports count as resident: the next slice settles them.
             let queued = instance.engine.queued_imports();
             corpus.seeds += instance.engine.corpus_len() + queued.len();
             corpus.approx_bytes += instance.engine.corpus_bytes()
                 + queued.iter().map(|s| s.bytes.len()).sum::<usize>();
+            faults.merge(instance.engine.fault_log());
+            let engine = instance.engine.stats();
+            stats.sessions += engine.sessions;
+            stats.messages += engine.messages;
+            stats.crashes_observed += engine.crashes_observed;
+            stats.seeds_retained += engine.seeds_retained;
+            stats.seeds_deduped_exact += engine.seeds_deduped_exact;
+            stats.seeds_deduped_near += engine.seeds_deduped_near;
+            stats.seeds_evicted += engine.seeds_evicted;
+            stats.seeds_imported += engine.seeds_imported;
         }
-        assemble_result(
-            self.fuzzer.clone(),
-            self.target.clone(),
-            self.options.budget,
-            self.curve.clone(),
-            self.config_mutations.clone(),
+        let coverage = CoverageSnapshot::merge(self.instances.iter().map(|i| i.engine.coverage()))
+            .unwrap_or_else(|| CoverageSnapshot::empty(0));
+        CampaignResult {
+            fuzzer: self.fuzzer.clone(),
+            target: self.target.clone(),
+            instances: self.instances.len(),
+            budget: self.options.budget,
+            curve: self.curve.clone(),
+            coverage,
+            faults,
+            config_mutations: self.config_mutations.clone(),
+            stats,
             corpus,
-            &self
-                .instances
-                .iter()
-                .map(|i| (i.engine.fault_log(), i.engine.stats(), i.engine.coverage()))
-                .collect::<Vec<_>>(),
-        )
+        }
     }
 
-    /// Exports the run as a [`CampaignCheckpoint`], dropping each instance
-    /// as soon as it is exported. Exporting target state may be
-    /// destructive (queues drain), which is why this consumes the run.
+    /// [`CampaignRun::result`], consuming the run.
     #[must_use]
-    pub fn into_checkpoint(self) -> CampaignCheckpoint {
-        let rounds_total = self.rounds_total();
-        let instances = self
-            .instances
-            .into_iter()
-            .map(|mut instance| InstanceCheckpoint {
-                engine: instance.engine.checkpoint(),
-                config: instance.config,
-                rng: instance.rng.state(),
-                saturation: instance.saturation,
-                stalled: instance.stalled,
-            })
-            .collect();
-        CampaignCheckpoint {
-            fuzzer: self.fuzzer,
-            target: self.target,
-            budget: self.options.budget,
-            rounds_total,
-            rounds_done: self.rounds_done,
-            consumed: self.consumed,
-            curve: self.curve,
-            config_mutations: self.config_mutations,
-            seen_faults: self.seen_faults,
-            instances,
-        }
+    pub fn into_result(self) -> CampaignResult {
+        self.result()
     }
 
     /// Up to `max` of this campaign's rarest seeds, for sharing with
@@ -1003,7 +783,8 @@ pub fn run_campaign(
     setups: &[InstanceSetup],
     options: &CampaignOptions,
 ) -> CampaignResult {
-    run_campaign_with_telemetry(spec, fuzzer, setups, options, &Telemetry::disabled())
+    try_run_campaign_with_telemetry(spec, fuzzer, setups, options, &Telemetry::disabled())
+        .unwrap_or_else(|error| panic!("campaign failed: {error}"))
 }
 
 /// [`run_campaign`], but campaign-level failures come back as a typed
@@ -1021,7 +802,8 @@ pub fn try_run_campaign(
     try_run_campaign_with_telemetry(spec, fuzzer, setups, options, &Telemetry::disabled())
 }
 
-/// [`run_campaign`] with an observability pipeline attached.
+/// [`try_run_campaign`] with an observability pipeline attached: one
+/// [`CampaignRun`] booted and sliced through its whole budget.
 ///
 /// The runner emits the full event taxonomy (`CampaignStarted`,
 /// `RoundCompleted`, `SaturationDetected`, `ConfigMutated`, `SeedSynced`,
@@ -1030,28 +812,8 @@ pub fn try_run_campaign(
 /// `"fuzzing"` phase spans in virtual ticks. The event bus is drained to
 /// the sinks at every round boundary, so sink output order is as
 /// deterministic as the campaign itself. A disabled pipeline reduces to
-/// [`run_campaign`] exactly — instrumentation never perturbs the RNG
+/// [`try_run_campaign`] exactly — instrumentation never perturbs the RNG
 /// sequence, so results are identical either way.
-///
-/// # Panics
-///
-/// As [`run_campaign`].
-#[must_use]
-pub fn run_campaign_with_telemetry(
-    spec: &ProtocolSpec,
-    fuzzer: &str,
-    setups: &[InstanceSetup],
-    options: &CampaignOptions,
-    telemetry: &Telemetry,
-) -> CampaignResult {
-    match try_run_campaign_with_telemetry(spec, fuzzer, setups, options, telemetry) {
-        Ok(result) => result,
-        Err(error) => panic!("campaign failed: {error}"),
-    }
-}
-
-/// [`run_campaign_with_telemetry`] with typed failures: one
-/// [`CampaignRun`] booted and sliced through its whole budget.
 ///
 /// # Errors
 ///
@@ -1069,18 +831,19 @@ pub fn try_run_campaign_with_telemetry(
 }
 
 /// Runs up to `slice_budget` virtual ticks of a campaign, pausing at the
-/// next round boundary, and returns a resumable [`CampaignCheckpoint`]
-/// plus a [`SliceReport`] of what the slice executed.
+/// next round boundary, and returns the paused run as a
+/// [`CampaignCheckpoint`] plus a [`SliceReport`] of what the slice
+/// executed.
 ///
 /// Pass `None` to boot a fresh campaign, or a previous call's checkpoint
-/// to resume it. Slicing is invisible to the campaign: any partition of
-/// the budget into slices reproduces the uninterrupted [`run_campaign`]
-/// result byte-for-byte ([`CampaignCheckpoint::into_result`]). Each call
-/// rebuilds a [`CampaignRun`] and exports it again; callers that slice
-/// repeatedly keep the run instead.
+/// to continue it; `options.budget` replaces the run's budget
+/// ([`CampaignRun::set_budget`]). Slicing is invisible to the campaign:
+/// any partition of the budget into slices reproduces the uninterrupted
+/// [`run_campaign`] result byte-for-byte ([`CampaignRun::into_result`]).
 ///
 /// `spec`, `fuzzer`, `setups`, and `options` must be the same on every
-/// call for a given campaign; the checkpoint stores only mutable state.
+/// call for a given campaign; a continued run keeps the ones it was
+/// booted with, apart from the budget.
 ///
 /// # Errors
 ///
@@ -1100,11 +863,20 @@ pub fn run_campaign_slice(
 ) -> Result<(CampaignCheckpoint, SliceReport), CampaignError> {
     let telemetry = Telemetry::disabled();
     let mut run = match checkpoint {
-        Some(checkpoint) => CampaignRun::resume(spec, fuzzer, setups, options, checkpoint)?,
+        Some(mut run) => {
+            assert_eq!(run.target, spec.name, "checkpoint is for {}", run.target);
+            assert_eq!(
+                run.instances.len(),
+                setups.len(),
+                "checkpoint was taken with a different instance count"
+            );
+            run.set_budget(options.budget);
+            run
+        }
         None => CampaignRun::boot(spec, fuzzer, setups, options, &telemetry)?,
     };
     let report = run.slice(slice_budget, &telemetry, None)?;
-    Ok((run.into_checkpoint(), report))
+    Ok((run, report))
 }
 
 fn union_coverage(instances: &[Instance]) -> CoverageSnapshot {
@@ -1283,7 +1055,8 @@ mod tests {
             .sink(Box::new(ring.clone()))
             .build();
         let observed =
-            run_campaign_with_telemetry(&spec, "peach", &setups, &small_options(9), &telemetry);
+            try_run_campaign_with_telemetry(&spec, "peach", &setups, &small_options(9), &telemetry)
+                .expect("campaign runs");
 
         assert_eq!(plain.curve, observed.curve, "instrumentation-free results");
         assert_eq!(plain.faults.unique_count(), observed.faults.unique_count());
@@ -1491,7 +1264,7 @@ mod tests {
         assert!(!rest.interrupted);
         assert_eq!(
             format!("{reference:?}"),
-            format!("{:?}", run.into_checkpoint().into_result()),
+            format!("{:?}", run.result()),
             "an interrupted-then-resumed campaign must not drift"
         );
 

@@ -49,6 +49,6 @@ mod snapshot;
 
 pub use branch::{BranchId, BranchRegistry};
 pub use clock::{Ticks, VirtualClock};
-pub use map::{CoverageMap, CoverageProbe, MapState};
+pub use map::{CoverageMap, CoverageProbe};
 pub use saturation::SaturationDetector;
 pub use snapshot::CoverageSnapshot;

@@ -7,8 +7,8 @@
 //! and steps the fleet one wave at a time: the caller decides when to
 //! step, which makes live admission ([`FleetManager::admit`]),
 //! pause/resume, budget extension, and kill natural. Runs stay booted from
-//! their first lease to [`FleetManager::finish`], which is the only place
-//! they are exported as checkpoints.
+//! their first lease to [`FleetManager::finish`], which keeps each run's
+//! result and drops the run.
 //!
 //! A wave is three steps, and [`FleetManager::step_wave`] is exactly
 //! these three calls: [`FleetManager::plan_wave`] picks the leases and
@@ -680,12 +680,11 @@ impl FleetManager {
     }
 
     /// Consumes the manager into a [`FleetResult`], reported under
-    /// `policy_name`. Each run is exported as its campaign's checkpoint,
-    /// one at a time so only one exported engine is alive at once;
-    /// never-scheduled campaigns are booted for a zero-progress checkpoint,
-    /// so every admitted campaign (killed ones included) has an outcome
-    /// row. A run still out on a wave that was never committed is gone
-    /// with that wave and reported the same way. The telemetry pipeline is
+    /// `policy_name`. Each run leaves its campaign's result and is dropped;
+    /// never-scheduled campaigns are booted for a zero-progress result, so
+    /// every admitted campaign (killed ones included) has an outcome row.
+    /// A run still out on a wave that was never committed is gone with
+    /// that wave and reported the same way. The telemetry pipeline is
     /// drained.
     ///
     /// # Errors
@@ -707,14 +706,13 @@ impl FleetManager {
                         &Telemetry::disabled(),
                     )?,
                 };
-                let checkpoint = run.into_checkpoint();
                 Ok(CampaignOutcome {
                     id: entry.campaign.id,
                     leases: entry.leases,
-                    consumed: checkpoint.consumed(),
-                    completed: checkpoint.is_complete(),
+                    consumed: run.consumed(),
+                    completed: run.is_complete(),
                     reachable_branches: entry.reachable_branches,
-                    checkpoint,
+                    result: run.into_result(),
                 })
             })
             .collect::<Result<Vec<_>, CampaignError>>()?;

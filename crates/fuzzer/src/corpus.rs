@@ -99,9 +99,9 @@ impl AddOutcome {
 /// coverage-rarity score. Hash and sketch are pure functions of
 /// bytes/model, computed once at construction; the rarity score is
 /// stamped by the engine at retention time (0 when intelligence is off
-/// or the score is unknown) and frozen thereafter — coverage hit counts
-/// are not reconstructible after a checkpoint restore, so the score
-/// must travel with the seed.
+/// or the score is unknown) and frozen thereafter — hit counts keep
+/// growing, and a shared seed lands in another campaign's map, so the
+/// score must travel with the seed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Seed {
     /// Wire bytes of the retained input.
@@ -180,7 +180,8 @@ const ALIAS_ONE: u64 = 1 << 32;
 impl AliasTable {
     /// Rebuilds the table from scratch for the given weights. The
     /// result depends only on the weight sequence — not on the edit
-    /// history — so a checkpoint-restored corpus samples identically.
+    /// history — so a corpus rebuilt from the same seeds samples
+    /// identically.
     fn rebuild(&mut self, weights: impl Iterator<Item = u64>) {
         self.prob.clear();
         self.alias.clear();
@@ -543,7 +544,7 @@ impl Corpus {
 
     /// Panics unless every internal index is consistent with `seeds`.
     ///
-    /// Test support for the eviction × checkpoint property tests; not
+    /// Test support for the eviction × rebuild property tests; not
     /// intended for production call sites.
     pub fn assert_consistent(&self) {
         if self.capacity > 0 {
@@ -833,7 +834,7 @@ mod tests {
 
     #[test]
     fn weighted_pick_is_deterministic_and_rebuild_invariant() {
-        // A table rebuilt from a restored corpus must sample identically:
+        // A table rebuilt from the same contents must sample identically:
         // build the same contents via different edit histories and check
         // pick-for-pick equality.
         let cfg = CorpusConfig::intelligent();

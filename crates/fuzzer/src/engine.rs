@@ -3,7 +3,7 @@
 use std::fmt;
 
 use cmfuzz_config_model::ResolvedConfig;
-use cmfuzz_coverage::{CoverageMap, CoverageSnapshot, MapState};
+use cmfuzz_coverage::{CoverageMap, CoverageSnapshot};
 use cmfuzz_telemetry::EngineTelemetry;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -71,7 +71,7 @@ impl Default for EngineConfig {
 /// Cumulative execution statistics of one fuzzing instance.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Sessions executed (= iterations).
+    /// Sessions executed.
     pub sessions: u64,
     /// Protocol messages sent.
     pub messages: u64,
@@ -106,66 +106,6 @@ pub struct IterationOutcome {
     pub messages_sent: usize,
 }
 
-/// Everything a paused [`FuzzEngine`] needs to resume byte-identically:
-/// the accumulated coverage, both RNG stream positions, the retained
-/// corpus and outbox (seed bytes shared by `Arc`, so a checkpoint of a
-/// large corpus is cheap), the fault log, execution counters and the
-/// target's exported cross-session state.
-///
-/// Produced by [`FuzzEngine::checkpoint`], consumed by
-/// [`FuzzEngine::restore`]. Deliberately *not* tied to the engine's
-/// compiled artifacts (render programs, interned model tables): those are
-/// pure functions of the Pit and session plans, so a restored engine
-/// rebuilds them from scratch and the ids line up.
-///
-/// The `Debug` form leaves out [`EngineCheckpoint::map`]: one hit count
-/// per branch would swamp the fleet-result renders that determinism
-/// digests are taken over, and rarity scores already carry its effect.
-#[derive(Clone)]
-pub struct EngineCheckpoint {
-    /// Union coverage at checkpoint time.
-    pub accumulated: CoverageSnapshot,
-    /// The coverage map's exact hit counts and pending words, which
-    /// rarity scoring reads.
-    pub map: MapState,
-    /// Engine RNG stream position.
-    pub rng: [u64; 4],
-    /// Mutator RNG stream position.
-    pub mutator_rng: [u64; 4],
-    /// Retained seeds, oldest first (re-adding in order reproduces corpus
-    /// pick behavior exactly — only relative order matters to picks).
-    pub corpus: Vec<Seed>,
-    /// Seeds retained since the last synchronization drain.
-    pub outbox: Vec<Seed>,
-    /// Deduplicated faults, in discovery order.
-    pub faults: FaultLog,
-    /// Iterations executed.
-    pub iterations: u64,
-    /// Cumulative statistics.
-    pub stats: EngineStats,
-    /// Next fixed session plan to replay (SPFuzz-style pinned plans).
-    pub next_plan: usize,
-    /// Opaque target state from [`Target::export_state`].
-    pub target_state: Vec<u8>,
-}
-
-impl fmt::Debug for EngineCheckpoint {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("EngineCheckpoint")
-            .field("accumulated", &self.accumulated)
-            .field("rng", &self.rng)
-            .field("mutator_rng", &self.mutator_rng)
-            .field("corpus", &self.corpus)
-            .field("outbox", &self.outbox)
-            .field("faults", &self.faults)
-            .field("iterations", &self.iterations)
-            .field("stats", &self.stats)
-            .field("next_plan", &self.next_plan)
-            .field("target_state", &self.target_state)
-            .finish()
-    }
-}
-
 /// One fuzzing instance: a target, the shared Pit models, a coverage map
 /// and the mutation/corpus machinery (the paper's per-instance Peach
 /// process).
@@ -174,7 +114,6 @@ impl fmt::Debug for EngineCheckpoint {
 ///
 /// See the `cmfuzz-protocols` crate tests and the repository examples; the
 /// engine needs a [`Target`] implementation to run.
-#[derive(Debug)]
 pub struct FuzzEngine<T: Target> {
     target: T,
     config: EngineConfig,
@@ -220,7 +159,6 @@ pub struct FuzzEngine<T: Target> {
     mutator: Mutator,
     faults: FaultLog,
     rng: StdRng,
-    iterations: u64,
     started: bool,
     /// Fixed session plans (SPFuzz-style path partitioning); when
     /// non-empty they replace random state walks, cycling in order.
@@ -236,6 +174,30 @@ pub struct FuzzEngine<T: Target> {
     /// Metric handles mirrored into on every iteration; detached (and
     /// never read) unless [`FuzzEngine::attach_telemetry`] was called.
     telemetry: EngineTelemetry,
+}
+
+/// Renders the state that decides every future session: accumulated
+/// coverage, both RNG stream positions, the corpus and queued imports,
+/// the outbox, faults, statistics, the next fixed plan and the target.
+/// Compiled models and scratch buffers are left out, so two engines that
+/// will behave alike render alike, whatever batch sizes brought them
+/// there.
+impl<T: Target + fmt::Debug> fmt::Debug for FuzzEngine<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("FuzzEngine")
+            .field("accumulated", &self.accumulated)
+            .field("rng", &self.rng.state())
+            .field("mutator_rng", &self.mutator.rng_state())
+            .field("corpus", &self.corpus.iter().collect::<Vec<_>>())
+            .field("queued_imports", &self.queued_imports)
+            .field("outbox", &self.outbox)
+            .field("faults", &self.faults)
+            .field("stats", &self.stats)
+            .field("next_plan", &self.next_plan)
+            .field("started", &self.started)
+            .field("target", &self.target)
+            .finish_non_exhaustive()
+    }
 }
 
 impl<T: Target> FuzzEngine<T> {
@@ -310,7 +272,6 @@ impl<T: Target> FuzzEngine<T> {
             mutator,
             faults: FaultLog::new(),
             rng,
-            iterations: 0,
             started: false,
             session_plans: Vec::new(),
             next_plan: 0,
@@ -396,9 +357,9 @@ impl<T: Target> FuzzEngine<T> {
         true
     }
 
-    /// Offers every queued import to the corpus, in queue order. Like a
-    /// checkpoint restore replaying its corpus, this touches no
-    /// statistics: the imports were counted when they were queued.
+    /// Offers every queued import to the corpus, in queue order. This
+    /// touches no statistics: the imports were counted when they were
+    /// queued.
     pub fn settle_imports(&mut self) {
         for seed in std::mem::take(&mut self.queued_imports) {
             self.corpus.add(seed);
@@ -428,84 +389,6 @@ impl<T: Target> FuzzEngine<T> {
                 .filter(|id| !before.is_covered(*id))
                 .map(|id| id.index() as usize),
         ))
-    }
-
-    /// Captures everything needed to resume this engine byte-identically
-    /// in a freshly built twin (same target kind, Pit, config and session
-    /// plans).
-    ///
-    /// Takes `&mut self` because [`Target::export_state`] may be
-    /// destructive (e.g. draining in-flight transport queues); treat the
-    /// engine as consumed once checkpointed.
-    pub fn checkpoint(&mut self) -> EngineCheckpoint {
-        EngineCheckpoint {
-            accumulated: self.accumulated.clone(),
-            map: self.map.state(),
-            rng: self.rng.state(),
-            mutator_rng: self.mutator.rng_state(),
-            // Queued imports follow the corpus, so a restore settles them.
-            corpus: self
-                .corpus
-                .iter()
-                .chain(&self.queued_imports)
-                .cloned()
-                .collect(),
-            outbox: self.outbox.clone(),
-            faults: self.faults.clone(),
-            iterations: self.iterations,
-            stats: self.stats,
-            next_plan: self.next_plan,
-            target_state: self.target.export_state(),
-        }
-    }
-
-    /// Resumes a checkpointed instance into this freshly built engine:
-    /// boots the target under `config`, imports the target's cross-session
-    /// state, restores the coverage map and accumulated set, rebuilds the
-    /// corpus in retention order and rewinds both RNG streams.
-    ///
-    /// The engine must have been built with the same target kind, Pit,
-    /// [`EngineConfig`] and session plans as the checkpointed one; the
-    /// compiled model tables are pure functions of those inputs, so the
-    /// interned ids inside checkpointed seeds stay valid.
-    ///
-    /// The map is restored after the boot, so the boot's own hits leave
-    /// no trace: hit counts and pending words are exactly the
-    /// checkpointed ones, and rarity scores and the feedback signal
-    /// continue where they left off.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the target's [`StartError`]; the engine is left
-    /// partially restored and must be discarded.
-    pub fn restore(
-        &mut self,
-        config: &ResolvedConfig,
-        checkpoint: &EngineCheckpoint,
-    ) -> Result<(), StartError> {
-        self.start(config)?;
-        self.target.import_state(&checkpoint.target_state);
-        self.map.restore_from(&checkpoint.map);
-        self.accumulated = checkpoint.accumulated.clone();
-        // Re-adding the survivors in retention order reproduces pick
-        // behavior exactly: live seeds are pairwise non-duplicate and
-        // within capacity, so no add of theirs dedups or evicts, and the
-        // weighted-pick tables rebuild from the same (rarity, order)
-        // sequence the checkpointed corpus held. Queued imports come last
-        // and are settled here, as `settle_imports` would have.
-        self.corpus = Corpus::with_config(self.config.corpus_capacity, self.config.corpus);
-        for seed in &checkpoint.corpus {
-            self.corpus.add(seed.clone());
-        }
-        self.queued_imports.clear();
-        self.outbox = checkpoint.outbox.clone();
-        self.faults = checkpoint.faults.clone();
-        self.rng = StdRng::from_state(checkpoint.rng);
-        self.mutator.restore_rng(checkpoint.mutator_rng);
-        self.iterations = checkpoint.iterations;
-        self.stats = checkpoint.stats;
-        self.next_plan = checkpoint.next_plan;
-        Ok(())
     }
 
     /// Runs `sessions` fuzzing iterations as one batch: each session walks
@@ -603,7 +486,6 @@ impl<T: Target> FuzzEngine<T> {
                     }
                 }
             }
-            self.iterations += 1;
             self.stats.sessions += 1;
             self.telemetry.sessions.incr();
             self.telemetry.session_messages.record(plan.len() as u64);
@@ -754,12 +636,6 @@ impl<T: Target> FuzzEngine<T> {
         &self.faults
     }
 
-    /// Iterations executed so far.
-    #[must_use]
-    pub fn iterations(&self) -> u64 {
-        self.iterations
-    }
-
     /// The retained seed corpus.
     #[must_use]
     pub fn corpus(&self) -> &Corpus {
@@ -808,6 +684,7 @@ mod tests {
 
     /// A tiny deterministic target: covers branch 0 at startup, branch 1
     /// on any input, branch 2 on inputs starting with 0xFF (and crashes).
+    #[derive(Debug)]
     struct ToyTarget {
         probe: Option<CoverageProbe>,
         require_flag: bool,
@@ -919,7 +796,7 @@ mod tests {
         assert!(total_new >= 2);
         assert_eq!(engine.fault_log().unique_count(), 1);
         assert!(engine.fault_log().contains(FaultKind::Segv, "toy_handle"));
-        assert_eq!(engine.iterations(), 300);
+        assert_eq!(engine.stats().sessions, 300);
         assert!(engine.corpus_len() > 0, "interesting inputs retained");
     }
 
@@ -1061,57 +938,9 @@ mod tests {
         assert_eq!(engine.corpus_len(), 1, "capacity 1 evicts to one seed");
     }
 
-    #[test]
-    fn checkpoint_resume_is_byte_identical() {
-        let build = || {
-            FuzzEngine::new(
-                ToyTarget::new(),
-                toy_pit(),
-                EngineConfig {
-                    seed: 11,
-                    ..EngineConfig::default()
-                },
-            )
-        };
-        let config = ResolvedConfig::new();
-
-        // Uninterrupted reference: 120 iterations straight through.
-        let mut reference = build();
-        reference.start(&config).unwrap();
-        let mut expected = Vec::new();
-        for _ in 0..120 {
-            expected.push(reference.run_batch(1));
-        }
-
-        // Checkpoint after 50, resume into a fresh engine, run the rest.
-        let mut first = build();
-        first.start(&config).unwrap();
-        let mut observed = Vec::new();
-        for _ in 0..50 {
-            observed.push(first.run_batch(1));
-        }
-        let cp = first.checkpoint();
-        drop(first);
-        let mut resumed = build();
-        resumed.restore(&config, &cp).unwrap();
-        assert_eq!(resumed.iterations(), 50);
-        for _ in 0..70 {
-            observed.push(resumed.run_batch(1));
-        }
-
-        assert_eq!(observed, expected);
-        assert_eq!(resumed.stats(), reference.stats());
-        assert_eq!(resumed.coverage(), reference.coverage());
-        assert_eq!(resumed.covered_count(), reference.covered_count());
-        assert_eq!(
-            format!("{:?}", resumed.fault_log()),
-            format!("{:?}", reference.fault_log())
-        );
-        assert_eq!(resumed.corpus_len(), reference.corpus_len());
-    }
-
     /// Faults deterministically on the first message of one known session
     /// (0-based), for pinning mid-batch fault bisection.
+    #[derive(Debug)]
     struct FaultAtSession {
         probe: Option<CoverageProbe>,
         fault_session: u64,
@@ -1162,21 +991,6 @@ mod tests {
             }
             TargetResponse::empty()
         }
-        fn export_state(&mut self) -> Vec<u8> {
-            let mut state = self.sessions_begun.to_le_bytes().to_vec();
-            state.push(u8::from(self.fired));
-            state
-        }
-        fn import_state(&mut self, state: &[u8]) {
-            self.sessions_begun = u64::from_le_bytes(state[..8].try_into().expect("8 bytes"));
-            self.fired = state[8] != 0;
-        }
-    }
-
-    /// Debug-formatted full engine state, for byte-identity comparisons
-    /// across execution strategies.
-    fn state_digest<T: Target>(engine: &mut FuzzEngine<T>) -> String {
-        format!("{:?}", engine.checkpoint())
     }
 
     #[test]
@@ -1199,7 +1013,7 @@ mod tests {
                 news.push(engine.run_batch(n).new_branches);
                 remaining -= n;
             }
-            (news, state_digest(&mut engine))
+            (news, format!("{engine:?}"))
         };
         // Batch size 1 is the iteration loop: one session per call.
         let (reference_news, reference_state) = run(1);
@@ -1222,7 +1036,7 @@ mod tests {
         let mut engine = FuzzEngine::new(ToyTarget::new(), toy_pit(), EngineConfig::default());
         engine.start(&ResolvedConfig::new()).unwrap();
         assert_eq!(engine.run_batch(0), IterationOutcome::default());
-        assert_eq!(engine.iterations(), 0);
+        assert_eq!(engine.stats().sessions, 0);
     }
 
     #[test]
@@ -1251,7 +1065,7 @@ mod tests {
                 .fault_log()
                 .contains(FaultKind::HeapUseAfterFree, "session_trap"));
             assert_eq!(engine.stats().crashes_observed, 1);
-            state_digest(&mut engine)
+            format!("{engine:?}")
         };
         let by_ones = run(&vec![1; total]);
         let mut by_sevens = vec![7; 12];
@@ -1259,41 +1073,9 @@ mod tests {
         assert_eq!(run(&by_sevens), by_ones);
         assert_eq!(run(&[64, 32]), by_ones);
         assert_eq!(run(&[96]), by_ones);
-    }
-
-    #[test]
-    fn fault_bisection_survives_a_checkpoint_cut_inside_the_batch() {
-        // A checkpoint/resume cut that splits a 64-session batch right
-        // before the faulting session must report the identical fault log
-        // and final state as the uncut batch.
-        let fault_session = 40;
-        let build = || {
-            FuzzEngine::new(
-                FaultAtSession::new(fault_session),
-                toy_pit(),
-                EngineConfig {
-                    seed: 31,
-                    ..EngineConfig::default()
-                },
-            )
-        };
-        let config = ResolvedConfig::new();
-
-        let mut reference = build();
-        reference.start(&config).unwrap();
-        reference.run_batch(64);
-        let expected = state_digest(&mut reference);
-
-        let mut first = build();
-        first.start(&config).unwrap();
-        first.run_batch(37);
-        let cp = first.checkpoint();
-        drop(first);
-        let mut resumed = build();
-        resumed.restore(&config, &cp).unwrap();
-        resumed.run_batch(27);
-        assert_eq!(resumed.fault_log().unique_count(), 1);
-        assert_eq!(state_digest(&mut resumed), expected);
+        // A cut right before the faulting session, inside the batch that
+        // would have carried it.
+        assert_eq!(run(&[37, 27, 32]), by_ones);
     }
 
     #[test]

@@ -45,13 +45,12 @@ mod mutate;
 pub mod pit;
 mod render_program;
 pub mod sketch;
-pub mod state_codec;
 mod state_model;
 mod target;
 
 pub use corpus::{AddOutcome, Corpus, CorpusConfig, Seed};
 pub use data_model::{DataModel, Endian, Field, FieldKind, FieldValue, Generator};
-pub use engine::{EngineCheckpoint, EngineConfig, EngineStats, FuzzEngine, IterationOutcome};
+pub use engine::{EngineConfig, EngineStats, FuzzEngine, IterationOutcome};
 pub use fault::{Fault, FaultKind, FaultLog};
 pub use intern::{ModelId, ModelTable};
 pub use mutate::{MutationOp, Mutator};

@@ -106,16 +106,10 @@ impl Mutator {
         self
     }
 
-    /// The mutator's RNG stream position, for checkpointing.
+    /// The mutator's RNG stream position, for state comparisons.
     #[must_use]
     pub fn rng_state(&self) -> [u64; 4] {
         self.rng.state()
-    }
-
-    /// Rewinds the mutator's RNG to a position captured by
-    /// [`Mutator::rng_state`].
-    pub fn restore_rng(&mut self, state: [u64; 4]) {
-        self.rng = StdRng::from_state(state);
     }
 
     /// Applies between 1 and `max_stack` randomly chosen byte-level
@@ -257,7 +251,7 @@ impl Mutator {
     /// byte-level havoc). Returns the name of the mutated field, or `None`
     /// if the model has no mutable fields.
     ///
-    /// Selects the site by counted walk ([`DataModel::count_mutable`] +
+    /// Selects the site by counted walk (`DataModel::count_mutable` +
     /// `nth_mutable`) rather than collecting `&mut Field` pointers into a
     /// temporary `Vec`, and snapshots only the scalars it needs from the
     /// field kind instead of cloning it (a `Choice` kind owns whole

@@ -232,27 +232,16 @@ pub trait Target {
         }
     }
 
-    /// Exports the target's mutable cross-session state as opaque bytes
-    /// for checkpointing.
-    ///
-    /// The contract with [`Target::import_state`]: booting a *fresh*
-    /// target of the same kind with `start(config)` and then importing
-    /// these bytes must leave it behaviorally identical to the exporting
-    /// target — same responses, same faults, byte for byte. State the
-    /// target rebuilds from `config` in `start` must *not* be encoded
-    /// (it would go stale); only state accumulated across sessions
-    /// belongs here.
-    ///
-    /// The default covers stateless targets: nothing to export. Export
-    /// may be destructive (e.g. draining in-flight transport queues), so
-    /// callers discard the exporting target afterwards.
+    /// Unused: nothing exports target state any more, because a paused
+    /// campaign keeps its targets live. Kept only because the repository
+    /// benchmark's timing wrapper overrides it; owed for deletion with
+    /// the next benchmark change.
     fn export_state(&mut self) -> Vec<u8> {
         Vec::new()
     }
 
-    /// Restores state captured by [`Target::export_state`] into a freshly
-    /// started target of the same kind. The default ignores the bytes,
-    /// matching the default `export_state`.
+    /// Unused, like [`Target::export_state`], and owed for deletion with
+    /// it.
     fn import_state(&mut self, state: &[u8]) {
         let _ = state;
     }
@@ -290,12 +279,6 @@ impl<T: Target + ?Sized> Target for Box<T> {
         faults: &mut Vec<(usize, Fault)>,
     ) {
         (**self).handle_batch(arena, ranges, faults)
-    }
-    fn export_state(&mut self) -> Vec<u8> {
-        (**self).export_state()
-    }
-    fn import_state(&mut self, state: &[u8]) {
-        (**self).import_state(state)
     }
 }
 

@@ -11,7 +11,6 @@ use cmfuzz_config_model::{
     GuardTable, ResolvedConfig,
 };
 use cmfuzz_coverage::CoverageProbe;
-use cmfuzz_fuzzer::state_codec::{StateReader, StateWriter};
 use cmfuzz_fuzzer::{Fault, FaultKind, StartError, Target, TargetResponse};
 
 use crate::common::{be16, be32, Cov};
@@ -592,25 +591,6 @@ impl Target for Amqp {
         self.negotiated = false;
         self.authenticated = false;
         self.open_channels.clear();
-    }
-
-    fn export_state(&mut self) -> Vec<u8> {
-        let mut w = StateWriter::new();
-        w.bool(self.negotiated);
-        w.bool(self.authenticated);
-        w.usize(self.open_channels.len());
-        for &channel in &self.open_channels {
-            w.u16(channel);
-        }
-        w.finish()
-    }
-
-    fn import_state(&mut self, state: &[u8]) {
-        let mut r = StateReader::new(state);
-        self.negotiated = r.bool();
-        self.authenticated = r.bool();
-        self.open_channels = (0..r.usize()).map(|_| r.u16()).collect();
-        r.finish();
     }
 
     fn handle(&mut self, input: &[u8]) -> TargetResponse {

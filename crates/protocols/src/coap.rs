@@ -12,7 +12,6 @@ use cmfuzz_config_model::{
     GuardTable, ResolvedConfig,
 };
 use cmfuzz_coverage::CoverageProbe;
-use cmfuzz_fuzzer::state_codec::{StateReader, StateWriter};
 use cmfuzz_fuzzer::{Fault, FaultKind, StartError, Target, TargetResponse};
 
 use crate::common::Cov;
@@ -826,22 +825,6 @@ impl Target for Coap {
 
     fn begin_session(&mut self) {
         self.block = BlockState::default();
-    }
-
-    fn export_state(&mut self) -> Vec<u8> {
-        let mut w = StateWriter::new();
-        w.option(self.block.body_data.as_ref(), |w, body| w.bytes(body));
-        w.u32(self.block.next_num);
-        w.usize(self.resources);
-        w.finish()
-    }
-
-    fn import_state(&mut self, state: &[u8]) {
-        let mut r = StateReader::new(state);
-        self.block.body_data = r.option(|r| r.bytes().to_vec());
-        self.block.next_num = r.u32();
-        self.resources = r.usize();
-        r.finish();
     }
 
     fn handle(&mut self, input: &[u8]) -> TargetResponse {

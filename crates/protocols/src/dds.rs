@@ -11,7 +11,6 @@ use cmfuzz_config_model::{
     GuardTable, ResolvedConfig,
 };
 use cmfuzz_coverage::CoverageProbe;
-use cmfuzz_fuzzer::state_codec::{StateReader, StateWriter};
 use cmfuzz_fuzzer::{StartError, Target, TargetResponse};
 
 use crate::common::{be16, Cov};
@@ -492,23 +491,6 @@ impl Target for Dds {
 
     fn begin_session(&mut self) {
         // DDS sessions are participant-scoped; keep discovery state.
-    }
-
-    fn export_state(&mut self) -> Vec<u8> {
-        let mut w = StateWriter::new();
-        w.usize(self.history.len());
-        for &sample in &self.history {
-            w.u32(sample);
-        }
-        w.usize(self.participants);
-        w.finish()
-    }
-
-    fn import_state(&mut self, state: &[u8]) {
-        let mut r = StateReader::new(state);
-        self.history = (0..r.usize()).map(|_| r.u32()).collect();
-        self.participants = r.usize();
-        r.finish();
     }
 
     fn handle(&mut self, input: &[u8]) -> TargetResponse {

@@ -11,7 +11,6 @@ use cmfuzz_config_model::{
     GuardTable, ResolvedConfig,
 };
 use cmfuzz_coverage::CoverageProbe;
-use cmfuzz_fuzzer::state_codec::{StateReader, StateWriter};
 use cmfuzz_fuzzer::{Fault, FaultKind, StartError, Target, TargetResponse};
 
 use crate::common::{be16, Cov};
@@ -630,55 +629,6 @@ impl Target for Dns {
     fn begin_session(&mut self) {
         // The concurrency window closes with the client.
         self.queries_handled = 0;
-    }
-
-    fn export_state(&mut self) -> Vec<u8> {
-        let mut w = StateWriter::new();
-        w.usize(self.cache.len());
-        for entry in &self.cache {
-            w.bytes(entry);
-        }
-        w.i64(self.queries_handled);
-        w.u64(self.total_queries);
-        // `start` re-arms the pending boot fault from the configuration, so
-        // a checkpoint taken after it fired must explicitly disarm it.
-        w.option(self.pending_fault.as_ref(), |w, fault| {
-            w.u8(match fault.kind {
-                FaultKind::HeapUseAfterFree => 0,
-                FaultKind::Segv => 1,
-                FaultKind::MemoryLeak => 2,
-                FaultKind::AllocationSizeTooBig => 3,
-                FaultKind::StackBufferOverflow => 4,
-                FaultKind::HeapBufferOverflow => 5,
-            });
-            w.str(&fault.function);
-            w.str(&fault.detail);
-        });
-        w.finish()
-    }
-
-    fn import_state(&mut self, state: &[u8]) {
-        let mut r = StateReader::new(state);
-        self.cache = (0..r.usize()).map(|_| r.bytes().to_vec()).collect();
-        self.queries_handled = r.i64();
-        self.total_queries = r.u64();
-        self.pending_fault = r.option(|r| {
-            let kind = match r.u8() {
-                0 => FaultKind::HeapUseAfterFree,
-                1 => FaultKind::Segv,
-                2 => FaultKind::MemoryLeak,
-                3 => FaultKind::AllocationSizeTooBig,
-                4 => FaultKind::StackBufferOverflow,
-                5 => FaultKind::HeapBufferOverflow,
-                other => panic!("malformed state: fault kind {other}"),
-            };
-            Fault {
-                kind,
-                function: r.string(),
-                detail: r.string(),
-            }
-        });
-        r.finish();
     }
 
     fn handle(&mut self, input: &[u8]) -> TargetResponse {

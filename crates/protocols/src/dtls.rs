@@ -11,7 +11,6 @@ use cmfuzz_config_model::{
     GuardTable, ResolvedConfig,
 };
 use cmfuzz_coverage::CoverageProbe;
-use cmfuzz_fuzzer::state_codec::{StateReader, StateWriter};
 use cmfuzz_fuzzer::{StartError, Target, TargetResponse};
 
 use crate::common::{be16, Cov};
@@ -605,33 +604,6 @@ impl Target for Dtls {
         self.phase = Phase::AwaitHello;
         self.cookie_verified = false;
         self.handshake_bytes = 0;
-    }
-
-    fn export_state(&mut self) -> Vec<u8> {
-        let mut w = StateWriter::new();
-        w.u8(match self.phase {
-            Phase::AwaitHello => 0,
-            Phase::AwaitKeyExchange => 1,
-            Phase::AwaitFinished => 2,
-            Phase::Established => 3,
-        });
-        w.bool(self.cookie_verified);
-        w.i64(self.handshake_bytes);
-        w.finish()
-    }
-
-    fn import_state(&mut self, state: &[u8]) {
-        let mut r = StateReader::new(state);
-        self.phase = match r.u8() {
-            0 => Phase::AwaitHello,
-            1 => Phase::AwaitKeyExchange,
-            2 => Phase::AwaitFinished,
-            3 => Phase::Established,
-            other => panic!("malformed state: DTLS phase {other}"),
-        };
-        self.cookie_verified = r.bool();
-        self.handshake_bytes = r.i64();
-        r.finish();
     }
 
     fn handle(&mut self, input: &[u8]) -> TargetResponse {

@@ -13,7 +13,6 @@ use cmfuzz_config_model::{
     GuardTable, ResolvedConfig,
 };
 use cmfuzz_coverage::CoverageProbe;
-use cmfuzz_fuzzer::state_codec::{StateReader, StateWriter};
 use cmfuzz_fuzzer::{Fault, FaultKind, StartError, Target, TargetResponse};
 
 use crate::common::{be16, Cov};
@@ -921,29 +920,6 @@ impl Target for Mqtt {
     fn begin_session(&mut self) {
         self.connected = false;
         self.inflight.clear();
-    }
-
-    fn export_state(&mut self) -> Vec<u8> {
-        // `cov` and `config` are re-established by `start`; everything else
-        // mutable is session/lifetime state and must cross the checkpoint.
-        let mut w = StateWriter::new();
-        w.bool(self.connected);
-        w.usize(self.inflight.len());
-        for &id in &self.inflight {
-            w.u16(id);
-        }
-        w.usize(self.retained);
-        w.u64(self.total_packets);
-        w.finish()
-    }
-
-    fn import_state(&mut self, state: &[u8]) {
-        let mut r = StateReader::new(state);
-        self.connected = r.bool();
-        self.inflight = (0..r.usize()).map(|_| r.u16()).collect();
-        self.retained = r.usize();
-        self.total_packets = r.u64();
-        r.finish();
     }
 
     fn handle(&mut self, input: &[u8]) -> TargetResponse {

@@ -191,38 +191,21 @@ impl<T: Target, L: Transport> Target for NetworkedTarget<T, L> {
             index += 1;
         });
     }
-
-    fn export_state(&mut self) -> Vec<u8> {
-        // Length-prefixed inner bytes, then the link's; either side may be
-        // destructive, so the exporting instance is done afterwards.
-        let mut w = cmfuzz_fuzzer::state_codec::StateWriter::new();
-        w.bytes(&self.inner.export_state());
-        w.bytes(&self.link.export_state());
-        w.finish()
-    }
-
-    fn import_state(&mut self, state: &[u8]) {
-        // Called after `start`, so both the server and the link are up;
-        // importing overlays the checkpointed session state on top.
-        let mut r = cmfuzz_fuzzer::state_codec::StateReader::new(state);
-        let inner = r.bytes().to_vec();
-        let link = r.bytes().to_vec();
-        r.finish();
-        self.inner.import_state(&inner);
-        self.link.import_state(&link);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fmt;
+
     use crate::transport::{DirectLink, SERVER_ADDR};
-    use crate::{all_specs, ProtocolSpec, ProtocolTarget};
+    use crate::{all_specs, spec_by_name, Amqp, Coap, Dds, Dns, Dtls, Mqtt, ProtocolSpec};
     use cmfuzz_coverage::CoverageMap;
     use cmfuzz_fuzzer::{pit, EngineConfig, Fault, FaultKind, FuzzEngine};
     use cmfuzz_netsim::Addr;
 
     /// Echo target used to test the wrapper plumbing.
+    #[derive(Debug)]
     struct Echo {
         crash_on: Option<u8>,
         fail_next_start: bool,
@@ -376,12 +359,12 @@ mod tests {
         // On a lossy link the batch path must fall back to exact
         // per-message handling: same impairment RNG draws, so the same
         // datagrams survive and the link ends in the same state. The
-        // exported state captures the RNG position, held datagram, and
-        // both queues, so byte-equality here is full state-equality.
-        let final_state = |batched: bool| -> Vec<u8> {
+        // target's `Debug` shows the RNG position, the held datagram and
+        // both queues, so equal renders are full state equality.
+        let final_state = |batched: bool| -> String {
             let mut t = NetworkedTarget::with_conditions(
                 Echo::new(None),
-                "ns",
+                if batched { "batched" } else { "per-message" },
                 LinkConditions::new(0.3, 0.1, 0.1),
                 9,
             );
@@ -398,7 +381,7 @@ mod tests {
                     let _ = t.handle(&arena[start as usize..(start + len) as usize]);
                 }
             }
-            t.export_state()
+            format!("{t:?}")
         };
         assert_eq!(
             final_state(true),
@@ -409,10 +392,16 @@ mod tests {
 
     /// A [`NetworkedTarget`] that keeps [`Target::handle_batch`]'s default:
     /// one [`Target::handle`] call per message, the reference the lossless
-    /// burst must match.
-    struct PerMessage(NetworkedTarget<ProtocolTarget>);
+    /// burst must match. Its `Debug` is the wrapped target's.
+    struct PerMessage<T: Target>(NetworkedTarget<T>);
 
-    impl Target for PerMessage {
+    impl<T: Target + fmt::Debug> fmt::Debug for PerMessage<T> {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            self.0.fmt(f)
+        }
+    }
+
+    impl<T: Target> Target for PerMessage<T> {
         fn name(&self) -> &str {
             self.0.name()
         }
@@ -434,12 +423,6 @@ mod tests {
         }
         fn handle(&mut self, input: &[u8]) -> TargetResponse {
             self.0.handle(input)
-        }
-        fn export_state(&mut self) -> Vec<u8> {
-            self.0.export_state()
-        }
-        fn import_state(&mut self, state: &[u8]) {
-            self.0.import_state(state);
         }
     }
 
@@ -476,44 +459,71 @@ mod tests {
         )
     }
 
-    /// The counts must agree, and so must the full engine state, target
-    /// and link included.
-    fn assert_same_run<A: Target, B: Target>(
+    /// The counts must agree, and so must the full live engine state,
+    /// server and link included.
+    fn assert_same_run<A: Target + fmt::Debug, B: Target + fmt::Debug>(
         context: &str,
-        mut a: FuzzEngine<A>,
-        mut b: FuzzEngine<B>,
+        a: &FuzzEngine<A>,
+        b: &FuzzEngine<B>,
     ) {
-        assert_eq!(counts(&a), counts(&b), "{context}: counts");
+        assert_eq!(counts(a), counts(b), "{context}: counts");
         assert_eq!(
-            format!("{:?}", a.checkpoint()),
-            format!("{:?}", b.checkpoint()),
+            format!("{a:?}"),
+            format!("{b:?}"),
             "{context}: engine state"
         );
     }
 
+    /// The subject named `name`, checked to be built as an `S`: engines
+    /// over the concrete server type can render its state, a boxed
+    /// `ProtocolTarget` cannot.
+    fn subject<S: Target + Default>(name: &str) -> ProtocolSpec {
+        let spec = spec_by_name(name).expect("subject exists");
+        assert_eq!((spec.build)().name(), S::default().name());
+        spec
+    }
+
+    /// On a perfect link the batch path sends each session as one burst
+    /// and skips the reply round trip; the subject must see exactly what
+    /// per-message `handle` calls deliver.
+    fn lossless_paths_agree<S: Target + Default + fmt::Debug>(name: &str) {
+        let spec = subject::<S>(name);
+        let reference = subject_engine(
+            &spec,
+            PerMessage(NetworkedTarget::new(S::default(), "per-message")),
+            64,
+        );
+        let burst = subject_engine(&spec, NetworkedTarget::new(S::default(), "burst"), 64);
+        assert_same_run(name, &reference, &burst);
+    }
+
+    fn batch_sizes_agree<S: Target + Default + fmt::Debug>(name: &str) {
+        let spec = subject::<S>(name);
+        let one = subject_engine(&spec, NetworkedTarget::new(S::default(), "batch-1"), 1);
+        let many = subject_engine(&spec, NetworkedTarget::new(S::default(), "batch-64"), 64);
+        assert_same_run(name, &one, &many);
+    }
+
     #[test]
     fn lossless_batch_matches_per_message_handling() {
-        // On a perfect link the batch path sends each session as one burst
-        // and skips the reply round trip; every subject must see exactly
-        // what per-message `handle` calls deliver.
-        for spec in all_specs() {
-            let reference = subject_engine(
-                &spec,
-                PerMessage(NetworkedTarget::new((spec.build)(), "per-message")),
-                64,
-            );
-            let burst = subject_engine(&spec, NetworkedTarget::new((spec.build)(), "burst"), 64);
-            assert_same_run(spec.name, reference, burst);
-        }
+        assert_eq!(all_specs().len(), 6, "every subject is checked below");
+        lossless_paths_agree::<Mqtt>("mosquitto");
+        lossless_paths_agree::<Coap>("libcoap");
+        lossless_paths_agree::<Dds>("cyclonedds");
+        lossless_paths_agree::<Dtls>("openssl");
+        lossless_paths_agree::<Amqp>("qpid");
+        lossless_paths_agree::<Dns>("dnsmasq");
     }
 
     #[test]
     fn batch_size_is_invisible_over_a_lossless_link() {
-        for spec in all_specs() {
-            let one = subject_engine(&spec, NetworkedTarget::new((spec.build)(), "batch-1"), 1);
-            let many = subject_engine(&spec, NetworkedTarget::new((spec.build)(), "batch-64"), 64);
-            assert_same_run(spec.name, one, many);
-        }
+        assert_eq!(all_specs().len(), 6, "every subject is checked below");
+        batch_sizes_agree::<Mqtt>("mosquitto");
+        batch_sizes_agree::<Coap>("libcoap");
+        batch_sizes_agree::<Dds>("cyclonedds");
+        batch_sizes_agree::<Dtls>("openssl");
+        batch_sizes_agree::<Amqp>("qpid");
+        batch_sizes_agree::<Dns>("dnsmasq");
     }
 
     #[test]

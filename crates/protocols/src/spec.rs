@@ -506,7 +506,7 @@ mod tests {
     use super::*;
     use cmfuzz_config_model::{extract_model, ResolvedConfig};
     use cmfuzz_coverage::CoverageMap;
-    use cmfuzz_fuzzer::{pit, TargetResponse};
+    use cmfuzz_fuzzer::pit;
 
     #[test]
     fn all_six_subjects_present() {
@@ -716,61 +716,6 @@ mod tests {
                     row.region()
                 );
             }
-        }
-    }
-
-    /// Deterministic pseudo-random probe message for the state round-trip
-    /// test below.
-    fn probe_msg(i: usize) -> Vec<u8> {
-        let mut bytes = vec![0u8; 16];
-        let mut x = (i as u64).wrapping_mul(0x9E37_79B9).wrapping_add(1);
-        for b in &mut bytes {
-            x = x
-                .wrapping_mul(6_364_136_223_846_793_005)
-                .wrapping_add(1_442_695_040_888_963_407);
-            *b = (x >> 33) as u8;
-        }
-        bytes
-    }
-
-    /// The `export_state`/`import_state` contract, per subject: a fresh
-    /// instance that starts and imports must answer future traffic exactly
-    /// like the uninterrupted original.
-    #[test]
-    fn exported_state_reproduces_future_behaviour() {
-        const BEFORE: usize = 24;
-        const AFTER: usize = 24;
-        for spec in crate::all_specs() {
-            let start = |target: &mut ProtocolTarget| {
-                let map = CoverageMap::new(target.branch_count());
-                target.start(&ResolvedConfig::new(), map.probe()).unwrap();
-                map
-            };
-            let mut reference = (spec.build)();
-            let _ref_map = start(&mut reference);
-            reference.begin_session();
-            let mut expected = Vec::new();
-            for i in 0..BEFORE + AFTER {
-                let response = reference.handle(&probe_msg(i));
-                if i >= BEFORE {
-                    expected.push(response);
-                }
-            }
-
-            let mut exporter = (spec.build)();
-            let _exp_map = start(&mut exporter);
-            exporter.begin_session();
-            for i in 0..BEFORE {
-                exporter.handle(&probe_msg(i));
-            }
-            let state = exporter.export_state();
-            let mut resumed = (spec.build)();
-            let _res_map = start(&mut resumed);
-            resumed.import_state(&state);
-            let continued: Vec<TargetResponse> = (BEFORE..BEFORE + AFTER)
-                .map(|i| resumed.handle(&probe_msg(i)))
-                .collect();
-            assert_eq!(continued, expected, "{} state round-trip", spec.name);
         }
     }
 

@@ -12,7 +12,6 @@
 use std::collections::VecDeque;
 use std::fmt;
 
-use cmfuzz_fuzzer::state_codec::{StateReader, StateWriter};
 use cmfuzz_fuzzer::StartError;
 use cmfuzz_netsim::{Addr, Datagram, DatagramSocket, LinkConditions, Network};
 
@@ -126,23 +125,16 @@ pub trait Transport: fmt::Debug + Send {
         }
     }
 
-    /// Exports the link's mutable state (impairment RNG position,
-    /// held-back and in-flight datagrams) as opaque bytes for
-    /// checkpointing. May be destructive — draining receive queues is
-    /// allowed — so callers discard the link afterwards.
-    ///
-    /// The contract with [`Transport::import_state`] mirrors
-    /// [`Target::export_state`](cmfuzz_fuzzer::Target::export_state): a
-    /// freshly [`open`](Transport::open)ed link of the same kind that
-    /// imports these bytes behaves identically to the exporting link.
-    /// The default covers stateless links: nothing to export.
+    /// Unused: nothing exports link state any more, because a paused
+    /// campaign keeps its links live. Kept only because the repository
+    /// benchmark's timing wrapper overrides it; owed for deletion with
+    /// the next benchmark change.
     fn export_state(&mut self) -> Vec<u8> {
         Vec::new()
     }
 
-    /// Restores state captured by [`Transport::export_state`] into a
-    /// freshly opened link of the same kind. The default ignores the
-    /// bytes, matching the default `export_state`.
+    /// Unused, like [`Transport::export_state`], and owed for deletion
+    /// with it.
     fn import_state(&mut self, state: &[u8]) {
         let _ = state;
     }
@@ -234,52 +226,6 @@ impl Transport for DirectLink {
     fn client_recv(&mut self) -> Option<Vec<u8>> {
         self.to_client.pop_front()
     }
-
-    fn export_state(&mut self) -> Vec<u8> {
-        let mut w = StateWriter::new();
-        w.bool(self.open);
-        w.usize(self.to_server.len());
-        for payload in &self.to_server {
-            w.bytes(payload);
-        }
-        w.usize(self.to_client.len());
-        for payload in &self.to_client {
-            w.bytes(payload);
-        }
-        w.finish()
-    }
-
-    fn import_state(&mut self, state: &[u8]) {
-        let mut r = StateReader::new(state);
-        self.open = r.bool();
-        self.to_server.clear();
-        for _ in 0..r.usize() {
-            self.to_server.push_back(r.bytes().to_vec());
-        }
-        self.to_client.clear();
-        for _ in 0..r.usize() {
-            self.to_client.push_back(r.bytes().to_vec());
-        }
-        r.finish();
-    }
-}
-
-fn write_datagram(w: &mut StateWriter, datagram: &Datagram) {
-    w.u32(datagram.src.host());
-    w.u16(datagram.src.port());
-    w.u32(datagram.dst.host());
-    w.u16(datagram.dst.port());
-    w.bytes(&datagram.payload);
-}
-
-fn read_datagram(r: &mut StateReader<'_>) -> Datagram {
-    let src = Addr::new(r.u32(), r.u16());
-    let dst = Addr::new(r.u32(), r.u16());
-    Datagram {
-        src,
-        dst,
-        payload: r.bytes().to_vec(),
-    }
 }
 
 /// Well-known server address inside each instance namespace.
@@ -312,7 +258,6 @@ pub(crate) const CLIENT_ADDR: Addr = Addr::new(2, 40000);
 /// // ...the datagram arrives, or the seeded loss model ate it.
 /// # Ok::<(), cmfuzz_fuzzer::StartError>(())
 /// ```
-#[derive(Debug)]
 pub struct DatagramLink {
     network: Network,
     server: Option<DatagramSocket>,
@@ -330,6 +275,18 @@ pub struct DatagramLink {
     rx: Vec<u8>,
     /// The server's answer to the current round trip.
     reply: Vec<u8>,
+}
+
+/// Renders the namespace's traffic state and whether the link is open;
+/// the scratch buffers are left out.
+impl fmt::Debug for DatagramLink {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("DatagramLink")
+            .field("network", &self.network)
+            .field("open", &self.is_open())
+            .field("lossless", &self.lossless)
+            .finish_non_exhaustive()
+    }
 }
 
 impl DatagramLink {
@@ -472,53 +429,6 @@ impl Transport for DatagramLink {
             }
         }
     }
-
-    fn export_state(&mut self) -> Vec<u8> {
-        let mut w = StateWriter::new();
-        w.bool(self.is_open());
-        let (rng, held) = self.network.export_link_state();
-        for word in rng {
-            w.u64(word);
-        }
-        w.option(held.as_ref(), write_datagram);
-        // Drain both receive queues (destructive: these sockets are done).
-        // Queued datagrams are already past the impairment model, so on
-        // import they re-enter via `Network::inject`, not `send_to` —
-        // keeping the restored RNG stream aligned with the original run.
-        for socket in [&self.server, &self.client] {
-            let mut drained = Vec::new();
-            if let Some(socket) = socket {
-                while let Some(datagram) = socket.try_recv() {
-                    drained.push(datagram);
-                }
-            }
-            w.usize(drained.len());
-            for datagram in &drained {
-                write_datagram(&mut w, datagram);
-            }
-        }
-        w.finish()
-    }
-
-    fn import_state(&mut self, state: &[u8]) {
-        let mut r = StateReader::new(state);
-        let was_open = r.bool();
-        let rng = [r.u64(), r.u64(), r.u64(), r.u64()];
-        let held = r.option(read_datagram);
-        self.network.restore_link_state(rng, held);
-        for _ in 0..2 {
-            for _ in 0..r.usize() {
-                // Best-effort like delivery itself: if the exporting link
-                // was open this link is open too (the boot sequence opens
-                // before importing), so injection cannot miss its socket.
-                let _ = self.network.inject(read_datagram(&mut r));
-            }
-        }
-        r.finish();
-        if !was_open {
-            self.close();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -601,62 +511,6 @@ mod tests {
     }
 
     #[test]
-    fn direct_link_state_round_trips() {
-        let mut link = DirectLink::new();
-        link.open().unwrap();
-        assert!(link.client_send(b"a"));
-        assert!(link.client_send(b"b"));
-        assert!(link.server_send(b"r"));
-        let state = link.export_state();
-
-        let mut restored = DirectLink::new();
-        restored.open().unwrap();
-        restored.import_state(&state);
-        assert!(restored.is_open());
-        assert_eq!(restored.server_recv().as_deref(), Some(&b"a"[..]));
-        assert_eq!(restored.server_recv().as_deref(), Some(&b"b"[..]));
-        assert!(restored.server_recv().is_none());
-        assert_eq!(restored.client_recv().as_deref(), Some(&b"r"[..]));
-    }
-
-    #[test]
-    fn impaired_datagram_link_checkpoint_resumes_identically() {
-        let conditions = LinkConditions::new(0.2, 0.3, 0.3);
-        let drive = |link: &mut DatagramLink, from: u8, to: u8| -> Vec<u8> {
-            let mut got = Vec::new();
-            for n in from..to {
-                assert!(link.client_send(&[n]));
-                while let Some(d) = link.server_recv() {
-                    got.push(d[0]);
-                }
-            }
-            got
-        };
-
-        // Uninterrupted reference.
-        let mut reference = DatagramLink::with_conditions("ref", conditions, 42);
-        reference.open().unwrap();
-        let mut expected = drive(&mut reference, 0, 12);
-        // Leave some traffic undrained across the checkpoint boundary.
-        assert!(reference.client_send(&[99]));
-        expected.extend(drive(&mut reference, 12, 24));
-
-        // Same sequence, checkpointed right after the undrained send.
-        let mut first = DatagramLink::with_conditions("first", conditions, 42);
-        first.open().unwrap();
-        let mut observed = drive(&mut first, 0, 12);
-        assert!(first.client_send(&[99]));
-        let state = first.export_state();
-        drop(first);
-
-        let mut resumed = DatagramLink::with_conditions("resumed", conditions, 0);
-        resumed.open().unwrap();
-        resumed.import_state(&state);
-        observed.extend(drive(&mut resumed, 12, 24));
-        assert_eq!(observed, expected);
-    }
-
-    #[test]
     fn losslessness_reflects_link_conditions() {
         assert!(DirectLink::new().is_lossless());
         assert!(DatagramLink::new("t").is_lossless());
@@ -718,18 +572,16 @@ mod tests {
         fn client_recv(&mut self) -> Option<Vec<u8>> {
             self.0.client_recv()
         }
-        fn export_state(&mut self) -> Vec<u8> {
-            self.0.export_state()
-        }
     }
 
     #[test]
     fn round_trips_burst_matches_the_per_message_default() {
         // The one-lock burst must serve the same requests, at the same
-        // indices, and leave the same link state as the default sequence.
+        // indices, and leave the same link state (impairment RNG, held
+        // datagram, both queues) as the default sequence.
         let arena: Vec<u8> = (0u8..96).collect();
         let ranges: Vec<(u32, u32)> = (0..24).map(|i| (i * 4, 4)).collect();
-        let run = |link: &mut dyn Transport| {
+        let run = |link: &mut dyn Transport, network: &Network| {
             link.open().unwrap();
             let mut served = Vec::new();
             for _ in 0..8 {
@@ -742,13 +594,15 @@ mod tests {
                     }
                 });
             }
-            (served, link.export_state())
+            (served, format!("{network:?}"))
         };
         let conditions = LinkConditions::new(0.2, 0.3, 0.3);
-        let burst = run(&mut DatagramLink::with_conditions("t", conditions, 42));
-        let default = run(&mut PerMessage(DatagramLink::with_conditions(
-            "t", conditions, 42,
-        )));
+        let mut link = DatagramLink::with_conditions("burst", conditions, 42);
+        let network = link.network().clone();
+        let burst = run(&mut link, &network);
+        let mut link = PerMessage(DatagramLink::with_conditions("default", conditions, 42));
+        let network = link.0.network().clone();
+        let default = run(&mut link, &network);
         assert!(!burst.0.is_empty());
         assert_eq!(burst, default);
     }

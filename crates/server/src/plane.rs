@@ -429,7 +429,7 @@ mod tests {
         for outcome in &offline.campaigns {
             assert_eq!(
                 plane.result_digest(&outcome.id).expect("served digest"),
-                result_digest(&outcome.result()),
+                result_digest(outcome.result()),
                 "{} drifted between served and offline execution",
                 outcome.id
             );
@@ -472,7 +472,7 @@ mod tests {
             &options.fleet,
         )
         .expect("offline fleet");
-        assert_eq!(digest, result_digest(&offline.campaigns[0].result()));
+        assert_eq!(digest, result_digest(offline.campaigns[0].result()));
         plane.shutdown();
     }
 

@@ -411,7 +411,7 @@ pub fn run_soak(options: &SoakOptions) -> Result<SoakReport, String> {
             .ok()
             .and_then(|v| v.get("digest").and_then(|d| d.as_str().map(str::to_owned)))
             .ok_or_else(|| format!("malformed result response: {line}"))?;
-        if served == result_digest(&outcome.result()) {
+        if served == result_digest(outcome.result()) {
             digest_matches += 1;
         }
     }

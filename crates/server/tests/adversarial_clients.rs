@@ -130,7 +130,7 @@ fn assert_offline_digests(client: &mut BlockingClient) {
         let value = parse_json(&line).expect("result is JSON");
         assert_eq!(
             value.get("digest").and_then(JsonValue::as_str),
-            Some(result_digest(&outcome.result()).as_str()),
+            Some(result_digest(outcome.result()).as_str()),
             "{} drifted beside misbehaving clients",
             outcome.id
         );

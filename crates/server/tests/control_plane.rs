@@ -159,7 +159,7 @@ fn served_submission_matches_offline_digests_bit_for_bit() {
         let value = assert_ok(&response);
         assert_eq!(
             value.get("digest").and_then(JsonValue::as_str),
-            Some(result_digest(&outcome.result()).as_str()),
+            Some(result_digest(outcome.result()).as_str()),
             "{} drifted between served and offline execution",
             outcome.id
         );

@@ -27,18 +27,11 @@ impl SeedableRng for StdRng {
 }
 
 impl StdRng {
-    /// The raw xoshiro256++ state, for checkpointing. Feeding it back
-    /// through [`StdRng::from_state`] resumes the stream exactly where
-    /// this generator left off.
+    /// The raw xoshiro256++ state: two generators with equal states
+    /// produce the same stream from here on.
     #[must_use]
     pub fn state(&self) -> [u64; 4] {
         self.s
-    }
-
-    /// Rebuilds a generator from a state captured by [`StdRng::state`].
-    #[must_use]
-    pub fn from_state(s: [u64; 4]) -> Self {
-        StdRng { s }
     }
 }
 

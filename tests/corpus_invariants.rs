@@ -1,10 +1,10 @@
 //! Property-style corpus invariants: any interleaving of adds (fresh,
-//! exact-duplicate, near-duplicate), capacity evictions and
-//! checkpoint/restore replays keeps the corpus's secondary indexes
-//! (`by_model`, the hash index, the LSH bands, the sequence numbering)
-//! consistent with the seed deque — under every combination of
-//! [`CorpusConfig`] flags — and a restored corpus picks identically to
-//! the original.
+//! exact-duplicate, near-duplicate), capacity evictions and rebuilds
+//! (the retained seeds replayed in order into a fresh corpus) keeps the
+//! corpus's secondary indexes (`by_model`, the hash index, the LSH bands,
+//! the sequence numbering) consistent with the seed deque — under every
+//! combination of [`CorpusConfig`] flags — and a rebuilt corpus picks
+//! identically to the original, so the indexes depend on the deque alone.
 
 use cmfuzz_fuzzer::{Corpus, CorpusConfig, ModelId, Seed};
 use rand::rngs::StdRng;
@@ -73,8 +73,8 @@ fn next_seed(lcg: &mut Lcg, history: &[Seed]) -> Seed {
     }
 }
 
-/// Checkpoint the corpus as its retained seeds, oldest first, and replay
-/// them into a fresh corpus, exactly as an engine restore does.
+/// Rebuilds the corpus from its retained seeds, oldest first, replayed
+/// into a fresh corpus.
 fn checkpoint_restore(corpus: &Corpus) -> Corpus {
     let checkpoint: Vec<Seed> = corpus.iter().cloned().collect();
     let mut restored = Corpus::with_config(CAPACITY, corpus.config());

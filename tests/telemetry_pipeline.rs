@@ -2,7 +2,7 @@
 //! the telemetry pipeline must tell the same story as the
 //! [`CampaignResult`] it returns.
 
-use cmfuzz::baseline::run_cmfuzz_with;
+use cmfuzz::baseline::try_run_cmfuzz_with;
 use cmfuzz::campaign::CampaignOptions;
 use cmfuzz::schedule::ScheduleOptions;
 use cmfuzz_coverage::{Ticks, VirtualClock};
@@ -27,12 +27,13 @@ fn campaign_events_agree_with_campaign_result() {
         .sink(Box::new(ring.clone()))
         .build();
 
-    let result = run_cmfuzz_with(
+    let result = try_run_cmfuzz_with(
         &spec,
         &ScheduleOptions::default(),
         &quick_options(),
         &telemetry,
-    );
+    )
+    .expect("campaign runs");
     telemetry.flush();
 
     assert_eq!(
