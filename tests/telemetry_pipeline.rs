@@ -2,11 +2,13 @@
 //! the telemetry pipeline must tell the same story as the
 //! [`CampaignResult`] it returns.
 
-use cmfuzz::baseline::try_run_cmfuzz_with;
+use cmfuzz::baseline::{cmfuzz_setups, try_run_cmfuzz_with};
 use cmfuzz::campaign::CampaignOptions;
-use cmfuzz::schedule::ScheduleOptions;
+use cmfuzz::schedule::{build_schedule, ScheduleOptions};
 use cmfuzz_coverage::{Ticks, VirtualClock};
-use cmfuzz_telemetry::{json, Event, RingBufferSink, Telemetry};
+use cmfuzz_fleet::{run_fleet_with_telemetry, CoverageGradient, FleetCampaign, FleetOptions};
+use cmfuzz_fuzzer::EngineConfig;
+use cmfuzz_telemetry::{json, Event, MetricsSnapshot, RingBufferSink, Telemetry};
 
 fn quick_options() -> CampaignOptions {
     CampaignOptions {
@@ -112,4 +114,113 @@ fn campaign_events_agree_with_campaign_result() {
     // Sequence numbers are gap-free in emission order.
     let seqs: Vec<u64> = ring.records().iter().map(|r| r.seq).collect();
     assert_eq!(seqs, (0..seqs.len() as u64).collect::<Vec<_>>());
+}
+
+/// FNV-1a over an end-of-run metrics snapshot: every counter's name and
+/// value, then each histogram's name, bounds, bucket counts, count and
+/// sum. Gauges are left out: they hold last-write state, not totals.
+fn metrics_digest(snapshot: &MetricsSnapshot) -> u64 {
+    let mut text = String::new();
+    for (name, value) in &snapshot.counters {
+        text += &format!("{name}={value};");
+    }
+    for (name, h) in &snapshot.histograms {
+        text += &format!(
+            "{name}:{:?}:{:?}:{}:{};",
+            h.bounds, h.counts, h.count, h.sum
+        );
+    }
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+#[test]
+fn campaign_metrics_match_their_pinned_digest() {
+    // Two instances syncing seeds every second round: engine, corpus and
+    // seed-sync counters, plus both engine histograms, all move.
+    let spec = cmfuzz_protocols::spec_by_name("mosquitto").expect("subject");
+    let telemetry = Telemetry::builder(VirtualClock::new()).build();
+    let options = CampaignOptions {
+        instances: 2,
+        seed_sync_every_rounds: Some(2),
+        ..quick_options()
+    };
+    let result = try_run_cmfuzz_with(&spec, &ScheduleOptions::default(), &options, &telemetry)
+        .expect("campaign runs");
+    let snapshot = telemetry.metrics_snapshot();
+    assert!(snapshot.counter("corpus.shared_in") > Some(0));
+    assert_eq!(
+        snapshot.counter("engine.sessions"),
+        Some(result.stats.sessions)
+    );
+    assert_eq!(
+        metrics_digest(&snapshot),
+        0xedc5_3f6a_07fe_da33,
+        "campaign metrics drifted from their pinned digest"
+    );
+}
+
+#[test]
+fn sharing_fleet_metrics_match_their_pinned_digest() {
+    // Three partitions of one subject in one share group, sliced at 100
+    // ticks: shared seeds are queued between slices. Budgets differ, so
+    // campaigns finish at different waves and keep receiving seeds they
+    // never settle; a small corpus evicts, so donations are accepted
+    // again after their first import.
+    let spec = cmfuzz_protocols::spec_by_name("mosquitto").expect("subject");
+    let mut scratch = (spec.build)();
+    let schedule = build_schedule(&mut scratch, 3, &ScheduleOptions::default());
+    let fleet: Vec<FleetCampaign> = cmfuzz_setups(&schedule, 3)
+        .into_iter()
+        .enumerate()
+        .map(|(part, setup)| FleetCampaign {
+            id: format!("mosquitto/part-{part}"),
+            spec,
+            fuzzer: "cmfuzz".into(),
+            setups: vec![setup],
+            options: CampaignOptions {
+                instances: 1,
+                budget: Ticks::new(600 + 400 * part as u64),
+                seed: 0x5EED_0200 + part as u64,
+                engine: EngineConfig {
+                    corpus_capacity: 24,
+                    ..EngineConfig::default()
+                },
+                ..quick_options()
+            },
+            share_group: Some("mosquitto".to_owned()),
+        })
+        .collect();
+    let telemetry = Telemetry::builder(VirtualClock::new()).build();
+    let result = run_fleet_with_telemetry(
+        &fleet,
+        &mut CoverageGradient::new(),
+        &FleetOptions {
+            slots: 2,
+            slice: Ticks::new(100),
+            share_rare_seeds: 4,
+            ..FleetOptions::default()
+        },
+        &telemetry,
+    )
+    .expect("fleet runs");
+    assert!(result.all_complete());
+    assert!(result.seeds_shared > 0);
+    let snapshot = telemetry.metrics_snapshot();
+    assert_eq!(
+        snapshot.counter("corpus.shared_in"),
+        Some(
+            result
+                .campaigns
+                .iter()
+                .map(|c| c.result().stats.seeds_imported)
+                .sum()
+        )
+    );
+    assert_eq!(
+        metrics_digest(&snapshot),
+        0x519d_5f45_80fd_9876,
+        "fleet metrics drifted from their pinned digest"
+    );
 }
