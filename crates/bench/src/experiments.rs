@@ -1,7 +1,7 @@
 //! Experiment definitions: one function per table/figure.
 //!
 //! Every experiment is a grid of independent (subject, fuzzer, repetition)
-//! cells; the `*_with_jobs` variants run that grid on the
+//! cells; each experiment function runs that grid on the
 //! [`cmfuzz::exec`] cell pool while collecting results in deterministic
 //! cell order, so the rendered output is byte-identical for every worker
 //! count.
@@ -20,8 +20,6 @@ use cmfuzz_fuzzer::FaultKind;
 use cmfuzz_netsim::LinkConditions;
 use cmfuzz_protocols::{all_specs, ProtocolSpec};
 use cmfuzz_telemetry::Telemetry;
-
-use crate::cli::default_jobs;
 
 /// Experiment scale: budget, repetitions and instance count.
 ///
@@ -246,43 +244,14 @@ pub struct Table1Row {
 
 /// Regenerates Table I: mean branches per fuzzer over the repetitions,
 /// improvement percentages and speedups, one row per subject.
-#[must_use]
-pub fn table1(scale: &ExperimentScale) -> Vec<Table1Row> {
-    table1_with(scale, &Telemetry::disabled())
-}
-
-/// [`table1`] with an observability pipeline attached, run with the
-/// default worker count ([`default_jobs`]).
-#[must_use]
-pub fn table1_with(scale: &ExperimentScale, telemetry: &Telemetry) -> Vec<Table1Row> {
-    table1_with_jobs(scale, telemetry, default_jobs())
-}
-
-/// [`table1`] executed as a parallel cell grid on `jobs` workers; the
-/// returned rows are identical for every worker count.
 ///
-/// # Panics
-///
-/// Panics if any campaign in the grid fails; [`try_table1_with_jobs`]
-/// surfaces the failure instead.
-#[must_use]
-pub fn table1_with_jobs(
-    scale: &ExperimentScale,
-    telemetry: &Telemetry,
-    jobs: usize,
-) -> Vec<Table1Row> {
-    match try_table1_with_jobs(scale, telemetry, jobs) {
-        Ok(rows) => rows,
-        Err(error) => panic!("table1 failed: {error}"),
-    }
-}
-
-/// [`table1_with_jobs`] with campaign failures surfaced as a typed error.
+/// The grid runs on `jobs` workers; the returned rows are identical for
+/// every worker count, and events and metrics go to `telemetry`.
 ///
 /// # Errors
 ///
 /// The first [`CampaignError`] any grid cell hit, in cell order.
-pub fn try_table1_with_jobs(
+pub fn table1(
     scale: &ExperimentScale,
     telemetry: &Telemetry,
     jobs: usize,
@@ -332,43 +301,14 @@ pub struct Figure4Series {
 
 /// Regenerates Figure 4: per-subject mean coverage curves for the three
 /// fuzzers over the full budget.
-#[must_use]
-pub fn figure4(scale: &ExperimentScale) -> Vec<Figure4Series> {
-    figure4_with(scale, &Telemetry::disabled())
-}
-
-/// [`figure4`] with an observability pipeline attached, run with the
-/// default worker count ([`default_jobs`]).
-#[must_use]
-pub fn figure4_with(scale: &ExperimentScale, telemetry: &Telemetry) -> Vec<Figure4Series> {
-    figure4_with_jobs(scale, telemetry, default_jobs())
-}
-
-/// [`figure4`] executed as a parallel cell grid on `jobs` workers; the
-/// returned series are identical for every worker count.
 ///
-/// # Panics
-///
-/// Panics if any campaign in the grid fails; [`try_figure4_with_jobs`]
-/// surfaces the failure instead.
-#[must_use]
-pub fn figure4_with_jobs(
-    scale: &ExperimentScale,
-    telemetry: &Telemetry,
-    jobs: usize,
-) -> Vec<Figure4Series> {
-    match try_figure4_with_jobs(scale, telemetry, jobs) {
-        Ok(series) => series,
-        Err(error) => panic!("figure4 failed: {error}"),
-    }
-}
-
-/// [`figure4_with_jobs`] with campaign failures surfaced as a typed error.
+/// The grid runs on `jobs` workers; the returned series are identical for
+/// every worker count, and events and metrics go to `telemetry`.
 ///
 /// # Errors
 ///
 /// The first [`CampaignError`] any grid cell hit, in cell order.
-pub fn try_figure4_with_jobs(
+pub fn figure4(
     scale: &ExperimentScale,
     telemetry: &Telemetry,
     jobs: usize,
@@ -405,43 +345,14 @@ pub struct Table2Row {
 
 /// Regenerates Table II: runs all three fuzzers on every subject and
 /// reports the union of unique faults with which fuzzer(s) found each.
-#[must_use]
-pub fn table2(scale: &ExperimentScale) -> Vec<Table2Row> {
-    table2_with(scale, &Telemetry::disabled())
-}
-
-/// [`table2`] with an observability pipeline attached, run with the
-/// default worker count ([`default_jobs`]).
-#[must_use]
-pub fn table2_with(scale: &ExperimentScale, telemetry: &Telemetry) -> Vec<Table2Row> {
-    table2_with_jobs(scale, telemetry, default_jobs())
-}
-
-/// [`table2`] executed as a parallel cell grid on `jobs` workers; the
-/// returned rows are identical for every worker count.
 ///
-/// # Panics
-///
-/// Panics if any campaign in the grid fails; [`try_table2_with_jobs`]
-/// surfaces the failure instead.
-#[must_use]
-pub fn table2_with_jobs(
-    scale: &ExperimentScale,
-    telemetry: &Telemetry,
-    jobs: usize,
-) -> Vec<Table2Row> {
-    match try_table2_with_jobs(scale, telemetry, jobs) {
-        Ok(rows) => rows,
-        Err(error) => panic!("table2 failed: {error}"),
-    }
-}
-
-/// [`table2_with_jobs`] with campaign failures surfaced as a typed error.
+/// The grid runs on `jobs` workers; the returned rows are identical for
+/// every worker count, and events and metrics go to `telemetry`.
 ///
 /// # Errors
 ///
 /// The first [`CampaignError`] any grid cell hit, in cell order.
-pub fn try_table2_with_jobs(
+pub fn table2(
     scale: &ExperimentScale,
     telemetry: &Telemetry,
     jobs: usize,
@@ -495,30 +406,6 @@ pub struct AblationRow {
     pub branches: f64,
 }
 
-/// Runs the design-choice ablations DESIGN.md calls out, on the two
-/// subjects where configuration effects are largest (Mosquitto) and where
-/// the case-study bug lives (libcoap):
-///
-/// * `cmfuzz` — the full system;
-/// * `weight-absolute` — the paper-literal absolute-coverage pair weight
-///   (demonstrates group-collapse);
-/// * `weight-mean` — mean instead of peak aggregation;
-/// * `findbest-linear` — un-squared `FindBest` numerator;
-/// * `grouping-random` — random grouping instead of relation-aware;
-/// * `no-adaptive` — relation-aware groups but no adaptive value mutation
-///   (approximated by CMFuzz with an empty saturation budget).
-#[must_use]
-pub fn ablation(scale: &ExperimentScale) -> Vec<AblationRow> {
-    ablation_with(scale, &Telemetry::disabled())
-}
-
-/// [`ablation`] with an observability pipeline attached, run with the
-/// default worker count ([`default_jobs`]).
-#[must_use]
-pub fn ablation_with(scale: &ExperimentScale, telemetry: &Telemetry) -> Vec<AblationRow> {
-    ablation_with_jobs(scale, telemetry, default_jobs())
-}
-
 /// The ablation variant list: label, schedule options, adaptive mutation.
 fn ablation_variants() -> Vec<(&'static str, ScheduleOptions, bool)> {
     vec![
@@ -567,32 +454,26 @@ fn ablation_variants() -> Vec<(&'static str, ScheduleOptions, bool)> {
     ]
 }
 
-/// [`ablation`] executed as a parallel cell grid on `jobs` workers; the
-/// returned rows are identical for every worker count.
+/// Runs the design-choice ablations DESIGN.md calls out, on the two
+/// subjects where configuration effects are largest (Mosquitto) and where
+/// the case-study bug lives (libcoap):
 ///
-/// # Panics
+/// * `cmfuzz` — the full system;
+/// * `weight-absolute` — the paper-literal absolute-coverage pair weight
+///   (demonstrates group-collapse);
+/// * `weight-mean` — mean instead of peak aggregation;
+/// * `findbest-linear` — un-squared `FindBest` numerator;
+/// * `grouping-random` — random grouping instead of relation-aware;
+/// * `no-adaptive` — relation-aware groups but no adaptive value mutation
+///   (approximated by CMFuzz with an empty saturation budget).
 ///
-/// Panics if any campaign in the grid fails; [`try_ablation_with_jobs`]
-/// surfaces the failure instead.
-#[must_use]
-pub fn ablation_with_jobs(
-    scale: &ExperimentScale,
-    telemetry: &Telemetry,
-    jobs: usize,
-) -> Vec<AblationRow> {
-    match try_ablation_with_jobs(scale, telemetry, jobs) {
-        Ok(rows) => rows,
-        Err(error) => panic!("ablation failed: {error}"),
-    }
-}
-
-/// [`ablation_with_jobs`] with campaign failures surfaced as a typed
-/// error.
+/// The grid runs on `jobs` workers; the returned rows are identical for
+/// every worker count, and events and metrics go to `telemetry`.
 ///
 /// # Errors
 ///
 /// The first [`CampaignError`] any grid cell hit, in cell order.
-pub fn try_ablation_with_jobs(
+pub fn ablation(
     scale: &ExperimentScale,
     telemetry: &Telemetry,
     jobs: usize,
@@ -681,7 +562,8 @@ mod tests {
         // Restrict to one subject for speed by reusing internals: full
         // figure4 covers all six, so just sanity-check lengths on a small
         // run.
-        let series = figure4(&scale);
+        let series =
+            figure4(&scale, &Telemetry::disabled(), crate::default_jobs()).expect("grid runs");
         assert_eq!(series.len(), 6);
         for s in &series {
             assert_eq!(s.cmfuzz.points().len(), 5, "{}", s.subject);

@@ -28,10 +28,8 @@ pub mod session;
 
 pub use cli::default_jobs;
 pub use experiments::{
-    ablation, ablation_with, ablation_with_jobs, figure4, figure4_with, figure4_with_jobs, table1,
-    table1_with, table1_with_jobs, table2, table2_with, table2_with_jobs, try_ablation_with_jobs,
-    try_figure4_with_jobs, try_table1_with_jobs, try_table2_with_jobs, AblationRow,
-    ExperimentScale, Figure4Series, Table1Row, Table2Row,
+    ablation, figure4, table1, table2, AblationRow, ExperimentScale, Figure4Series, Table1Row,
+    Table2Row,
 };
 pub use fleet::partition_fleet;
 pub use session::NullTarget;

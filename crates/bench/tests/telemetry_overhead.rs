@@ -1,62 +1,64 @@
-//! The telemetry tax: a fuzzing engine with live `engine.*` handles
-//! attached, against one running with the default detached (no-op
-//! registry) handles. The acceptance bar is 5%; this measurement prints
-//! both rates and asserts nothing. Run it in release:
+//! The telemetry tax: one campaign run with an enabled telemetry pipeline
+//! (events drained and engine counts published at every round boundary)
+//! against the same campaign with a disabled one. The acceptance bar is
+//! 5%; this measurement prints both rates and asserts nothing. Run it in
+//! release:
 //!
 //! ```sh
 //! cargo test --release -p cmfuzz-bench --test telemetry_overhead -- --ignored --nocapture
 //! ```
 
-use std::hint::black_box;
 use std::time::Instant;
 
-use cmfuzz_config_model::ResolvedConfig;
-use cmfuzz_coverage::VirtualClock;
-use cmfuzz_fuzzer::{pit, EngineConfig, FuzzEngine};
-use cmfuzz_protocols::{spec_by_name, NetworkedTarget, ProtocolTarget};
-use cmfuzz_telemetry::{EngineTelemetry, Telemetry};
+use cmfuzz::campaign::{try_run_campaign_with_telemetry, CampaignOptions, InstanceSetup};
+use cmfuzz_coverage::{Ticks, VirtualClock};
+use cmfuzz_protocols::spec_by_name;
+use cmfuzz_telemetry::Telemetry;
 
-/// Sessions per `run_batch` call (the campaign default), and the warm-up
-/// and measured batches: 2 000 and 50 000 sessions.
-const BATCH: usize = 16;
-const WARMUP: u32 = 125;
-const MEASURED: u32 = 3_125;
+/// Alternating runs per pipeline; the median rate is reported.
+const RUNS: usize = 5;
 
-fn engine(namespace: &str) -> FuzzEngine<NetworkedTarget<ProtocolTarget>> {
+/// Sessions per wall-clock second of one mosquitto campaign: 4 instances,
+/// 12 500 sessions each, on the calling thread.
+fn sessions_per_s(telemetry: &Telemetry) -> f64 {
     let spec = spec_by_name("mosquitto").expect("subject exists");
-    let parsed = pit::parse(spec.pit_document).expect("pit parses");
-    let target = NetworkedTarget::new((spec.build)(), namespace);
-    let mut engine = FuzzEngine::new(target, parsed, EngineConfig::default());
-    engine
-        .start(&ResolvedConfig::new())
-        .expect("boots under defaults");
-    engine
+    let options = CampaignOptions {
+        instances: 4,
+        budget: Ticks::new(12_500),
+        worker_pool: false,
+        ..CampaignOptions::default()
+    };
+    let started = Instant::now();
+    let result = try_run_campaign_with_telemetry(
+        &spec,
+        "peach",
+        &vec![InstanceSetup::default(); options.instances],
+        &options,
+        telemetry,
+    )
+    .expect("campaign runs");
+    result.stats.sessions as f64 / started.elapsed().as_secs_f64()
 }
 
-/// Mean wall-clock nanoseconds per session after a warmup.
-fn ns_per_session(engine: &mut FuzzEngine<NetworkedTarget<ProtocolTarget>>) -> f64 {
-    for _ in 0..WARMUP {
-        black_box(engine.run_batch(BATCH));
-    }
-    let started = Instant::now();
-    for _ in 0..MEASURED {
-        black_box(engine.run_batch(BATCH));
-    }
-    started.elapsed().as_nanos() as f64 / f64::from(MEASURED * BATCH as u32)
+fn median(mut rates: Vec<f64>) -> f64 {
+    rates.sort_by(f64::total_cmp);
+    rates[rates.len() / 2]
 }
 
 #[test]
 #[ignore = "wall-clock measurement; run in release with --ignored --nocapture"]
 fn telemetry_overhead() {
-    let disabled = ns_per_session(&mut engine("bench-telemetry-off"));
-
-    let telemetry = Telemetry::builder(VirtualClock::new()).build();
-    let mut enabled_engine = engine("bench-telemetry-on");
-    enabled_engine.attach_telemetry(EngineTelemetry::for_pipeline(&telemetry));
-    let enabled = ns_per_session(&mut enabled_engine);
-
+    let mut disabled = Vec::new();
+    let mut enabled = Vec::new();
+    for _ in 0..RUNS {
+        disabled.push(sessions_per_s(&Telemetry::disabled()));
+        enabled.push(sessions_per_s(
+            &Telemetry::builder(VirtualClock::new()).build(),
+        ));
+    }
+    let (disabled, enabled) = (median(disabled), median(enabled));
     println!(
-        "telemetry_overhead: disabled {disabled:.0} ns/session, enabled {enabled:.0} ns/session \
+        "telemetry_overhead: disabled {disabled:.0} sessions/s, enabled {enabled:.0} sessions/s \
          ({:+.2}%)",
         (enabled / disabled - 1.0) * 100.0
     );

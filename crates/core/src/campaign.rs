@@ -7,10 +7,12 @@ use std::sync::Arc;
 use cmfuzz_config_model::{ConfigValue, ConstraintSet, ResolvedConfig};
 use cmfuzz_coverage::{CoverageSnapshot, SaturationDetector, Ticks};
 use cmfuzz_fuzzer::pit::{self, PitDefinition};
-use cmfuzz_fuzzer::{EngineConfig, FaultLog, FuzzEngine, Seed, StartError};
+use cmfuzz_fuzzer::{
+    EngineConfig, EngineStats, FaultLog, FuzzEngine, Seed, StartError, SESSION_MESSAGES_BOUNDS,
+};
 use cmfuzz_netsim::LinkConditions;
 use cmfuzz_protocols::{NetworkedTarget, ProtocolSpec, ProtocolTarget};
-use cmfuzz_telemetry::{EngineTelemetry, Event, Telemetry};
+use cmfuzz_telemetry::{Event, HistogramSnapshot, Telemetry};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -121,18 +123,26 @@ struct Instance {
     /// Whether an `InstanceStalled` event was already emitted (non-adaptive
     /// instances only; adaptive ones mutate their way out instead).
     stalled: bool,
+    /// The engine statistics already in telemetry: [`publish_round`]
+    /// publishes what the engine counted since.
+    published: EngineStats,
 }
 
 impl Instance {
     /// Runs one round of `iterations` sessions in batches of `batch`.
     fn run_round(&mut self, iterations: u64, batch: u64) {
-        let mut remaining = iterations;
-        while remaining > 0 {
-            let n = remaining.min(batch) as usize;
-            self.engine.run_batch(n);
-            remaining -= n as u64;
+        for sessions in round_batches(iterations, batch) {
+            self.engine.run_batch(sessions as usize);
         }
     }
+}
+
+/// Session counts of one round's `run_batch` calls: full batches of
+/// `batch`, then the remainder.
+fn round_batches(iterations: u64, batch: u64) -> impl Iterator<Item = u64> {
+    (0..iterations)
+        .step_by(batch as usize)
+        .map(move |start| batch.min(iterations - start))
 }
 
 /// A campaign paused at a round boundary: the parked [`CampaignRun`]
@@ -328,6 +338,7 @@ impl CampaignRun {
                 saturation: SaturationDetector::new(options.saturation_window),
                 rng: StdRng::seed_from_u64(options.seed.wrapping_add(0xC0FF_EE00 + i as u64)),
                 stalled: false,
+                published: EngineStats::default(),
             });
         }
         telemetry.emit(Event::CampaignStarted {
@@ -413,8 +424,9 @@ impl CampaignRun {
     /// fuzzing), but the result is deterministic because instances share
     /// nothing within a round. The slice emits the campaign's
     /// events through `telemetry` (labelled with
-    /// [`CampaignOptions::campaign_id`]), mirrors engine counters into its
-    /// registry, and drains it at every round boundary. `control` is
+    /// [`CampaignOptions::campaign_id`]), publishes each round's engine
+    /// counts into its registry after the round's seed sync, and drains it
+    /// at every round boundary. `control` is
     /// checked at every round boundary (see [`CampaignControl`]).
     ///
     /// # Errors
@@ -430,12 +442,8 @@ impl CampaignRun {
         control: Option<&CampaignControl>,
     ) -> Result<SliceReport, CampaignError> {
         telemetry.set_campaign(self.options.campaign_id.as_deref());
-        // Each slice may report to a different telemetry scope, so the
-        // engines re-attach to this one's registry.
-        let engine_telemetry = EngineTelemetry::for_pipeline(telemetry);
         for instance in &mut self.instances {
             instance.engine.settle_imports();
-            instance.engine.attach_telemetry(engine_telemetry.clone());
         }
         let rounds_counter = telemetry.counter("campaign.rounds");
         let mutations_counter = telemetry.counter("campaign.config_mutations");
@@ -499,6 +507,11 @@ impl CampaignRun {
                         seeds_shared: shared,
                     });
                 }
+            }
+            // Published before adaptive mutation, whose failed restart
+            // ends the slice: the round's sessions still reach the registry.
+            if telemetry.is_enabled() {
+                publish_round(telemetry, &mut self.instances, iterations_per_round, batch);
             }
 
             // Adaptive configuration mutation on saturation (paper
@@ -693,6 +706,10 @@ impl CampaignRun {
     /// queued ([`FuzzEngine::queue_import`]); the next slice offers the
     /// queue to the corpus, whose retention path still drops near
     /// duplicates and evicts at capacity.
+    ///
+    /// Accepted seeds count toward the engines' `seeds_imported` but are
+    /// never published as `corpus.shared_in` by the runner: the caller
+    /// owns the counts it is handed back.
     pub fn import_seeds(&mut self, seeds: &[Seed], constraints: &ConstraintSet) -> (u64, u64) {
         let mut accepted = 0u64;
         let mut rejected = 0u64;
@@ -703,11 +720,80 @@ impl CampaignRun {
             }
             for seed in seeds {
                 if instance.engine.queue_import(seed) {
+                    instance.published.seeds_imported += 1;
                     accepted += 1;
                 }
             }
         }
         (accepted, rejected)
+    }
+}
+
+/// Reads one [`EngineStats`] field.
+type StatField = fn(&EngineStats) -> u64;
+
+/// Metric counters published from [`EngineStats`], each with the field it
+/// reads.
+const ENGINE_COUNTERS: [(&str, StatField); 11] = [
+    ("engine.sessions", |s| s.sessions),
+    ("engine.messages", |s| s.messages),
+    ("engine.model_mutations", |s| s.model_mutations),
+    ("engine.seed_reuses", |s| s.seed_reuses),
+    ("engine.byte_mutations", |s| s.byte_mutations),
+    ("engine.faults_observed", |s| s.crashes_observed),
+    ("corpus.retained", |s| s.seeds_retained),
+    ("corpus.deduped_exact", |s| s.seeds_deduped_exact),
+    ("corpus.deduped_near", |s| s.seeds_deduped_near),
+    ("corpus.evicted", |s| s.seeds_evicted),
+    ("corpus.shared_in", |s| s.seeds_imported),
+];
+
+/// Bucket bounds of the `engine.batch_sessions` histogram.
+const BATCH_SESSIONS_BOUNDS: &[u64] = &[1, 4, 16, 64, 256];
+
+/// Publishes one round into `telemetry`'s registry: what every engine
+/// counted since its last publish (the [`ENGINE_COUNTERS`] and the
+/// `engine.session_messages` histogram), and the round's `run_batch`
+/// calls as `engine.batches` and `engine.batch_sessions`.
+fn publish_round(telemetry: &Telemetry, instances: &mut [Instance], iterations: u64, batch: u64) {
+    let mut counts = [0u64; ENGINE_COUNTERS.len()];
+    let mut buckets = vec![0u64; SESSION_MESSAGES_BOUNDS.len() + 1];
+    let mut messages = 0;
+    for instance in instances.iter_mut() {
+        let (now, then) = (instance.engine.stats(), instance.published);
+        for (count, (_, field)) in counts.iter_mut().zip(ENGINE_COUNTERS) {
+            *count += field(&now) - field(&then);
+        }
+        for (bucket, (n, t)) in buckets
+            .iter_mut()
+            .zip(now.session_messages.iter().zip(&then.session_messages))
+        {
+            *bucket += n - t;
+        }
+        messages += now.messages - then.messages;
+        instance.published = now;
+    }
+    for ((name, _), count) in ENGINE_COUNTERS.iter().zip(counts) {
+        telemetry.counter(name).add(count);
+    }
+    // Rejected shares are counted by whoever offers them; a campaign's
+    // registry names the metric beside `corpus.shared_in` all the same.
+    let _ = telemetry.counter("corpus.shared_rejected");
+    telemetry
+        .histogram("engine.session_messages", &SESSION_MESSAGES_BOUNDS)
+        .absorb(&HistogramSnapshot {
+            bounds: SESSION_MESSAGES_BOUNDS.to_vec(),
+            count: buckets.iter().sum(),
+            counts: buckets,
+            sum: messages,
+        });
+    let batches = telemetry.counter("engine.batches");
+    let sizes = telemetry.histogram("engine.batch_sessions", BATCH_SESSIONS_BOUNDS);
+    for _ in instances.iter() {
+        for sessions in round_batches(iterations, batch) {
+            batches.incr();
+            sizes.record(sessions);
+        }
     }
 }
 
@@ -807,7 +893,7 @@ pub fn try_run_campaign(
 ///
 /// The runner emits the full event taxonomy (`CampaignStarted`,
 /// `RoundCompleted`, `SaturationDetected`, `ConfigMutated`, `SeedSynced`,
-/// `FaultFound`, `InstanceStalled`, `CampaignFinished`), mirrors engine
+/// `FaultFound`, `InstanceStalled`, `CampaignFinished`), publishes engine
 /// execution counters into `telemetry`'s registry, and records per-instance
 /// `"fuzzing"` phase spans in virtual ticks. The event bus is drained to
 /// the sinks at every round boundary, so sink output order is as
@@ -1083,6 +1169,59 @@ mod tests {
                 vec![("fuzzing".to_owned(), Ticks::new(600))]
             );
         }
+    }
+
+    #[test]
+    fn published_metrics_equal_summed_engine_stats() {
+        let spec = spec_by_name("mosquitto").unwrap();
+        let setups = vec![InstanceSetup::default(); 2];
+        // Batch 7 leaves a remainder batch in every 100-session round.
+        let options = CampaignOptions {
+            batch: 7,
+            seed_sync_every_rounds: Some(2),
+            ..small_options(4)
+        };
+        let telemetry = Telemetry::builder(VirtualClock::new()).build();
+        let mut run = CampaignRun::boot(&spec, "cmfuzz", &setups, &options, &telemetry).unwrap();
+        run.slice(Ticks::new(300), &telemetry, None).unwrap();
+        // Shares queued between slices are counted by whoever queued them.
+        let quiet = Telemetry::disabled();
+        let mut donor =
+            CampaignRun::boot(&spec, "cmfuzz", &setups, &small_options(5), &quiet).unwrap();
+        donor.slice(Ticks::new(300), &quiet, None).unwrap();
+        let (accepted, _) = run.import_seeds(&donor.rare_seeds(8), &ConstraintSet::default());
+        assert!(accepted > 0);
+        run.slice(Ticks::new(300), &telemetry, None).unwrap();
+        assert!(run.is_complete());
+
+        let snap = telemetry.metrics_snapshot();
+        let summed = |field: StatField| -> u64 {
+            run.instances.iter().map(|i| field(&i.engine.stats())).sum()
+        };
+        for (name, field) in ENGINE_COUNTERS {
+            let queued = if name == "corpus.shared_in" {
+                accepted
+            } else {
+                0
+            };
+            assert_eq!(snap.counter(name), Some(summed(field) - queued), "{name}");
+        }
+        assert!(snap.counter("corpus.shared_in") > Some(0), "seeds synced");
+        let histogram = |name: &str| {
+            snap.histograms
+                .iter()
+                .find(|(n, _)| n == name)
+                .map(|(_, h)| h.clone())
+                .unwrap_or_else(|| panic!("{name} not registered"))
+        };
+        let messages = histogram("engine.session_messages");
+        assert_eq!(messages.count, summed(|s| s.sessions));
+        assert_eq!(messages.sum, summed(|s| s.messages));
+        // 6 rounds x 2 instances x (14 batches of 7 + one of 2).
+        assert_eq!(snap.counter("engine.batches"), Some(6 * 2 * 15));
+        let batches = histogram("engine.batch_sessions");
+        assert_eq!(batches.count, 6 * 2 * 15);
+        assert_eq!(batches.sum, summed(|s| s.sessions));
     }
 
     #[test]

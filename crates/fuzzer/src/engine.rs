@@ -4,7 +4,6 @@ use std::fmt;
 
 use cmfuzz_config_model::ResolvedConfig;
 use cmfuzz_coverage::{CoverageMap, CoverageSnapshot};
-use cmfuzz_telemetry::EngineTelemetry;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -68,6 +67,10 @@ impl Default for EngineConfig {
     }
 }
 
+/// Inclusive upper bounds of the messages-per-session buckets of
+/// [`EngineStats::session_messages`]; one overflow bucket follows.
+pub const SESSION_MESSAGES_BOUNDS: [u64; 6] = [1, 2, 4, 8, 16, 32];
+
 /// Cumulative execution statistics of one fuzzing instance.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
@@ -93,6 +96,9 @@ pub struct EngineStats {
     pub seeds_evicted: u64,
     /// Seeds accepted from sibling instances or fleet-wide sharing.
     pub seeds_imported: u64,
+    /// Sessions by message count, bucketed by [`SESSION_MESSAGES_BOUNDS`]
+    /// (the last bucket holds sessions above the last bound).
+    pub session_messages: [u64; SESSION_MESSAGES_BOUNDS.len() + 1],
 }
 
 /// What one fuzzing iteration (one protocol session) produced.
@@ -171,9 +177,6 @@ pub struct FuzzEngine<T: Target> {
     /// Seeds accepted by [`FuzzEngine::queue_import`] and not yet offered
     /// to the corpus by [`FuzzEngine::settle_imports`].
     queued_imports: Vec<Seed>,
-    /// Metric handles mirrored into on every iteration; detached (and
-    /// never read) unless [`FuzzEngine::attach_telemetry`] was called.
-    telemetry: EngineTelemetry,
 }
 
 /// Renders the state that decides every future session: accumulated
@@ -278,7 +281,6 @@ impl<T: Target> FuzzEngine<T> {
             stats: EngineStats::default(),
             outbox: Vec::new(),
             queued_imports: Vec::new(),
-            telemetry: EngineTelemetry::detached(),
         }
     }
 
@@ -286,13 +288,6 @@ impl<T: Target> FuzzEngine<T> {
     #[must_use]
     pub fn stats(&self) -> EngineStats {
         self.stats
-    }
-
-    /// Mirrors this engine's per-iteration statistics into shared metric
-    /// handles (typically [`EngineTelemetry::for_pipeline`] handles, shared
-    /// across all instances of one campaign).
-    pub fn attach_telemetry(&mut self, telemetry: EngineTelemetry) {
-        self.telemetry = telemetry;
     }
 
     /// Pins the engine to fixed session plans (sequences of data-model
@@ -334,7 +329,6 @@ impl<T: Target> FuzzEngine<T> {
         for seed in seeds {
             if self.corpus.add(seed.clone()).retained() {
                 self.stats.seeds_imported += 1;
-                self.telemetry.seeds_shared_in.incr();
             }
         }
     }
@@ -451,14 +445,12 @@ impl<T: Target> FuzzEngine<T> {
                 .handle_batch(&arena, &ranges[first_message..], &mut faults);
             for (_, fault) in faults.drain(..) {
                 self.stats.crashes_observed += 1;
-                self.telemetry.faults_observed.incr();
                 if self.faults.record(fault) {
                     outcome.new_faults += 1;
                 }
             }
             outcome.messages_sent += plan.len();
             self.stats.messages += plan.len() as u64;
-            self.telemetry.messages.add(plan.len() as u64);
 
             // Retention must be decided now (the next session's corpus
             // picks depend on it), but without draining the dirty words:
@@ -487,8 +479,9 @@ impl<T: Target> FuzzEngine<T> {
                 }
             }
             self.stats.sessions += 1;
-            self.telemetry.sessions.incr();
-            self.telemetry.session_messages.record(plan.len() as u64);
+            let bucket =
+                SESSION_MESSAGES_BOUNDS.partition_point(|&bound| bound < plan.len() as u64);
+            self.stats.session_messages[bucket] += 1;
         }
 
         // One word-parallel diff settles the whole batch's coverage.
@@ -498,8 +491,6 @@ impl<T: Target> FuzzEngine<T> {
             self.map.covered_count(),
             "accumulated set lost sync with the map across a batch"
         );
-        self.telemetry.batches.incr();
-        self.telemetry.batch_sessions.record(sessions as u64);
         self.plan_scratch = plan;
         self.arena = arena;
         self.arena_ranges = ranges;
@@ -520,14 +511,12 @@ impl<T: Target> FuzzEngine<T> {
             match self.corpus.pick_for_model(&mut self.rng, model_id) {
                 Some(seed) => {
                     self.stats.seed_reuses += 1;
-                    self.telemetry.seed_reuses.incr();
                     data.extend_from_slice(&seed.bytes);
                 }
                 None => self.render_into(model_id, data),
             }
         } else if mutate_fields {
             self.stats.model_mutations += 1;
-            self.telemetry.model_mutations.incr();
             if let Some(slot) = self.model_slot(model_id) {
                 let scratch = &mut self.scratch_models[slot];
                 scratch.restore_values_from(&self.working_models[slot]);
@@ -547,7 +536,6 @@ impl<T: Target> FuzzEngine<T> {
 
         if self.rng.random::<f64>() < self.config.byte_mutation_rate {
             self.stats.byte_mutations += 1;
-            self.telemetry.byte_mutations.incr();
             self.mutator
                 .mutate_tail(data, from, self.config.mutation_stack);
         }
@@ -580,25 +568,15 @@ impl<T: Target> FuzzEngine<T> {
         }
     }
 
-    /// Folds a corpus add outcome into stats and telemetry.
+    /// Folds a corpus add outcome into stats.
     fn record_add(&mut self, outcome: AddOutcome) {
         match outcome {
             AddOutcome::Added { evicted } => {
                 self.stats.seeds_retained += 1;
-                self.telemetry.seeds_retained.incr();
-                if evicted {
-                    self.stats.seeds_evicted += 1;
-                    self.telemetry.seeds_evicted.incr();
-                }
+                self.stats.seeds_evicted += u64::from(evicted);
             }
-            AddOutcome::DuplicateExact => {
-                self.stats.seeds_deduped_exact += 1;
-                self.telemetry.seeds_deduped_exact.incr();
-            }
-            AddOutcome::DuplicateNear => {
-                self.stats.seeds_deduped_near += 1;
-                self.telemetry.seeds_deduped_near.incr();
-            }
+            AddOutcome::DuplicateExact => self.stats.seeds_deduped_exact += 1,
+            AddOutcome::DuplicateNear => self.stats.seeds_deduped_near += 1,
         }
     }
 
@@ -860,60 +838,7 @@ mod tests {
             "mutated subset of messages"
         );
         assert!(stats.crashes_observed >= 1, "toy target crashes on 0xFF");
-    }
-
-    #[test]
-    fn telemetry_handles_mirror_engine_stats() {
-        use cmfuzz_coverage::VirtualClock;
-        use cmfuzz_telemetry::Telemetry;
-
-        let telemetry = Telemetry::builder(VirtualClock::new()).build();
-        let mut engine = FuzzEngine::new(
-            ToyTarget::new(),
-            toy_pit(),
-            EngineConfig {
-                seed: 5,
-                ..EngineConfig::default()
-            },
-        );
-        engine.attach_telemetry(EngineTelemetry::for_pipeline(&telemetry));
-        engine.start(&ResolvedConfig::new()).unwrap();
-        // Single-session and multi-session batches must flush into the
-        // same counters.
-        for _ in 0..25 {
-            engine.run_batch(1);
-        }
-        engine.run_batch(25);
-        let stats = engine.stats();
-        let snap = telemetry.metrics_snapshot();
-        assert_eq!(snap.counter("engine.sessions"), Some(stats.sessions));
-        assert_eq!(snap.counter("engine.messages"), Some(stats.messages));
-        assert_eq!(
-            snap.counter("engine.model_mutations"),
-            Some(stats.model_mutations)
-        );
-        assert_eq!(snap.counter("engine.seed_reuses"), Some(stats.seed_reuses));
-        assert_eq!(
-            snap.counter("engine.byte_mutations"),
-            Some(stats.byte_mutations)
-        );
-        assert_eq!(
-            snap.counter("engine.faults_observed"),
-            Some(stats.crashes_observed)
-        );
-        let histogram = |name: &str| {
-            snap.histograms
-                .iter()
-                .find(|(n, _)| n == name)
-                .unwrap_or_else(|| panic!("{name} not registered"))
-        };
-        let (_, hist) = histogram("engine.session_messages");
-        assert_eq!(hist.count, stats.sessions);
-        assert_eq!(hist.sum, stats.messages);
-        assert_eq!(snap.counter("engine.batches"), Some(26));
-        let (_, batches) = histogram("engine.batch_sessions");
-        assert_eq!(batches.count, 26);
-        assert_eq!(batches.sum, 50);
+        assert_eq!(stats.session_messages.iter().sum::<u64>(), stats.sessions);
     }
 
     #[test]

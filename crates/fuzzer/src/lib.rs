@@ -50,7 +50,9 @@ mod target;
 
 pub use corpus::{AddOutcome, Corpus, CorpusConfig, Seed};
 pub use data_model::{DataModel, Endian, Field, FieldKind, FieldValue, Generator};
-pub use engine::{EngineConfig, EngineStats, FuzzEngine, IterationOutcome};
+pub use engine::{
+    EngineConfig, EngineStats, FuzzEngine, IterationOutcome, SESSION_MESSAGES_BOUNDS,
+};
 pub use fault::{Fault, FaultKind, FaultLog};
 pub use intern::{ModelId, ModelTable};
 pub use mutate::{MutationOp, Mutator};

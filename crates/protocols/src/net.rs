@@ -204,11 +204,13 @@ mod tests {
     use cmfuzz_fuzzer::{pit, EngineConfig, Fault, FaultKind, FuzzEngine};
     use cmfuzz_netsim::Addr;
 
-    /// Echo target used to test the wrapper plumbing.
+    /// Echo target used to test the wrapper plumbing. It logs every
+    /// request it serves, in delivery order.
     #[derive(Debug)]
     struct Echo {
         crash_on: Option<u8>,
         fail_next_start: bool,
+        served: Vec<Vec<u8>>,
     }
 
     impl Echo {
@@ -216,6 +218,7 @@ mod tests {
             Echo {
                 crash_on,
                 fail_next_start: false,
+                served: Vec::new(),
             }
         }
     }
@@ -239,6 +242,7 @@ mod tests {
         }
         fn begin_session(&mut self) {}
         fn handle(&mut self, input: &[u8]) -> TargetResponse {
+            self.served.push(input.to_vec());
             if self.crash_on.is_some() && input.first() == self.crash_on.as_ref() {
                 return TargetResponse::crash(Fault::new(FaultKind::Segv, "echo"));
             }
@@ -358,36 +362,45 @@ mod tests {
     fn impaired_batch_matches_per_message_handling() {
         // On a lossy link the batch path must fall back to exact
         // per-message handling: same impairment RNG draws, so the same
-        // datagrams survive and the link ends in the same state. The
-        // target's `Debug` shows the RNG position, the held datagram and
-        // both queues, so equal renders are full state equality.
-        let final_state = |batched: bool| -> String {
+        // datagrams reach the server in the same order, the same faults
+        // land at the same indices, and the link ends in the same state.
+        // A skipped draw can leave the final RNG position, held datagram
+        // and queues as they were, so the delivery log is compared too,
+        // over enough link seeds that every message's draws decide some
+        // delivery.
+        let run = |batched: bool, seed: u64| {
             let mut t = NetworkedTarget::with_conditions(
-                Echo::new(None),
+                Echo::new(Some(20)),
                 if batched { "batched" } else { "per-message" },
                 LinkConditions::new(0.3, 0.1, 0.1),
-                9,
+                seed,
             );
             let map = CoverageMap::new(1);
             t.start(&ResolvedConfig::new(), map.probe())
                 .expect("starts");
             let arena: Vec<u8> = (0u8..32).collect();
             let ranges: Vec<(u32, u32)> = (0..16).map(|i| (i * 2, 2)).collect();
+            let mut faults = Vec::new();
             if batched {
-                let mut faults = Vec::new();
                 t.handle_batch(&arena, &ranges, &mut faults);
             } else {
-                for &(start, len) in &ranges {
-                    let _ = t.handle(&arena[start as usize..(start + len) as usize]);
+                for (index, &(start, len)) in ranges.iter().enumerate() {
+                    let response = t.handle(&arena[start as usize..(start + len) as usize]);
+                    faults.extend(response.fault.map(|fault| (index, fault)));
                 }
             }
-            format!("{t:?}")
+            (t.inner().served.clone(), faults, format!("{t:?}"))
         };
-        assert_eq!(
-            final_state(true),
-            final_state(false),
-            "impaired fallback diverged"
-        );
+        let mut faulted = 0;
+        for seed in 0..16 {
+            let (served, faults, state) = run(false, seed);
+            faulted += faults.len();
+            let (batch_served, batch_faults, batch_state) = run(true, seed);
+            assert_eq!(batch_served, served, "seed {seed}: delivered differently");
+            assert_eq!(batch_faults, faults, "seed {seed}: faulted differently");
+            assert_eq!(batch_state, state, "seed {seed}: link state diverged");
+        }
+        assert!(faulted > 0, "the crashing request got through");
     }
 
     /// A [`NetworkedTarget`] that keeps [`Target::handle_batch`]'s default:

@@ -3,8 +3,9 @@
 //! Three pillars, all deterministic-friendly:
 //!
 //! 1. **Metrics** ([`MetricsRegistry`]): named atomic counters, gauges, and
-//!    fixed-bucket histograms. Handles are cheap clones; recording is a
-//!    relaxed atomic add, so fuzzing hot loops carry them unconditionally.
+//!    fixed-bucket histograms. Handles are cheap clones and recording is a
+//!    relaxed atomic add; the campaign runner publishes the engines' own
+//!    tallies into the registry at round boundaries.
 //! 2. **Events** ([`EventBus`] + [`EventSink`]): a bounded queue of typed
 //!    [`Event`]s drained at round boundaries by the campaign runner and
 //!    fanned out to pluggable sinks (in-memory [`RingBufferSink`], JSONL
@@ -406,89 +407,6 @@ impl TelemetryScope {
     }
 }
 
-/// Default bucket bounds for the messages-per-session histogram.
-pub const SESSION_MESSAGES_BOUNDS: &[u64] = &[1, 2, 4, 8, 16, 32];
-
-/// Default bucket bounds for the sessions-per-batch histogram.
-pub const BATCH_SESSIONS_BOUNDS: &[u64] = &[1, 4, 16, 64, 256];
-
-/// Pre-resolved metric handles for the fuzz-engine hot loop.
-///
-/// The engine records into these on every iteration; with a disabled
-/// [`Telemetry`] the handles are detached cells nobody reads, so the cost
-/// is a handful of relaxed atomic adds either way.
-#[derive(Debug, Clone)]
-pub struct EngineTelemetry {
-    /// Fuzzing sessions executed.
-    pub sessions: Counter,
-    /// Protocol messages sent to the target.
-    pub messages: Counter,
-    /// Model-level mutations applied.
-    pub model_mutations: Counter,
-    /// Seed reuses from the corpus.
-    pub seed_reuses: Counter,
-    /// Byte-level (havoc) mutations applied.
-    pub byte_mutations: Counter,
-    /// Faults observed (not necessarily unique).
-    pub faults_observed: Counter,
-    /// Messages-per-session distribution.
-    pub session_messages: Histogram,
-    /// Batches executed via `run_batch` (one per arena flush).
-    pub batches: Counter,
-    /// Sessions-per-batch distribution.
-    pub batch_sessions: Histogram,
-    /// Seeds retained by the corpus.
-    pub seeds_retained: Counter,
-    /// Seeds dropped as byte-identical duplicates.
-    pub seeds_deduped_exact: Counter,
-    /// Seeds dropped as MinHash near-duplicates.
-    pub seeds_deduped_near: Counter,
-    /// Seeds evicted to respect the corpus capacity.
-    pub seeds_evicted: Counter,
-    /// Seeds accepted from sibling instances or fleet sharing.
-    pub seeds_shared_in: Counter,
-    /// Shared seeds rejected (constraint violations, wrong subject).
-    pub seeds_shared_rejected: Counter,
-}
-
-impl EngineTelemetry {
-    /// Handles registered under `engine.*` in `telemetry`'s registry
-    /// (shared across all engines attached to the same pipeline).
-    #[must_use]
-    pub fn for_pipeline(telemetry: &Telemetry) -> Self {
-        EngineTelemetry {
-            sessions: telemetry.counter("engine.sessions"),
-            messages: telemetry.counter("engine.messages"),
-            model_mutations: telemetry.counter("engine.model_mutations"),
-            seed_reuses: telemetry.counter("engine.seed_reuses"),
-            byte_mutations: telemetry.counter("engine.byte_mutations"),
-            faults_observed: telemetry.counter("engine.faults_observed"),
-            session_messages: telemetry
-                .histogram("engine.session_messages", SESSION_MESSAGES_BOUNDS),
-            batches: telemetry.counter("engine.batches"),
-            batch_sessions: telemetry.histogram("engine.batch_sessions", BATCH_SESSIONS_BOUNDS),
-            seeds_retained: telemetry.counter("corpus.retained"),
-            seeds_deduped_exact: telemetry.counter("corpus.deduped_exact"),
-            seeds_deduped_near: telemetry.counter("corpus.deduped_near"),
-            seeds_evicted: telemetry.counter("corpus.evicted"),
-            seeds_shared_in: telemetry.counter("corpus.shared_in"),
-            seeds_shared_rejected: telemetry.counter("corpus.shared_rejected"),
-        }
-    }
-
-    /// Detached handles (nothing reads them); the engine default.
-    #[must_use]
-    pub fn detached() -> Self {
-        EngineTelemetry::for_pipeline(&Telemetry::disabled())
-    }
-}
-
-impl Default for EngineTelemetry {
-    fn default() -> Self {
-        EngineTelemetry::detached()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -638,31 +556,5 @@ mod tests {
         let merged = telemetry.metrics_snapshot();
         assert_eq!(merged.counter("bus.events_emitted"), Some(6));
         assert_eq!(merged.counter("bus.events_dropped"), Some(3));
-    }
-
-    #[test]
-    fn engine_telemetry_registers_under_engine_namespace() {
-        let telemetry = Telemetry::builder(VirtualClock::new()).build();
-        let handles = EngineTelemetry::for_pipeline(&telemetry);
-        handles.sessions.incr();
-        handles.session_messages.record(3);
-        handles.batches.incr();
-        handles.batch_sessions.record(16);
-        let snap = telemetry.metrics_snapshot();
-        assert_eq!(snap.counter("engine.sessions"), Some(1));
-        assert_eq!(snap.counter("engine.batches"), Some(1));
-        let histogram = |name: &str| {
-            snap.histograms
-                .iter()
-                .find(|(n, _)| n == name)
-                .unwrap_or_else(|| panic!("{name} not registered"))
-        };
-        assert_eq!(histogram("engine.session_messages").1.count, 1);
-        assert_eq!(histogram("engine.batch_sessions").1.count, 1);
-
-        // Detached handles record without panicking and stay unread.
-        let detached = EngineTelemetry::default();
-        detached.messages.add(2);
-        assert_eq!(detached.messages.get(), 2);
     }
 }

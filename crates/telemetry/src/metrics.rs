@@ -1,9 +1,8 @@
 //! Lock-light metrics: atomic counters, gauges, and fixed-bucket
 //! histograms behind cheap clonable handles.
 //!
-//! Recording is a single relaxed atomic operation, so fuzzing hot loops can
-//! carry handles unconditionally; aggregation (snapshotting) takes the
-//! registry lock, which only readers touch.
+//! Recording is a single relaxed atomic operation; looking a name up and
+//! aggregation (snapshotting) take the registry lock.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};

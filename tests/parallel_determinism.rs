@@ -17,7 +17,7 @@
 use cmfuzz::baseline::run_cmfuzz;
 use cmfuzz::campaign::CampaignOptions;
 use cmfuzz::schedule::ScheduleOptions;
-use cmfuzz_bench::{report, table1_with_jobs, table2_with_jobs, ExperimentScale};
+use cmfuzz_bench::{report, table1, table2, ExperimentScale};
 use cmfuzz_coverage::{Ticks, VirtualClock};
 use cmfuzz_netsim::LinkConditions;
 use cmfuzz_protocols::spec_by_name;
@@ -46,8 +46,8 @@ fn tiny_scale() -> ExperimentScale {
 #[test]
 fn parallel_table1_matches_sequential_reference() {
     let scale = tiny_scale();
-    let sequential = table1_with_jobs(&scale, &Telemetry::disabled(), 1);
-    let parallel = table1_with_jobs(&scale, &Telemetry::disabled(), 4);
+    let sequential = table1(&scale, &Telemetry::disabled(), 1).expect("table1 grid runs");
+    let parallel = table1(&scale, &Telemetry::disabled(), 4).expect("table1 grid runs");
     assert_eq!(
         report::render_table1(&sequential),
         report::render_table1(&parallel),
@@ -58,8 +58,8 @@ fn parallel_table1_matches_sequential_reference() {
 #[test]
 fn parallel_table2_matches_sequential_reference() {
     let scale = tiny_scale();
-    let sequential = table2_with_jobs(&scale, &Telemetry::disabled(), 1);
-    let parallel = table2_with_jobs(&scale, &Telemetry::disabled(), 3);
+    let sequential = table2(&scale, &Telemetry::disabled(), 1).expect("table2 grid runs");
+    let parallel = table2(&scale, &Telemetry::disabled(), 3).expect("table2 grid runs");
     assert_eq!(
         report::render_table2(&sequential),
         report::render_table2(&parallel),
@@ -180,7 +180,7 @@ fn grid_telemetry_totals_are_jobs_independent() {
         let telemetry = Telemetry::builder(VirtualClock::new())
             .sink(Box::new(ring.clone()))
             .build();
-        let rows = table1_with_jobs(&scale, &telemetry, jobs);
+        let rows = table1(&scale, &telemetry, jobs).expect("table1 grid runs");
         telemetry.flush();
         (
             rows.len(),
