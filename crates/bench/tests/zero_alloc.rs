@@ -1,6 +1,7 @@
 //! Gates: the coverage feedback path, a steady-state session iteration,
-//! a warm datagram link's bursts, seed sketches and corpus picks perform
-//! **zero** heap allocations, and warm networked batches (the path
+//! a warm datagram link's bursts, field mutations, seed sketches, corpus
+//! picks and lookups of registered metric names perform **zero** heap
+//! allocations, and warm networked batches (the path
 //! campaigns run) fewer than one per thousand sessions.
 //!
 //! A counting global allocator backs the claims of DESIGN.md §8.3–§8.4.
@@ -15,10 +16,12 @@ use cmfuzz_bench::NullTarget;
 use cmfuzz_config_model::ResolvedConfig;
 use cmfuzz_coverage::{BranchId, CoverageMap, CoverageSnapshot};
 use cmfuzz_fuzzer::{
-    pit, Corpus, CorpusConfig, EngineConfig, FuzzEngine, ModelId, Seed, SeedSketch, Target,
+    pit, Corpus, CorpusConfig, EngineConfig, FuzzEngine, ModelId, MutationPlan, Mutator, Seed,
+    SeedSketch, Target,
 };
 use cmfuzz_netsim::LinkConditions;
 use cmfuzz_protocols::{all_specs, DatagramLink, NetworkedTarget, Transport};
+use cmfuzz_telemetry::MetricsRegistry;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -99,9 +102,9 @@ fn coverage_feedback_does_not_allocate() {
 /// The engine runs against [`NullTarget`] (or a transport in front of it),
 /// whose `handle` is allocation-free, so any count observed is the
 /// engine's or the wire's own. Field-level model mutation is configured
-/// off: its `String` repair path may allocate by design on invalid UTF-8,
-/// and the steady-state claim covers the seed-reuse and fresh-render
-/// paths, both of which the measured window is asserted to exercise.
+/// off here, so the window's claim covers the seed-reuse and fresh-render
+/// paths, both of which it is asserted to exercise;
+/// `field_mutations_do_not_allocate` gates field mutation on its own.
 fn steady_engine<T: Target>(pit_document: &str, target: T, batch: usize) -> FuzzEngine<T> {
     let parsed = pit::parse(pit_document).expect("pit parses");
     let config = EngineConfig {
@@ -162,7 +165,7 @@ fn measured_window<T: Target>(
 #[test]
 fn steady_state_session_iteration_does_not_allocate() {
     // Session planning over interned ids, seed reuse from `Arc`-shared
-    // bytes, precompiled renders, byte-level havoc (dictionary splices
+    // bytes, pristine renders, byte-level havoc (dictionary splices
     // included) and coverage feedback, on every subject's data model,
     // one session per `run_batch` call.
     for spec in all_specs() {
@@ -173,6 +176,28 @@ fn steady_state_session_iteration_does_not_allocate() {
             "{}: steady-state session iteration allocated",
             spec.name
         );
+    }
+}
+
+#[test]
+fn field_mutations_do_not_allocate() {
+    // A field mutation patches a model's pristine bytes where they are
+    // written, repairing a havocked string's UTF-8 in the same buffer:
+    // no model clone, no walk, no second buffer. The output buffer is
+    // reserved beyond any message a mutation can produce.
+    for spec in all_specs() {
+        let parsed = pit::parse(spec.pit_document).expect("pit parses");
+        let plans: Vec<MutationPlan> = parsed.data_models().iter().map(MutationPlan::new).collect();
+        let mut mutator = Mutator::new(11).with_dictionary([b"$SYS/#".to_vec()]);
+        let mut out = Vec::with_capacity(1 << 16);
+        let mut next = 0;
+        let allocs = count_allocs(4_000, || {
+            out.clear();
+            plans[next % plans.len()].mutate_into(&mut mutator, &mut out);
+            next += 1;
+            black_box(&out);
+        });
+        assert_eq!(allocs, 0, "{}: a field mutation allocated", spec.name);
     }
 }
 
@@ -294,4 +319,24 @@ fn corpus_sketch_and_picks_do_not_allocate() {
         black_box(corpus.pick_for_model(&mut rng, ModelId::from_raw(1)));
     });
     assert_eq!(allocs, 0, "Corpus::pick_for_model allocated");
+}
+
+#[test]
+fn warm_metric_lookups_do_not_allocate() {
+    // The round-boundary publish looks its metrics up by name every
+    // round; once a name is registered, the lookup clones a handle and
+    // builds no owned key.
+    let registry = MetricsRegistry::new();
+    let bounds = [1, 2, 4, 8];
+    registry.counter("engine.sessions").add(1);
+    registry.gauge("corpus.seeds").set(3);
+    registry
+        .histogram("engine.batch_sessions", &bounds)
+        .record(16);
+    let allocs = count_allocs(2_000, || {
+        black_box(registry.counter(black_box("engine.sessions")));
+        black_box(registry.gauge(black_box("corpus.seeds")));
+        black_box(registry.histogram(black_box("engine.batch_sessions"), &bounds));
+    });
+    assert_eq!(allocs, 0, "a warm metric lookup allocated");
 }

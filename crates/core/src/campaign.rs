@@ -105,7 +105,8 @@ pub struct InstanceSetup {
     pub initial_config: ResolvedConfig,
     /// Entities this instance may mutate adaptively on saturation, with
     /// their typical values (paper §III-B2). Empty disables adaptive
-    /// configuration mutation.
+    /// configuration mutation. At most 65 536 entities, each with at
+    /// most 65 536 values.
     pub adaptive_entities: Vec<(String, Vec<ConfigValue>)>,
     /// Fixed session plans (SPFuzz path partitioning); empty = random
     /// state-model walks.
@@ -116,7 +117,8 @@ struct Instance {
     engine: FuzzEngine<NetworkedTarget<ProtocolTarget>>,
     config: ResolvedConfig,
     /// The setup's adaptive entities; names are shared with every
-    /// [`ConfigMutationEvent`] that records them.
+    /// [`ConfigMutationEvent`] that records them, and each
+    /// [`MutationRecord`] points into this table.
     adaptive: Vec<(Arc<str>, Vec<ConfigValue>)>,
     saturation: SaturationDetector,
     rng: StdRng,
@@ -256,7 +258,9 @@ pub struct CampaignRun {
     rounds_done: u64,
     consumed: Ticks,
     curve: CoverageCurve,
-    config_mutations: Vec<ConfigMutationEvent>,
+    /// Every applied configuration mutation, compactly; [`CampaignRun::result`]
+    /// expands them into [`ConfigMutationEvent`]s.
+    config_mutations: Vec<MutationRecord>,
     /// Running merge of every instance's unique faults, kept so
     /// `FaultFound` events fire exactly once per campaign-unique fault.
     seen_faults: FaultLog,
@@ -445,9 +449,12 @@ impl CampaignRun {
         for instance in &mut self.instances {
             instance.engine.settle_imports();
         }
-        let rounds_counter = telemetry.counter("campaign.rounds");
-        let mutations_counter = telemetry.counter("campaign.config_mutations");
-        let syncs_counter = telemetry.counter("campaign.seed_syncs");
+        // Resolved only for an enabled pipeline: a disabled one would hand
+        // out detached handles that nothing reads.
+        let counter = |name| telemetry.is_enabled().then(|| telemetry.counter(name));
+        let rounds_counter = counter("campaign.rounds");
+        let mutations_counter = counter("campaign.config_mutations");
+        let syncs_counter = counter("campaign.seed_syncs");
 
         let interval = self.options.sample_interval;
         let iterations_per_round = interval.get().max(1);
@@ -479,7 +486,9 @@ impl CampaignRun {
             self.run_round(iterations_per_round, batch);
 
             let now = self.consumed + interval;
-            rounds_counter.incr();
+            if let Some(counter) = &rounds_counter {
+                counter.incr();
+            }
             if telemetry.is_enabled() {
                 for (index, instance) in self.instances.iter().enumerate() {
                     telemetry.span_record(index, "fuzzing", interval);
@@ -500,7 +509,9 @@ impl CampaignRun {
             if let Some(every) = seed_sync_every {
                 if every > 0 && (round + 1) % u64::from(every) == 0 {
                     let shared = sync_seeds(&mut self.instances);
-                    syncs_counter.incr();
+                    if let Some(counter) = &syncs_counter {
+                        counter.incr();
+                    }
                     telemetry.emit(Event::SeedSynced {
                         round,
                         time: now,
@@ -541,18 +552,21 @@ impl CampaignRun {
                     });
                     match mutate_instance_config(instance) {
                         Ok(Some((entity, value))) => {
-                            mutations_counter.incr();
+                            if let Some(counter) = &mutations_counter {
+                                counter.incr();
+                            }
+                            let (name, values) = &instance.adaptive[entity];
                             telemetry.emit(Event::ConfigMutated {
                                 time: now,
                                 instance: index,
-                                entity: entity.to_string(),
-                                value: value.render(),
+                                entity: name.to_string(),
+                                value: values[value].render(),
                             });
-                            self.config_mutations.push(ConfigMutationEvent {
+                            self.config_mutations.push(MutationRecord {
                                 time: now,
-                                instance: index,
-                                entity,
-                                value,
+                                instance: u32::try_from(index).expect("fewer than 2^32 instances"),
+                                entity: u16::try_from(entity).expect("checked at boot"),
+                                value: u16::try_from(value).expect("checked at boot"),
                             });
                         }
                         Ok(None) => {}
@@ -657,7 +671,21 @@ impl CampaignRun {
             curve: self.curve.clone(),
             coverage,
             faults,
-            config_mutations: self.config_mutations.clone(),
+            config_mutations: self
+                .config_mutations
+                .iter()
+                .map(|record| {
+                    let instance = record.instance as usize;
+                    let (entity, values) =
+                        &self.instances[instance].adaptive[usize::from(record.entity)];
+                    ConfigMutationEvent {
+                        time: record.time,
+                        instance,
+                        entity: Arc::clone(entity),
+                        value: values[usize::from(record.value)].clone(),
+                    }
+                })
+                .collect(),
             stats,
             corpus,
         }
@@ -806,12 +834,35 @@ fn round_pool(options: &CampaignOptions, instances: &[Instance]) -> Pool {
     Pool::new(jobs)
 }
 
+/// The setup's adaptive table.
+///
+/// # Panics
+///
+/// Panics if the table does not fit a [`MutationRecord`]: more than
+/// 65 536 entities, or an entity with more than 65 536 values.
 fn adaptive_entities(setup: &InstanceSetup) -> Vec<(Arc<str>, Vec<ConfigValue>)> {
+    let fits = |len: usize| len <= usize::from(u16::MAX) + 1;
+    assert!(
+        fits(setup.adaptive_entities.len())
+            && setup.adaptive_entities.iter().all(|(_, v)| fits(v.len())),
+        "adaptive entities and their values are limited to 65 536 each"
+    );
     setup
         .adaptive_entities
         .iter()
         .map(|(name, values)| (Arc::from(name.as_str()), values.clone()))
         .collect()
+}
+
+/// One applied configuration mutation, by position in its instance's
+/// adaptive table: 16 bytes, where a [`ConfigMutationEvent`] holds a
+/// shared name and a value that may own a string.
+#[derive(Debug, Clone, Copy)]
+struct MutationRecord {
+    time: Ticks,
+    instance: u32,
+    entity: u16,
+    value: u16,
 }
 
 fn parse_pit(spec: &ProtocolSpec) -> Result<PitDefinition, CampaignError> {
@@ -1000,19 +1051,19 @@ fn sync_seeds(instances: &mut [Instance]) -> usize {
 /// Picks one adaptive entity and one of its typical values, restarting the
 /// instance's target under the mutated configuration. Conflicting picks
 /// (failed starts) are retried a few times and abandoned otherwise — the
-/// previous configuration keeps running. Returns the applied mutation, or
-/// an error if a known-good configuration refuses to boot again (the
-/// instance would be dead with budget remaining).
-fn mutate_instance_config(
-    instance: &mut Instance,
-) -> Result<Option<(Arc<str>, ConfigValue)>, StartError> {
+/// previous configuration keeps running. Returns the applied mutation as
+/// (entity, value) positions in the adaptive table, or an error if a
+/// known-good configuration refuses to boot again (the instance would be
+/// dead with budget remaining).
+fn mutate_instance_config(instance: &mut Instance) -> Result<Option<(usize, usize)>, StartError> {
     for _attempt in 0..4 {
-        let (name, values) =
-            &instance.adaptive[instance.rng.random_range(0..instance.adaptive.len())];
+        let entity = instance.rng.random_range(0..instance.adaptive.len());
+        let (name, values) = &instance.adaptive[entity];
         if values.is_empty() {
             continue;
         }
-        let value = values[instance.rng.random_range(0..values.len())].clone();
+        let pick = instance.rng.random_range(0..values.len());
+        let value = values[pick].clone();
         if instance.config.get(name) == Some(&value) {
             continue;
         }
@@ -1020,7 +1071,7 @@ fn mutate_instance_config(
         candidate.set(name, value.clone());
         if instance.engine.start(&candidate).is_ok() {
             instance.config = candidate;
-            return Ok(Some((Arc::clone(name), value)));
+            return Ok(Some((entity, pick)));
         }
         // Failed start: the engine is left unstarted; restore the running
         // configuration before trying another value.
@@ -1256,6 +1307,8 @@ mod tests {
             assert!(model.entity(&event.entity).is_some());
             assert!(event.time > Ticks::ZERO);
         }
+        // The run stores each mutation as a 16-byte record.
+        assert_eq!(std::mem::size_of::<MutationRecord>(), 16);
     }
 
     #[test]

@@ -300,62 +300,6 @@ impl DataModel {
         &mut self.fields
     }
 
-    /// Restores this model's mutable state — payloads, length
-    /// adjustments, choice selections — from `pristine`, reusing existing
-    /// byte and string buffers instead of cloning.
-    ///
-    /// Both models must share one shape (same fields, names and kinds in
-    /// the same order), which holds by construction for the engine's
-    /// scratch copies: field mutation perturbs values, never structure.
-    /// This is what lets the hot loop keep a persistent scratch model per
-    /// data model and "clone" into it allocation-free, where the
-    /// interpreted path cloned the whole field tree per mutated message.
-    pub fn restore_values_from(&mut self, pristine: &DataModel) {
-        fn restore(fields: &mut [Field], pristine: &[Field]) {
-            debug_assert_eq!(fields.len(), pristine.len(), "shape mismatch");
-            for (field, source) in fields.iter_mut().zip(pristine) {
-                match (field.kind_mut(), source.kind()) {
-                    (FieldKind::Block(children), FieldKind::Block(their_children)) => {
-                        restore(children, their_children);
-                    }
-                    (
-                        FieldKind::Choice { options, selected },
-                        FieldKind::Choice {
-                            options: their_options,
-                            selected: their_selected,
-                        },
-                    ) => {
-                        *selected = *their_selected;
-                        restore(options, their_options);
-                    }
-                    (
-                        FieldKind::LengthOf { adjust, .. },
-                        FieldKind::LengthOf {
-                            adjust: their_adjust,
-                            ..
-                        },
-                    ) => {
-                        *adjust = *their_adjust;
-                    }
-                    _ => {}
-                }
-                match (field.value_mut(), source.value()) {
-                    (FieldValue::Int(value), FieldValue::Int(theirs)) => *value = *theirs,
-                    (FieldValue::Bytes(bytes), FieldValue::Bytes(theirs)) => {
-                        bytes.clear();
-                        bytes.extend_from_slice(theirs);
-                    }
-                    (FieldValue::Str(s), FieldValue::Str(theirs)) => {
-                        s.clear();
-                        s.push_str(theirs);
-                    }
-                    _ => {}
-                }
-            }
-        }
-        restore(&mut self.fields, pristine.fields());
-    }
-
     /// Collects mutable references to every mutation-eligible field,
     /// recursing into blocks and the selected branch of choices.
     ///
@@ -553,15 +497,18 @@ fn render_fields(
 }
 
 fn encode_uint(value: u64, bits: u8, endian: Endian) -> Vec<u8> {
-    let width = usize::from(bits) / 8;
-    let be = value.to_be_bytes();
-    match endian {
-        Endian::Big => be[8 - width..].to_vec(),
-        Endian::Little => {
-            let mut out = be[8 - width..].to_vec();
-            out.reverse();
-            out
-        }
+    let mut out = vec![0; usize::from(bits) / 8];
+    write_uint(&mut out, value, endian);
+    out
+}
+
+/// Encodes `value` into `out` as an integer of `out.len()` bytes (at most
+/// 8), keeping the low bytes, in `endian` order.
+pub(crate) fn write_uint(out: &mut [u8], value: u64, endian: Endian) {
+    let width = out.len();
+    out.copy_from_slice(&value.to_be_bytes()[8 - width..]);
+    if endian == Endian::Little {
+        out.reverse();
     }
 }
 
@@ -698,39 +645,6 @@ mod tests {
             assert_eq!(model.nth_mutable(i).unwrap().name(), name);
         }
         assert!(model.nth_mutable(collected.len()).is_none());
-    }
-
-    #[test]
-    fn restore_values_from_undoes_mutation_in_place() {
-        let pristine = DataModel::new("m")
-            .field(Field::uint("a", 16, 0x0102))
-            .field(Field::length_of("len", "body", 8, Endian::Big))
-            .field(Field::block(
-                "body",
-                vec![Field::str("s", "hello"), Field::bytes("b", b"xyz")],
-            ))
-            .field(Field::choice(
-                "alt",
-                vec![Field::uint("v0", 8, 0), Field::uint("v1", 8, 1)],
-            ));
-        let mut scratch = pristine.clone();
-        // Perturb every mutable aspect.
-        *scratch.fields_mut()[0].value_mut() = FieldValue::Int(0xFFFF);
-        if let FieldKind::LengthOf { adjust, .. } = scratch.fields_mut()[1].kind_mut() {
-            *adjust = 42;
-        }
-        if let FieldKind::Block(children) = scratch.fields_mut()[2].kind_mut() {
-            *children[0].value_mut() = FieldValue::Str("mutated!".to_owned());
-            *children[1].value_mut() = FieldValue::Bytes(vec![1, 2, 3, 4, 5]);
-        }
-        if let FieldKind::Choice { selected, .. } = scratch.fields_mut()[3].kind_mut() {
-            *selected = 1;
-        }
-        assert_ne!(Generator::render(&scratch), Generator::render(&pristine));
-
-        scratch.restore_values_from(&pristine);
-        assert_eq!(scratch, pristine, "restore reproduces the pristine model");
-        assert_eq!(Generator::render(&scratch), Generator::render(&pristine));
     }
 
     #[test]

@@ -9,8 +9,8 @@ use rand::{Rng, SeedableRng};
 
 use crate::pit::PitDefinition;
 use crate::{
-    AddOutcome, CompiledStateModel, Corpus, CorpusConfig, DataModel, Fault, FaultLog,
-    FieldNameTable, ModelId, ModelTable, Mutator, RenderProgram, Seed, StartError, Target,
+    AddOutcome, CompiledStateModel, Corpus, CorpusConfig, Fault, FaultLog, ModelId, ModelTable,
+    MutationPlan, Mutator, Seed, StartError, Target,
 };
 
 /// Tunables of a fuzzing instance.
@@ -125,30 +125,19 @@ pub struct FuzzEngine<T: Target> {
     config: EngineConfig,
     map: CoverageMap,
     accumulated: CoverageSnapshot,
-    /// Pristine data models, exactly as parsed from the Pit.
-    working_models: Vec<DataModel>,
     /// Interned model names; dense ids shared by plans, seeds and the
     /// corpus. Engines built from the same Pit intern in the same order,
     /// so ids agree across a campaign's instances.
     models: ModelTable,
-    /// Interned id of each working model, parallel to `working_models`.
+    /// Interned id of each data model, in Pit declaration order.
     model_ids: Vec<ModelId>,
-    /// [`ModelId::index`] → slot of the *first* working model with that
+    /// [`ModelId::index`] → slot of the *first* data model with that
     /// name (duplicate names keep find-first semantics); `None` for ids
     /// interned from plans or transitions that match no data model.
     model_index: Vec<Option<usize>>,
-    /// Per-model precompiled renders of the pristine models.
-    programs: Vec<RenderProgram>,
-    /// Per-model field-name tables (shape-level, so scratch copies reuse
-    /// them).
-    name_tables: Vec<FieldNameTable>,
-    /// Mutable twins of `working_models`, restored to pristine values and
-    /// re-mutated in place instead of cloning a model per field mutation.
-    scratch_models: Vec<DataModel>,
-    /// Recompile target for mutated scratch models.
-    scratch_program: RenderProgram,
-    /// Scratch for [`RenderProgram::compile_into`] length resolution.
-    lengths_scratch: Vec<usize>,
+    /// Mutation plan of each data model, parallel to `model_ids`: its
+    /// pristine render and the patches a field mutation applies to it.
+    mutation_plans: Vec<MutationPlan>,
     /// State model compiled to dense indices, if the Pit declares one.
     compiled_state: Option<CompiledStateModel>,
     /// Reusable session-plan buffer.
@@ -182,7 +171,7 @@ pub struct FuzzEngine<T: Target> {
 /// Renders the state that decides every future session: accumulated
 /// coverage, both RNG stream positions, the corpus and queued imports,
 /// the outbox, faults, statistics, the next fixed plan and the target.
-/// Compiled models and scratch buffers are left out, so two engines that
+/// Mutation plans and scratch buffers are left out, so two engines that
 /// will behave alike render alike, whatever batch sizes brought them
 /// there.
 impl<T: Target + fmt::Debug> fmt::Debug for FuzzEngine<T> {
@@ -209,15 +198,15 @@ impl<T: Target> FuzzEngine<T> {
     pub fn new(target: T, pit: PitDefinition, config: EngineConfig) -> Self {
         let map = CoverageMap::new(target.branch_count());
         let accumulated = CoverageSnapshot::empty(target.branch_count());
-        let working_models = pit.data_models().to_vec();
+        let data_models = pit.data_models();
 
         // Intern data-model names first (declaration order), then state
         // transitions: the order is a pure function of the Pit, so every
         // engine of a campaign assigns identical ids.
         let mut models = ModelTable::new();
-        let mut model_ids = Vec::with_capacity(working_models.len());
+        let mut model_ids = Vec::with_capacity(data_models.len());
         let mut model_index: Vec<Option<usize>> = Vec::new();
-        for (slot, model) in working_models.iter().enumerate() {
+        for (slot, model) in data_models.iter().enumerate() {
             let id = models.intern(model.name());
             model_ids.push(id);
             if model_index.len() <= id.index() {
@@ -234,19 +223,9 @@ impl<T: Target> FuzzEngine<T> {
             model_index.resize(models.len(), None);
         }
 
-        // Compile each pristine model once; renders replay the flat
-        // programs instead of re-walking the field tree.
-        let mut programs = Vec::with_capacity(working_models.len());
-        let mut name_tables = Vec::with_capacity(working_models.len());
-        let mut lengths_scratch = Vec::new();
-        for model in &working_models {
-            let names = FieldNameTable::build(model);
-            let mut program = RenderProgram::new();
-            program.compile_into(model, &names, &mut lengths_scratch);
-            programs.push(program);
-            name_tables.push(names);
-        }
-        let scratch_models = working_models.clone();
+        // Render each pristine model once; messages copy or patch these
+        // bytes instead of re-walking the field tree.
+        let mutation_plans = data_models.iter().map(MutationPlan::new).collect();
 
         let mutator = Mutator::new(config.seed ^ 0x006d_7574_6174_6f72)
             .with_dictionary(config.dictionary.clone());
@@ -257,15 +236,10 @@ impl<T: Target> FuzzEngine<T> {
             config,
             map,
             accumulated,
-            working_models,
             models,
             model_ids,
             model_index,
-            programs,
-            name_tables,
-            scratch_models,
-            scratch_program: RenderProgram::new(),
-            lengths_scratch,
+            mutation_plans,
             compiled_state,
             plan_scratch: Vec::new(),
             arena: Vec::new(),
@@ -502,9 +476,9 @@ impl<T: Target> FuzzEngine<T> {
     /// `data[from..]`. Mutations are confined to the appended tail, so the
     /// draw sequence and resulting bytes are independent of `from`.
     fn generate_message_into(&mut self, model_id: ModelId, data: &mut Vec<u8>, from: usize) {
-        // Generation-side mutation perturbs a persistent scratch twin
-        // of the model, so the pristine structure survives —
-        // interesting variants persist through the corpus instead.
+        // Generation-side mutation patches one field into the pristine
+        // bytes, so the model itself never changes; interesting variants
+        // persist through the corpus instead.
         let mutate_fields = self.rng.random::<f64>() < self.config.model_mutation_rate;
 
         if !mutate_fields && self.rng.random::<f64>() < self.config.seed_reuse_rate {
@@ -518,15 +492,7 @@ impl<T: Target> FuzzEngine<T> {
         } else if mutate_fields {
             self.stats.model_mutations += 1;
             if let Some(slot) = self.model_slot(model_id) {
-                let scratch = &mut self.scratch_models[slot];
-                scratch.restore_values_from(&self.working_models[slot]);
-                self.mutator.mutate_model(scratch);
-                self.scratch_program.compile_into(
-                    scratch,
-                    &self.name_tables[slot],
-                    &mut self.lengths_scratch,
-                );
-                self.scratch_program.render_into(data);
+                self.mutation_plans[slot].mutate_into(&mut self.mutator, data);
             }
             // Unknown model: empty message, no mutator draw — same as
             // the name-lookup implementation.
@@ -548,8 +514,8 @@ impl<T: Target> FuzzEngine<T> {
             }
             None => {
                 // No state model: single random message.
-                if !self.working_models.is_empty() {
-                    let i = self.rng.random_range(0..self.working_models.len());
+                if !self.model_ids.is_empty() {
+                    let i = self.rng.random_range(0..self.model_ids.len());
                     plan.push(self.model_ids[i]);
                 }
             }
@@ -580,16 +546,16 @@ impl<T: Target> FuzzEngine<T> {
         }
     }
 
-    /// Slot of the first working model interned as `model`, if any.
+    /// Slot of the first data model interned as `model`, if any.
     fn model_slot(&self, model: ModelId) -> Option<usize> {
         self.model_index.get(model.index()).copied().flatten()
     }
 
-    /// Appends the precompiled render of `model` to `out`; unknown ids
+    /// Appends the pristine render of `model` to `out`; unknown ids
     /// (plan names matching no data model) append nothing.
     fn render_into(&self, model: ModelId, out: &mut Vec<u8>) {
         if let Some(slot) = self.model_slot(model) {
-            self.programs[slot].render_into(out);
+            out.extend_from_slice(self.mutation_plans[slot].pristine());
         }
     }
 

@@ -12,7 +12,9 @@
 //!   driven by [`StateWalker`].
 //! * [`pit`] — a Pit-file-like XML format describing both models, so all
 //!   fuzzers in an experiment consume "the same Pit files" (paper §IV-A).
-//! * [`Mutator`] — byte- and field-level mutation strategies.
+//! * [`Mutator`] — byte- and field-level mutation strategies;
+//!   [`MutationPlan`] applies a field mutation as a patch over a model's
+//!   pristine bytes.
 //! * [`Corpus`] — coverage-guided seed retention.
 //! * [`FuzzEngine`] — one fuzzing instance: session loop, coverage
 //!   feedback, fault collection and deduplication.
@@ -42,8 +44,8 @@ mod engine;
 mod fault;
 mod intern;
 mod mutate;
+mod mutation_plan;
 pub mod pit;
-mod render_program;
 pub mod sketch;
 mod state_model;
 mod target;
@@ -56,7 +58,7 @@ pub use engine::{
 pub use fault::{Fault, FaultKind, FaultLog};
 pub use intern::{ModelId, ModelTable};
 pub use mutate::{MutationOp, Mutator};
-pub use render_program::{FieldNameTable, RenderProgram};
+pub use mutation_plan::MutationPlan;
 pub use sketch::SeedSketch;
 pub use state_model::{
     CompiledStateModel, ResponseClass, State, StateModel, StateWalker, Transition,

@@ -49,6 +49,9 @@ impl MutationOp {
     ];
 }
 
+/// Stacked havoc operators applied to a mutated `Bytes`/`Str` field.
+const FIELD_HAVOC_STACK: u32 = 4;
+
 const INTERESTING8: [u8; 5] = [0x00, 0x01, 0x7f, 0x80, 0xff];
 const INTERESTING16: [u16; 6] = [0x0000, 0x0001, 0x7fff, 0x8000, 0xffff, 0x0100];
 const INTERESTING32: [u32; 5] = [
@@ -251,75 +254,45 @@ impl Mutator {
     /// byte-level havoc). Returns the name of the mutated field, or `None`
     /// if the model has no mutable fields.
     ///
-    /// Selects the site by counted walk (`DataModel::count_mutable` +
-    /// `nth_mutable`) rather than collecting `&mut Field` pointers into a
-    /// temporary `Vec`, and snapshots only the scalars it needs from the
-    /// field kind instead of cloning it (a `Choice` kind owns whole
-    /// sub-models). RNG draw order matches the collecting implementation
-    /// exactly, so mutation streams are unchanged.
+    /// This is the reference semantics of a field mutation. The session
+    /// loop patches pristine bytes through a
+    /// [`MutationPlan`](crate::MutationPlan) instead, and both are written
+    /// on the same draw helpers (`pick_site`, `draw_uint`, `draw_adjust`,
+    /// `draw_choice`, `havoc_field`), so the two make the same RNG draws
+    /// for the same site.
     pub fn mutate_model<'m>(&mut self, model: &'m mut DataModel) -> Option<&'m str> {
-        /// Copy-only snapshot of the facts the mutation arms need.
-        enum Site {
-            UInt { bits: u8 },
-            LengthOf,
-            Choice { options: usize },
-            Bytes,
-            Str,
-            Block,
-        }
-
         let sites = model.count_mutable();
         if sites == 0 {
             return None;
         }
-        let index = self.rng.random_range(0..sites);
-        let field = model.nth_mutable(index).expect("index < count_mutable");
-        let site = match field.kind() {
-            FieldKind::UInt { bits, .. } => Site::UInt { bits: *bits },
-            FieldKind::LengthOf { .. } => Site::LengthOf,
-            FieldKind::Choice { options, .. } => Site::Choice {
-                options: options.len(),
-            },
-            FieldKind::Bytes => Site::Bytes,
-            FieldKind::Str => Site::Str,
-            FieldKind::Block(_) => Site::Block,
-        };
-        match site {
-            Site::UInt { bits } => {
-                let max = if bits >= 64 {
-                    u64::MAX
-                } else {
-                    (1u64 << bits) - 1
-                };
-                let new = match self.rng.random_range(0..4u8) {
-                    0 => 0,
-                    1 => max,
-                    2 => max / 2,
-                    _ => self.rng.random::<u64>() & max,
-                };
-                *field.value_mut() = FieldValue::Int(new);
+        let field = model
+            .nth_mutable(self.pick_site(sites))
+            .expect("index < count_mutable");
+        match field.kind() {
+            FieldKind::UInt { bits, .. } => {
+                *field.value_mut() = FieldValue::Int(self.draw_uint(*bits));
             }
-            Site::LengthOf => {
+            FieldKind::LengthOf { .. } => {
+                let lie = self.draw_adjust();
                 if let FieldKind::LengthOf { adjust, .. } = field.kind_mut() {
-                    *adjust = self.rng.random_range(-64..=64);
+                    *adjust = lie;
                 }
             }
-            Site::Choice { options } => {
+            FieldKind::Choice { options, .. } => {
+                let pick = self.draw_choice(options.len());
                 if let FieldKind::Choice { selected, .. } = field.kind_mut() {
-                    *selected = self.rng.random_range(0..options);
+                    *selected = pick;
                 }
             }
-            Site::Bytes => {
+            FieldKind::Bytes => {
                 if let FieldValue::Bytes(b) = field.value_mut() {
-                    let mut copy = std::mem::take(b);
-                    self.mutate(&mut copy, 4);
-                    *b = copy;
+                    self.havoc_field(b, 0);
                 }
             }
-            Site::Str => {
+            FieldKind::Str => {
                 if let FieldValue::Str(s) = field.value_mut() {
                     let mut bytes = std::mem::take(s).into_bytes();
-                    self.mutate(&mut bytes, 4);
+                    self.havoc_field(&mut bytes, 0);
                     // `from_utf8_lossy` of valid UTF-8 is the identity, so
                     // round-tripping through `from_utf8` first gives the
                     // same string while only allocating on invalid input.
@@ -329,9 +302,45 @@ impl Mutator {
                     };
                 }
             }
-            Site::Block => {}
+            FieldKind::Block(_) => {}
         }
         Some(field.name())
+    }
+
+    /// Draws which of `sites` mutation sites a field mutation perturbs.
+    pub(crate) fn pick_site(&mut self, sites: usize) -> usize {
+        self.rng.random_range(0..sites)
+    }
+
+    /// Draws a new value for a `bits`-wide integer field: zero, the
+    /// maximum, half the maximum or a random value, uniformly.
+    pub(crate) fn draw_uint(&mut self, bits: u8) -> u64 {
+        let max = if bits >= 64 {
+            u64::MAX
+        } else {
+            (1u64 << bits) - 1
+        };
+        match self.rng.random_range(0..4u8) {
+            0 => 0,
+            1 => max,
+            2 => max / 2,
+            _ => self.rng.random::<u64>() & max,
+        }
+    }
+
+    /// Draws a length field's lie, added to the measured length.
+    pub(crate) fn draw_adjust(&mut self) -> i64 {
+        self.rng.random_range(-64..=64)
+    }
+
+    /// Draws a choice's newly selected alternative.
+    pub(crate) fn draw_choice(&mut self, options: usize) -> usize {
+        self.rng.random_range(0..options)
+    }
+
+    /// Havocs a byte or string field's bytes, `data[from..]`.
+    pub(crate) fn havoc_field(&mut self, data: &mut Vec<u8>, from: usize) {
+        self.mutate_tail(data, from, FIELD_HAVOC_STACK);
     }
 
     fn offset(&mut self, len: usize) -> Option<usize> {

@@ -473,6 +473,11 @@ mod tests {
         )
         .expect("offline fleet");
         assert_eq!(digest, result_digest(offline.campaigns[0].result()));
+        // The streamed digest is the digest of the whole `Debug` string.
+        assert_eq!(
+            digest,
+            crate::fnv1a_hex(&format!("{:?}", offline.campaigns[0].result()))
+        );
         plane.shutdown();
     }
 

@@ -11,6 +11,8 @@
 //! soak gate replay the same submission through an offline
 //! [`cmfuzz_fleet::run_fleet`] and demand bit-identical campaign results.
 
+use std::fmt;
+
 use cmfuzz::baseline::cmfuzz_setups;
 use cmfuzz::campaign::CampaignOptions;
 use cmfuzz::metrics::CampaignResult;
@@ -457,19 +459,50 @@ pub fn error_response(exit_code: i32, message: &str) -> String {
 /// matched by the offline gate.
 #[must_use]
 pub fn fnv1a_hex(text: &str) -> String {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in text.as_bytes() {
-        hash ^= u64::from(*byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    format!("{hash:016x}")
+    let mut hasher = Fnv1a::default();
+    hasher.push(text);
+    hasher.hex()
 }
 
 /// The deterministic digest of one campaign result: FNV-1a over the full
-/// `Debug` render, the same fingerprint the determinism tests pin.
+/// `Debug` render, the same fingerprint the determinism tests pin. The
+/// render is streamed through the hash, so the digest needs no buffer
+/// the size of the result (a served campaign's result grows with every
+/// round it runs).
 #[must_use]
 pub fn result_digest(result: &CampaignResult) -> String {
-    fnv1a_hex(&format!("{result:?}"))
+    let mut hasher = Fnv1a::default();
+    fmt::write(&mut hasher, format_args!("{result:?}")).expect("hashing cannot fail");
+    hasher.hex()
+}
+
+/// An FNV-1a hash fed by `fmt::Write`.
+struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Fnv1a {
+    fn push(&mut self, text: &str) {
+        for byte in text.as_bytes() {
+            self.0 ^= u64::from(*byte);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn hex(&self) -> String {
+        format!("{:016x}", self.0)
+    }
+}
+
+impl fmt::Write for Fnv1a {
+    fn write_str(&mut self, text: &str) -> fmt::Result {
+        self.push(text);
+        Ok(())
+    }
 }
 
 #[cfg(test)]

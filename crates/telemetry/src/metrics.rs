@@ -199,6 +199,16 @@ struct RegistryInner {
     histograms: BTreeMap<String, Histogram>,
 }
 
+/// The handle registered under `name`, made by `make` and registered
+/// first if missing. Looking up an existing name allocates nothing: the
+/// owned key is built only for an insert.
+fn registered<H: Clone>(map: &mut BTreeMap<String, H>, name: &str, make: impl FnOnce() -> H) -> H {
+    if let Some(handle) = map.get(name) {
+        return handle.clone();
+    }
+    map.entry(name.to_owned()).or_insert_with(make).clone()
+}
+
 /// Named metric registry; handles are created once and recorded against
 /// without further locking.
 ///
@@ -223,32 +233,22 @@ impl MetricsRegistry {
     /// Returns the counter registered under `name`, creating it if needed.
     #[must_use]
     pub fn counter(&self, name: &str) -> Counter {
-        self.locked()
-            .counters
-            .entry(name.to_owned())
-            .or_default()
-            .clone()
+        registered(&mut self.locked().counters, name, Counter::default)
     }
 
     /// Returns the gauge registered under `name`, creating it if needed.
     #[must_use]
     pub fn gauge(&self, name: &str) -> Gauge {
-        self.locked()
-            .gauges
-            .entry(name.to_owned())
-            .or_default()
-            .clone()
+        registered(&mut self.locked().gauges, name, Gauge::default)
     }
 
     /// Returns the histogram registered under `name`, creating it with
     /// `bounds` if needed (an existing histogram keeps its original bounds).
     #[must_use]
     pub fn histogram(&self, name: &str, bounds: &[u64]) -> Histogram {
-        self.locked()
-            .histograms
-            .entry(name.to_owned())
-            .or_insert_with(|| Histogram::new(bounds))
-            .clone()
+        registered(&mut self.locked().histograms, name, || {
+            Histogram::new(bounds)
+        })
     }
 
     /// Folds a snapshot from another registry into this one.

@@ -1,13 +1,15 @@
-//! Compiled render programs must be byte-for-byte equivalent to the
-//! interpreted renderer on every subject's Pit — pristine and under
-//! field-level mutation.
+//! Mutation plans must be byte-for-byte equivalent to the interpreted
+//! renderer on every subject's Pit — pristine and under field-level
+//! mutation.
 //!
-//! `Generator::render` is the reference semantics; `RenderProgram` is the
-//! hot-loop replacement. Any divergence would silently change what every
-//! fuzzer sends on the wire, so this suite sweeps all six protocol Pits
-//! and hundreds of mutated model states per data model.
+//! `Generator::render` of a model that `Mutator::mutate_model` perturbed
+//! is the reference semantics; `MutationPlan` is the hot-loop
+//! replacement, which patches the pristine bytes instead. Any divergence
+//! would silently change what every fuzzer sends on the wire, so this
+//! suite sweeps all six protocol Pits and checks both the bytes and the
+//! mutator's RNG position after every mutation.
 
-use cmfuzz_fuzzer::{pit, FieldNameTable, Generator, Mutator, RenderProgram};
+use cmfuzz_fuzzer::{pit, Generator, MutationPlan, Mutator};
 use cmfuzz_protocols::all_specs;
 
 #[test]
@@ -15,65 +17,48 @@ fn compiled_render_matches_interpreter_on_all_pristine_models() {
     for spec in all_specs() {
         let parsed = pit::parse(spec.pit_document).expect("pit parses");
         for model in parsed.data_models() {
-            let names = FieldNameTable::build(model);
-            let mut program = RenderProgram::new();
-            let mut lengths = Vec::new();
-            program.compile_into(model, &names, &mut lengths);
-            let mut compiled = Vec::new();
-            program.render_into(&mut compiled);
-            let interpreted = Generator::render(model);
             assert_eq!(
-                compiled,
-                interpreted,
-                "{}/{}: compiled render diverged on the pristine model",
+                MutationPlan::new(model).pristine(),
+                Generator::render(model),
+                "{}/{}: plan diverged on the pristine model",
                 spec.name,
                 model.name()
             );
-            assert_eq!(program.rendered_len(), interpreted.len());
         }
     }
 }
 
 #[test]
 fn compiled_render_matches_interpreter_under_mutation() {
-    let mut mutator = Mutator::new(0x5e55_1015);
     for spec in all_specs() {
         let parsed = pit::parse(spec.pit_document).expect("pit parses");
         for model in parsed.data_models() {
-            // One name table and one program reused across every mutated
-            // state, exactly like the engine's scratch-model path.
-            let names = FieldNameTable::build(model);
-            let mut program = RenderProgram::new();
-            let mut lengths = Vec::new();
-            let mut scratch = model.clone();
-            let mut compiled = Vec::new();
+            // One plan and one output buffer reused across every round,
+            // as in the engine's arena; each round mutates a fresh clone.
+            let plan = MutationPlan::new(model);
+            let mut planned = Mutator::new(0x5e55_1015);
+            let mut reference = Mutator::new(0x5e55_1015);
+            let mut patched = Vec::new();
             for round in 0..50 {
-                scratch.restore_values_from(model);
-                mutator.mutate_model(&mut scratch);
-                program.compile_into(&scratch, &names, &mut lengths);
-                compiled.clear();
-                program.render_into(&mut compiled);
-                let interpreted = Generator::render(&scratch);
+                patched.clear();
+                plan.mutate_into(&mut planned, &mut patched);
+                let mut clone = model.clone();
+                reference.mutate_model(&mut clone);
                 assert_eq!(
-                    compiled,
-                    interpreted,
-                    "{}/{} round {round}: compiled render diverged after mutation",
+                    patched,
+                    Generator::render(&clone),
+                    "{}/{} round {round}: plan diverged after mutation",
+                    spec.name,
+                    model.name()
+                );
+                assert_eq!(
+                    planned.rng_state(),
+                    reference.rng_state(),
+                    "{}/{} round {round}: plan drew differently from mutate_model",
                     spec.name,
                     model.name()
                 );
             }
-            // The pristine restore itself must round-trip too.
-            scratch.restore_values_from(model);
-            program.compile_into(&scratch, &names, &mut lengths);
-            compiled.clear();
-            program.render_into(&mut compiled);
-            assert_eq!(
-                compiled,
-                Generator::render(model),
-                "{}/{}: restore_values_from did not return to pristine bytes",
-                spec.name,
-                model.name()
-            );
         }
     }
 }
