@@ -4,10 +4,12 @@
 //! branches as round-robin, a same-seed repeat must reproduce the run, no
 //! campaign may cover a branch the reachability analyzer proved dead in
 //! its partition, and two re-executions of this test binary must produce
-//! the same results as this process.
+//! the same results as this process. A share-group fleet must exchange
+//! seeds and repeat identically.
 
 use std::process::Command;
 
+use cmfuzz::campaign::{CampaignOptions, InstanceSetup};
 use cmfuzz::preflight::analyze_reachability_for;
 use cmfuzz_bench::partition_fleet;
 use cmfuzz_coverage::Ticks;
@@ -126,4 +128,45 @@ fn policies_hold_their_gates_and_reproduce_across_processes() {
             "child process {child} produced different fleet results"
         );
     }
+}
+
+#[test]
+fn share_group_fleet_exchanges_seeds_and_repeats_identically() {
+    const SHARE_SEED: u64 = 0xC0095;
+    let spec = all_specs()[0];
+    let fleet: Vec<FleetCampaign> = (0..2)
+        .map(|i| FleetCampaign {
+            id: format!("{}/share-{i}", spec.name),
+            spec,
+            fuzzer: "cmfuzz".into(),
+            setups: vec![InstanceSetup::default(); 2],
+            options: CampaignOptions {
+                instances: 2,
+                budget: Ticks::new(400),
+                sample_interval: Ticks::new(100),
+                saturation_window: Ticks::new(200),
+                seed: SHARE_SEED.wrapping_add(i),
+                worker_pool: false,
+                ..CampaignOptions::default()
+            },
+            share_group: Some("bench".into()),
+        })
+        .collect();
+    let options = FleetOptions {
+        slots: 2,
+        slice: Ticks::new(100),
+        share_rare_seeds: 4,
+        ..FleetOptions::default()
+    };
+    let run = || {
+        run_fleet(&fleet, &mut RoundRobin::new(), &options)
+            .unwrap_or_else(|error| panic!("sharing fleet failed: {error}"))
+    };
+    let first = run();
+    assert!(first.seeds_shared > 0, "fleet sharing exchanged no seeds");
+    assert_eq!(
+        format!("{first:?}"),
+        format!("{:?}", run()),
+        "same-seed sharing fleets diverged"
+    );
 }

@@ -1,8 +1,9 @@
 //! The telemetry tax: one campaign run with an enabled telemetry pipeline
 //! (events drained and engine counts published at every round boundary)
 //! against the same campaign with a disabled one. The acceptance bar is
-//! 5%; this measurement prints both rates and asserts nothing. Run it in
-//! release:
+//! 5%; this measurement prints each side's median rate with its
+//! interquartile range and the median paired difference, and asserts
+//! nothing. Run it in release:
 //!
 //! ```sh
 //! cargo test --release -p cmfuzz-bench --test telemetry_overhead -- --ignored --nocapture
@@ -15,8 +16,9 @@ use cmfuzz_coverage::{Ticks, VirtualClock};
 use cmfuzz_protocols::spec_by_name;
 use cmfuzz_telemetry::Telemetry;
 
-/// Alternating runs per pipeline; the median rate is reported.
-const RUNS: usize = 5;
+/// Pairs of runs, one per pipeline each; the side that runs first
+/// alternates from pair to pair.
+const PAIRS: usize = 10;
 
 /// Sessions per wall-clock second of one mosquitto campaign: 4 instances,
 /// 12 500 sessions each, on the calling thread.
@@ -40,26 +42,40 @@ fn sessions_per_s(telemetry: &Telemetry) -> f64 {
     result.stats.sessions as f64 / started.elapsed().as_secs_f64()
 }
 
-fn median(mut rates: Vec<f64>) -> f64 {
-    rates.sort_by(f64::total_cmp);
-    rates[rates.len() / 2]
+/// The median and interquartile range (nearest-rank quartiles) of
+/// `values`.
+fn median_iqr(mut values: Vec<f64>) -> (f64, f64, f64) {
+    values.sort_by(f64::total_cmp);
+    let at = |q: usize| values[(values.len() - 1) * q / 4];
+    (at(2), at(1), at(3))
 }
 
 #[test]
 #[ignore = "wall-clock measurement; run in release with --ignored --nocapture"]
 fn telemetry_overhead() {
+    let enabled_pipeline = || Telemetry::builder(VirtualClock::new()).build();
     let mut disabled = Vec::new();
     let mut enabled = Vec::new();
-    for _ in 0..RUNS {
-        disabled.push(sessions_per_s(&Telemetry::disabled()));
-        enabled.push(sessions_per_s(
-            &Telemetry::builder(VirtualClock::new()).build(),
-        ));
+    for pair in 0..PAIRS {
+        if pair % 2 == 0 {
+            disabled.push(sessions_per_s(&Telemetry::disabled()));
+            enabled.push(sessions_per_s(&enabled_pipeline()));
+        } else {
+            enabled.push(sessions_per_s(&enabled_pipeline()));
+            disabled.push(sessions_per_s(&Telemetry::disabled()));
+        }
     }
-    let (disabled, enabled) = (median(disabled), median(enabled));
+    let paired: Vec<f64> = enabled
+        .iter()
+        .zip(&disabled)
+        .map(|(on, off)| (on / off - 1.0) * 100.0)
+        .collect();
+    let (off, off_q1, off_q3) = median_iqr(disabled);
+    let (on, on_q1, on_q3) = median_iqr(enabled);
+    let (difference, _, _) = median_iqr(paired);
     println!(
-        "telemetry_overhead: disabled {disabled:.0} sessions/s, enabled {enabled:.0} sessions/s \
-         ({:+.2}%)",
-        (enabled / disabled - 1.0) * 100.0
+        "telemetry_overhead over {PAIRS} pairs: disabled {off:.0} sessions/s \
+         (IQR {off_q1:.0}-{off_q3:.0}), enabled {on:.0} sessions/s \
+         (IQR {on_q1:.0}-{on_q3:.0}); median paired difference {difference:+.2}%"
     );
 }

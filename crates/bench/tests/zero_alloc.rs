@@ -1,6 +1,6 @@
 //! Gates: the coverage feedback path, a steady-state session iteration,
-//! a warm datagram link's bursts, field mutations, seed sketches, corpus
-//! picks and lookups of registered metric names perform **zero** heap
+//! a warm datagram link's bursts, field mutations, corpus picks and
+//! lookups of registered metric names perform **zero** heap
 //! allocations, and warm networked batches (the path
 //! campaigns run) fewer than one per thousand sessions.
 //!
@@ -16,8 +16,7 @@ use cmfuzz_bench::NullTarget;
 use cmfuzz_config_model::ResolvedConfig;
 use cmfuzz_coverage::{BranchId, CoverageMap, CoverageSnapshot};
 use cmfuzz_fuzzer::{
-    pit, Corpus, CorpusConfig, EngineConfig, FuzzEngine, ModelId, MutationPlan, Mutator, Seed,
-    SeedSketch, Target,
+    pit, AddOutcome, Corpus, EngineConfig, FuzzEngine, ModelId, MutationPlan, Mutator, Seed, Target,
 };
 use cmfuzz_netsim::LinkConditions;
 use cmfuzz_protocols::{all_specs, DatagramLink, NetworkedTarget, Transport};
@@ -288,26 +287,23 @@ fn warm_networked_batches_allocate_less_than_once_per_thousand_sessions() {
 }
 
 #[test]
-fn corpus_sketch_and_picks_do_not_allocate() {
-    // Computing a seed sketch, and picking from a rarity-weighted corpus
-    // at its high-water mark: every alias-table buffer reached its final
-    // capacity during the adds, so steady-state picks are table lookups.
-    let payload: Vec<u8> = (0..256u32)
-        .map(|i| (i.wrapping_mul(37) % 251) as u8)
-        .collect();
-    let allocs = count_allocs(2_000, || {
-        black_box(SeedSketch::compute(black_box(&payload)));
-    });
-    assert_eq!(allocs, 0, "SeedSketch::compute allocated");
-
-    let mut corpus = Corpus::with_config(64, CorpusConfig::intelligent());
-    for i in 0..64u32 {
+fn corpus_picks_do_not_allocate() {
+    // Picks from a full corpus that has evicted from the front: a pick is
+    // one RNG draw and an index into the seed deque or a model index.
+    let mut corpus = Corpus::new(64);
+    let mut evictions = 0;
+    for i in 0..100u32 {
         let bytes: Vec<u8> = (0..64u32)
             .map(|j| (i.wrapping_mul(131).wrapping_add(j * 17) % 251) as u8)
             .collect();
-        corpus.add(Seed::with_rarity(bytes, ModelId::from_raw(i % 3), i % 11));
+        if let AddOutcome::Added { evicted: true } =
+            corpus.add(Seed::new(bytes, ModelId::from_raw(i % 3)))
+        {
+            evictions += 1;
+        }
     }
-    assert!(corpus.len() > 1, "the measured corpus retained seeds");
+    assert_eq!(corpus.len(), 64, "the measured corpus is full");
+    assert!(evictions > 0, "the measured corpus evicted");
 
     let mut rng = StdRng::seed_from_u64(0xBEEF);
     let allocs = count_allocs(2_000, || {

@@ -657,7 +657,6 @@ impl CampaignRun {
             stats.crashes_observed += engine.crashes_observed;
             stats.seeds_retained += engine.seeds_retained;
             stats.seeds_deduped_exact += engine.seeds_deduped_exact;
-            stats.seeds_deduped_near += engine.seeds_deduped_near;
             stats.seeds_evicted += engine.seeds_evicted;
             stats.seeds_imported += engine.seeds_imported;
         }
@@ -697,26 +696,19 @@ impl CampaignRun {
         self.result()
     }
 
-    /// Up to `max` of this campaign's rarest seeds, for sharing with
-    /// campaigns of the same subject. Seed bytes are shared, not copied.
+    /// Up to `max` of this campaign's seeds, for sharing with campaigns
+    /// of the same subject. Seed bytes are shared, not copied.
     ///
-    /// Candidates are drawn from every instance corpus (queued imports
-    /// last), ordered by rarity score ascending (lower = rarer coverage;
-    /// unscored seeds carry 0 and sort first) with ties broken by instance
-    /// order then retention order, and deduplicated by content hash so one
-    /// campaign never donates the same input twice.
+    /// A share is the first `max` distinct seeds in instance order, then
+    /// retention order (oldest first), then queued imports, deduplicated
+    /// by content hash so one campaign never donates the same input
+    /// twice.
     #[must_use]
-    pub fn rare_seeds(&self, max: usize) -> Vec<Seed> {
-        let mut candidates: Vec<&Seed> = self
-            .instances
+    pub fn seeds_to_share(&self, max: usize) -> Vec<Seed> {
+        let mut seen = std::collections::BTreeSet::new();
+        self.instances
             .iter()
             .flat_map(|i| i.engine.corpus().iter().chain(i.engine.queued_imports()))
-            .collect();
-        // Stable sort: equal rarities keep (instance, retention) order.
-        candidates.sort_by_key(|s| s.rarity);
-        let mut seen = std::collections::BTreeSet::new();
-        candidates
-            .into_iter()
             .filter(|seed| seen.insert(seed.content_hash()))
             .take(max)
             .cloned()
@@ -732,7 +724,7 @@ impl CampaignRun {
     /// models declare unreachable) rejects every seed, each counting once.
     /// Otherwise each seed not already present verbatim is accepted and
     /// queued ([`FuzzEngine::queue_import`]); the next slice offers the
-    /// queue to the corpus, whose retention path still drops near
+    /// queue to the corpus, whose retention path still drops exact
     /// duplicates and evicts at capacity.
     ///
     /// Accepted seeds count toward the engines' `seeds_imported` but are
@@ -762,7 +754,7 @@ type StatField = fn(&EngineStats) -> u64;
 
 /// Metric counters published from [`EngineStats`], each with the field it
 /// reads.
-const ENGINE_COUNTERS: [(&str, StatField); 11] = [
+const ENGINE_COUNTERS: [(&str, StatField); 10] = [
     ("engine.sessions", |s| s.sessions),
     ("engine.messages", |s| s.messages),
     ("engine.model_mutations", |s| s.model_mutations),
@@ -771,7 +763,6 @@ const ENGINE_COUNTERS: [(&str, StatField); 11] = [
     ("engine.faults_observed", |s| s.crashes_observed),
     ("corpus.retained", |s| s.seeds_retained),
     ("corpus.deduped_exact", |s| s.seeds_deduped_exact),
-    ("corpus.deduped_near", |s| s.seeds_deduped_near),
     ("corpus.evicted", |s| s.seeds_evicted),
     ("corpus.shared_in", |s| s.seeds_imported),
 ];
@@ -1240,7 +1231,7 @@ mod tests {
         let mut donor =
             CampaignRun::boot(&spec, "cmfuzz", &setups, &small_options(5), &quiet).unwrap();
         donor.slice(Ticks::new(300), &quiet, None).unwrap();
-        let (accepted, _) = run.import_seeds(&donor.rare_seeds(8), &ConstraintSet::default());
+        let (accepted, _) = run.import_seeds(&donor.seeds_to_share(8), &ConstraintSet::default());
         assert!(accepted > 0);
         run.slice(Ticks::new(300), &telemetry, None).unwrap();
         assert!(run.is_complete());

@@ -124,11 +124,6 @@ pub struct CampaignStats {
     pub seeds_retained: u64,
     /// Seeds dropped as exact duplicates (same model, same bytes).
     pub seeds_deduped_exact: u64,
-    /// Seeds dropped as MinHash near-duplicates (only when
-    /// [`CorpusConfig::near_dedup`] is on).
-    ///
-    /// [`CorpusConfig::near_dedup`]: cmfuzz_fuzzer::CorpusConfig
-    pub seeds_deduped_near: u64,
     /// Seeds evicted from full corpora to make room.
     pub seeds_evicted: u64,
     /// Seeds imported from other instances or campaigns (intra-campaign

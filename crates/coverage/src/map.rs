@@ -109,26 +109,6 @@ impl MapShared {
         }
         new
     }
-
-    /// Folds the hit-count mass of every coverage word flagged by dirty
-    /// word `d` into `min`, without clearing any dirty bit. Mass is the
-    /// sum of hit counts over the word's cells (uncovered cells are 0).
-    fn min_mass_of_dirty_word(&self, d: usize, min: &mut u64) {
-        let mut bits = self.dirty[d].load(Ordering::Acquire);
-        while bits != 0 {
-            let w = d * 64 + bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            let start = w * 64;
-            let end = (start + 64).min(self.cells.len());
-            let mass: u64 = self.cells[start..end]
-                .iter()
-                .map(|c| u64::from(c.load(Ordering::Relaxed)))
-                .sum();
-            if mass < *min {
-                *min = mass;
-            }
-        }
-    }
 }
 
 /// Shared per-target hit-count map, the analogue of the SanitizerCoverage
@@ -286,46 +266,6 @@ impl CoverageMap {
         new
     }
 
-    /// Rarity score of the coverage reached since the last drain, without
-    /// draining: the smallest hit-count mass among the coverage words the
-    /// dirty bitmap currently flags. `None` when nothing is pending.
-    ///
-    /// The engine calls this at seed-retention time, *before*
-    /// [`CoverageMap::absorb_new`], to stamp the retained seed with how
-    /// well-trodden its newly reached code is — a dirty word whose cells
-    /// have been hit thousands of times marks a common path, one with a
-    /// handful of hits marks rare coverage. Purely reads atomics: the
-    /// dirty bitmap, skip list and pending counter are left untouched, so
-    /// the subsequent drain observes exactly what it would have without
-    /// the peek. Seeds keep the score they were retained with, because
-    /// counts keep growing afterwards.
-    #[must_use]
-    pub fn peek_new_rarity(&self) -> Option<u32> {
-        let pending = self.shared.dirty_pending.load(Ordering::Acquire);
-        if pending == 0 {
-            return None;
-        }
-        let mut min = u64::MAX;
-        let queue = &self.shared.dirty_queue;
-        if pending > queue.len() {
-            // Overflowed skip list: scan the whole dirty bitmap, same as
-            // the drain's fallback.
-            for d in 0..self.shared.dirty.len() {
-                self.shared.min_mass_of_dirty_word(d, &mut min);
-            }
-        } else {
-            for entry in &queue[..pending] {
-                let d = entry.load(Ordering::Acquire) as usize;
-                self.shared.min_mass_of_dirty_word(d, &mut min);
-            }
-        }
-        if min == u64::MAX {
-            None
-        } else {
-            Some(u32::try_from(min).unwrap_or(u32::MAX))
-        }
-    }
-
     /// Clears all hit counts back to zero.
     pub fn reset(&self) {
         for cell in &self.shared.cells {
@@ -430,30 +370,6 @@ mod tests {
         assert_eq!(map.hit_count(BranchId::from_index(1)), 2);
         assert_eq!(map.hit_count(BranchId::from_index(2)), 1);
         assert_eq!(map.covered_count(), 2);
-    }
-
-    #[test]
-    fn peek_new_rarity_is_non_destructive_and_takes_the_min() {
-        let map = CoverageMap::new(200);
-        let probe = map.probe();
-        assert_eq!(map.peek_new_rarity(), None, "quiescent map has no score");
-        // Word 0 (branches 0..64): heavily trodden. Word 2 (branch 130):
-        // barely touched. The peek must report the rare word's mass.
-        for _ in 0..50 {
-            probe.hit(BranchId::from_index(3));
-        }
-        probe.hit(BranchId::from_index(130));
-        probe.hit(BranchId::from_index(131));
-        assert_eq!(map.peek_new_rarity(), Some(2), "min mass over dirty words");
-        // Peeking again sees the same thing: nothing was drained.
-        assert_eq!(map.peek_new_rarity(), Some(2));
-        let mut acc = CoverageSnapshot::empty(map.capacity());
-        assert_eq!(
-            map.absorb_new(&mut acc),
-            3,
-            "drain still sees all 3 branches"
-        );
-        assert_eq!(map.peek_new_rarity(), None, "drained map has no score");
     }
 
     #[test]

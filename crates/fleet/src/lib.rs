@@ -93,9 +93,9 @@ pub struct FleetCampaign {
     /// Campaign options; `options.budget` caps this campaign's total
     /// virtual-tick consumption across all its slices.
     pub options: CampaignOptions,
-    /// Rare-seed sharing group (typically the relation-aware partition
+    /// Seed-sharing group (typically the relation-aware partition
     /// family, e.g. `"mqtt"`). At every wave boundary, campaigns in the
-    /// same group exchange their rarest retained seeds when
+    /// same group exchange retained seeds when
     /// [`FleetOptions::share_rare_seeds`] is non-zero. `None` keeps the
     /// campaign out of every exchange.
     pub share_group: Option<String>,
@@ -115,8 +115,9 @@ pub struct FleetOptions {
     /// Skip the fleet-level static preflight
     /// ([`cmfuzz::preflight::analyze_fleet_schedule`]).
     pub skip_preflight: bool,
-    /// Rare seeds each campaign donates per wave boundary to the other
-    /// members of its [`FleetCampaign::share_group`]; `0` (the default)
+    /// Seeds each campaign donates per wave boundary to the other members
+    /// of its [`FleetCampaign::share_group`]
+    /// ([`CampaignRun::seeds_to_share`](cmfuzz::campaign::CampaignRun::seeds_to_share) picks them); `0` (the default)
     /// disables sharing entirely and reproduces the historical fleet
     /// results bit-for-bit.
     pub share_rare_seeds: usize,
@@ -191,7 +192,7 @@ pub struct FleetResult {
     pub leases: u64,
     /// Virtual ticks consumed across every slice.
     pub spent: Ticks,
-    /// Seeds accepted across all wave-boundary rare-seed exchanges (0
+    /// Seeds accepted across all wave-boundary seed exchanges (0
     /// when [`FleetOptions::share_rare_seeds`] is 0).
     pub seeds_shared: u64,
     /// Seed transfers rejected during exchanges: subject mismatches and
@@ -341,16 +342,6 @@ mod tests {
     #[test]
     fn fleet_reproduces_each_campaign_exactly() {
         assert_fleet_reproduces_campaigns(&small_fleet());
-    }
-
-    #[test]
-    fn fleet_reproduces_intelligent_corpus_campaigns() {
-        // Rarity scores read coverage hit counts, which live runs keep.
-        let mut fleet = small_fleet();
-        for campaign in &mut fleet {
-            campaign.options.engine.corpus = cmfuzz_fuzzer::CorpusConfig::intelligent();
-        }
-        assert_fleet_reproduces_campaigns(&fleet);
     }
 
     #[test]
@@ -523,14 +514,17 @@ mod tests {
         // Re-pinned when outcomes began storing their `CampaignResult`
         // in place of an exported checkpoint, which changed the render;
         // `result_digest` below was pinned before that change and held.
+        // Both re-pinned again when `CampaignStats` lost its always-zero
+        // count of near-duplicate drops: each new value is the old render
+        // without that field, and both counts held.
         assert_eq!(
             fnv1a(&format!("{result:?}")),
-            0x6668_6406_bed8_721c,
+            0x0d58_0614_432d_88b3,
             "the exchange moved"
         );
         assert_eq!(
             result_digest(&result),
-            0x879e_283e_db4e_6774,
+            0xce21_fa16_a5e5_1b51,
             "the exchange's results moved"
         );
     }

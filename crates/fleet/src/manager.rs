@@ -666,7 +666,7 @@ impl FleetManager {
 
         if self.options.share_rare_seeds > 0 {
             let (accepted, rejected) =
-                exchange_rare_seeds(&mut self.entries, self.options.share_rare_seeds);
+                exchange_seeds(&mut self.entries, self.options.share_rare_seeds);
             self.seeds_shared += accepted;
             self.seeds_share_rejected += rejected;
             self.shared_in_counter.add(accepted);
@@ -730,9 +730,10 @@ impl FleetManager {
     }
 }
 
-/// One wave boundary's fleet-wide rare-seed exchange: every running
-/// campaign in a [`FleetCampaign::share_group`] donates its
-/// `max_per_donor` rarest seeds to every other member of the group.
+/// One wave boundary's fleet-wide seed exchange: every running campaign
+/// in a [`FleetCampaign::share_group`] donates up to `max_per_donor`
+/// seeds ([`CampaignRun::seeds_to_share`]) to every other member of the
+/// group.
 ///
 /// Seeds pass between live runs directly; their bytes are shared, never
 /// copied. All donations are gathered before any import, so a seed
@@ -745,7 +746,7 @@ impl FleetManager {
 /// rejects instances whose running configuration violates the subject's
 /// declared startup constraints. Killed campaigns neither donate nor
 /// receive. Returns `(accepted, rejected)` transfer totals.
-fn exchange_rare_seeds(entries: &mut [FleetEntry], max_per_donor: usize) -> (u64, u64) {
+fn exchange_seeds(entries: &mut [FleetEntry], max_per_donor: usize) -> (u64, u64) {
     let mut groups: Vec<(String, Vec<usize>)> = Vec::new();
     for (index, entry) in entries.iter().enumerate() {
         let Some(group) = entry.campaign.share_group.as_deref() else {
@@ -775,7 +776,7 @@ fn exchange_rare_seeds(entries: &mut [FleetEntry], max_per_donor: usize) -> (u64
                 entries[i]
                     .run()
                     .expect("grouped members are running")
-                    .rare_seeds(max_per_donor)
+                    .seeds_to_share(max_per_donor)
             })
             .collect();
         for (&donor, seeds) in members.iter().zip(&donations) {

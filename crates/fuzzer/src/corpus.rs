@@ -1,64 +1,18 @@
-//! Coverage-guided seed corpus with optional corpus intelligence.
+//! Coverage-guided seed corpus.
 //!
-//! The base corpus is a bounded FIFO pool with per-model pick indexes.
-//! On top of that, [`CorpusConfig`] gates three opt-in behaviors —
-//! MinHash near-duplicate dropping, rarity-weighted seed picking, and
-//! rarity-based eviction — that change which seeds survive and how often
-//! they are re-mutated. Exact byte-for-byte duplicates are always
-//! dropped regardless of configuration: storing the same input twice
-//! only skews picks, never adds coverage.
-//!
-//! With a default `CorpusConfig` every RNG draw matches the historical
-//! FIFO corpus bit-for-bit: `pick`/`pick_for_model` draw uniformly with
-//! the same single `random_range` call, and eviction stays oldest-first.
-//! The engine-determinism digests pin exactly that.
+//! A bounded FIFO pool with per-model pick indexes. Exact byte-for-byte
+//! duplicates are dropped: storing the same input twice only skews
+//! picks, never adds coverage. Picks are uniform — one `random_range`
+//! draw each — and eviction is oldest-first; the engine-determinism
+//! digests pin exactly that RNG stream.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
-use rand::{Rng, RngCore};
+use rand::Rng;
 
-use crate::sketch::{content_hash, SeedSketch, SKETCH_BANDS};
 use crate::ModelId;
-
-/// Opt-in corpus intelligence switches.
-///
-/// All default to `false`, which preserves the historical corpus
-/// behavior byte-for-byte (uniform picks, FIFO eviction, no
-/// near-duplicate filtering). Campaigns and benches that want the
-/// intelligence enable it explicitly — see [`CorpusConfig::intelligent`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CorpusConfig {
-    /// Drop seeds whose MinHash sketch near-matches a retained seed of
-    /// the same model (exact duplicates are always dropped).
-    pub near_dedup: bool,
-    /// Weight `pick`/`pick_for_model` by coverage rarity instead of
-    /// drawing uniformly.
-    pub rarity_weighted_pick: bool,
-    /// At capacity, evict the seed with the most common coverage
-    /// (highest rarity score) instead of the oldest.
-    pub rarity_eviction: bool,
-}
-
-impl CorpusConfig {
-    /// All intelligence enabled.
-    #[must_use]
-    pub fn intelligent() -> Self {
-        CorpusConfig {
-            near_dedup: true,
-            rarity_weighted_pick: true,
-            rarity_eviction: true,
-        }
-    }
-
-    /// Whether retention should stamp seeds with coverage-rarity scores
-    /// (only weighted picks and rarity eviction consume them).
-    #[must_use]
-    pub fn scores_rarity(&self) -> bool {
-        self.rarity_weighted_pick || self.rarity_eviction
-    }
-}
 
 /// What [`Corpus::add`] did with the offered seed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,10 +26,6 @@ pub enum AddOutcome {
     /// Dropped: a byte-identical seed of the same model is already
     /// retained.
     DuplicateExact,
-    /// Dropped: a near-identical seed (by MinHash sketch) of the same
-    /// model is already retained. Only returned when
-    /// [`CorpusConfig::near_dedup`] is set.
-    DuplicateNear,
 }
 
 impl AddOutcome {
@@ -95,48 +45,24 @@ impl AddOutcome {
 /// every engine of a campaign interns the shared Pit in the same order,
 /// so ids agree across the instances that exchange seeds.
 ///
-/// Each seed also carries its identity hash, MinHash sketch and a
-/// coverage-rarity score. Hash and sketch are pure functions of
-/// bytes/model, computed once at construction; the rarity score is
-/// stamped by the engine at retention time (0 when intelligence is off
-/// or the score is unknown) and frozen thereafter — hit counts keep
-/// growing, and a shared seed lands in another campaign's map, so the
-/// score must travel with the seed.
+/// Each seed also carries its content hash, computed once at
+/// construction, for the exact-duplicate check.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Seed {
     /// Wire bytes of the retained input.
     pub bytes: Arc<[u8]>,
     /// Id of the data model the input was generated from.
     pub model: ModelId,
-    /// Coverage-rarity score: the hit-count mass of the rarest branch
-    /// word this seed newly touched, measured at retention. Lower is
-    /// rarer; 0 means unscored.
-    pub rarity: u32,
     hash: u64,
-    sketch: SeedSketch,
 }
 
 impl Seed {
-    /// Creates an unscored seed; accepts a `Vec<u8>`, boxed slice or
-    /// `&[u8]`.
+    /// Creates a seed; accepts a `Vec<u8>`, boxed slice or `&[u8]`.
     #[must_use]
     pub fn new(bytes: impl Into<Arc<[u8]>>, model: ModelId) -> Self {
-        Seed::with_rarity(bytes, model, 0)
-    }
-
-    /// Creates a seed carrying a coverage-rarity score.
-    #[must_use]
-    pub fn with_rarity(bytes: impl Into<Arc<[u8]>>, model: ModelId, rarity: u32) -> Self {
         let bytes = bytes.into();
         let hash = content_hash(&bytes, model.index());
-        let sketch = SeedSketch::compute(&bytes);
-        Seed {
-            bytes,
-            model,
-            rarity,
-            hash,
-            sketch,
-        }
+        Seed { bytes, model, hash }
     }
 
     /// Fast identity hash over bytes and model (exact-duplicate check).
@@ -144,101 +70,23 @@ impl Seed {
     pub fn content_hash(&self) -> u64 {
         self.hash
     }
-
-    /// MinHash similarity sketch of the seed bytes.
-    #[must_use]
-    pub fn sketch(&self) -> &SeedSketch {
-        &self.sketch
-    }
 }
 
-/// Weight of a seed in rarity-weighted sampling. Lower rarity scores
-/// (rarer coverage) get larger weights; the `+ 1` keeps every retained
-/// seed reachable.
-fn rarity_weight(rarity: u32) -> u64 {
-    (1u64 << 16) / (u64::from(rarity) + 1) + 1
-}
-
-/// Vose alias table for O(1) weighted sampling with integer-only math.
-///
-/// `prob[i]` is a threshold in `[0, 2^32]`; a sample splits one RNG
-/// draw into a column (high 32 bits) and a coin (low 32 bits) and takes
-/// `i` when the coin is under the threshold, `alias[i]` otherwise. All
-/// buffers are reused across rebuilds, so rebuilding at steady state
-/// allocates nothing once the corpus reaches its high-water size.
-#[derive(Debug, Clone, Default)]
-struct AliasTable {
-    prob: Vec<u64>,
-    alias: Vec<u32>,
-    scaled: Vec<u64>,
-    small: Vec<u32>,
-    large: Vec<u32>,
-}
-
-const ALIAS_ONE: u64 = 1 << 32;
-
-impl AliasTable {
-    /// Rebuilds the table from scratch for the given weights. The
-    /// result depends only on the weight sequence — not on the edit
-    /// history — so a corpus rebuilt from the same seeds samples
-    /// identically.
-    fn rebuild(&mut self, weights: impl Iterator<Item = u64>) {
-        self.prob.clear();
-        self.alias.clear();
-        self.scaled.clear();
-        self.small.clear();
-        self.large.clear();
-        self.scaled.extend(weights);
-        let n = self.scaled.len();
-        if n == 0 {
-            return;
-        }
-        let total: u128 = self.scaled.iter().map(|&w| u128::from(w)).sum();
-        debug_assert!(total > 0, "weights are positive");
-        for w in &mut self.scaled {
-            *w = ((u128::from(*w) * n as u128 * u128::from(ALIAS_ONE)) / total) as u64;
-        }
-        self.prob.resize(n, ALIAS_ONE);
-        self.alias.resize(n, 0);
-        for (i, &s) in self.scaled.iter().enumerate() {
-            if s < ALIAS_ONE {
-                self.small.push(i as u32);
-            } else {
-                self.large.push(i as u32);
-            }
-        }
-        while let (Some(&s), Some(&l)) = (self.small.last(), self.large.last()) {
-            self.small.pop();
-            let s = s as usize;
-            let l = l as usize;
-            self.prob[s] = self.scaled[s];
-            self.alias[s] = l as u32;
-            self.scaled[l] -= ALIAS_ONE - self.scaled[s];
-            if self.scaled[l] < ALIAS_ONE {
-                self.large.pop();
-                self.small.push(l as u32);
-            }
-        }
-        // Leftovers (rounding): their share is ~1.0; take them always.
-        for &i in self.small.iter().chain(self.large.iter()) {
-            self.prob[i as usize] = ALIAS_ONE;
-        }
-        self.small.clear();
-        self.large.clear();
+/// FNV-1a content hash over a seed's bytes and model id — the fast
+/// exact-duplicate check. Two seeds with equal hashes are byte-compared
+/// before being declared duplicates, so collisions cost a compare, never
+/// a wrong drop.
+fn content_hash(bytes: &[u8], model_index: usize) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for byte in (model_index as u64).to_le_bytes() {
+        hash ^= u64::from(byte);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
-
-    /// Samples a column from one 64-bit RNG draw.
-    fn sample(&self, draw: u64) -> usize {
-        let n = self.prob.len();
-        debug_assert!(n > 0, "sampling an empty table");
-        let col = ((draw >> 32) as usize) % n;
-        let coin = draw & 0xffff_ffff;
-        if coin < self.prob[col] {
-            col
-        } else {
-            self.alias[col] as usize
-        }
+    for &byte in bytes {
+        hash ^= u64::from(byte);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
+    hash
 }
 
 /// Bounded seed pool with coverage-guided retention: inputs that reached new
@@ -249,10 +97,8 @@ impl AliasTable {
 /// `Vec::remove(0)` shifted every element) plus a per-model index of
 /// insertion-ordered sequence numbers, so [`Corpus::pick_for_model`] is an
 /// allocation-free O(1) lookup instead of a filter pass that built a
-/// temporary `Vec` per call. A hash index makes the always-on
-/// exact-duplicate check O(1), and — when [`CorpusConfig::near_dedup`] is
-/// set — an LSH band index over seed sketches bounds the near-duplicate
-/// check to a handful of candidates.
+/// temporary `Vec` per call. A hash index makes the exact-duplicate check
+/// O(1).
 ///
 /// # Examples
 ///
@@ -281,89 +127,43 @@ pub struct Corpus {
     /// Sequence number of the oldest retained seed.
     first_seq: u64,
     capacity: usize,
-    config: CorpusConfig,
     /// `(content hash, sequence number)` of every live seed; a range
     /// over one hash finds the seeds sharing it.
     by_hash: BTreeSet<(u64, u64)>,
-    /// LSH band key (band index, band hash) → sequence numbers.
-    /// Maintained only when `config.near_dedup` is set.
-    bands: BTreeMap<(u8, u64), Vec<u64>>,
     /// Sum of `bytes.len()` over retained seeds (occupancy reporting).
     bytes_total: usize,
-    /// Global and per-model alias tables for rarity-weighted picks.
-    /// Rebuilt eagerly on mutation (only when `rarity_weighted_pick`),
-    /// so picks stay `&self` and allocation-free.
-    table: AliasTable,
-    model_tables: Vec<AliasTable>,
 }
 
 impl Corpus {
-    /// Creates a corpus bounded at `capacity` seeds (0 means unbounded)
-    /// with default (all-off) intelligence.
+    /// Creates a corpus bounded at `capacity` seeds (0 means unbounded).
     #[must_use]
     pub fn new(capacity: usize) -> Self {
-        Corpus::with_config(capacity, CorpusConfig::default())
-    }
-
-    /// Creates a corpus with explicit intelligence configuration.
-    #[must_use]
-    pub fn with_config(capacity: usize, config: CorpusConfig) -> Self {
         Corpus {
             capacity,
-            config,
             ..Corpus::default()
         }
     }
 
-    /// The corpus intelligence configuration.
-    #[must_use]
-    pub fn config(&self) -> CorpusConfig {
-        self.config
-    }
-
-    /// Adds a seed, reporting whether it was retained, dropped as a
-    /// duplicate, or displaced a resident seed.
-    ///
-    /// Exact duplicates (same bytes, same model) are always dropped.
-    /// With [`CorpusConfig::near_dedup`], near-identical seeds of the
-    /// same model are dropped too. At capacity the evicted seed is the
-    /// oldest, or — with [`CorpusConfig::rarity_eviction`] — the one
-    /// with the most common coverage (ties break oldest).
+    /// Adds a seed, reporting whether it was retained, dropped as an
+    /// exact duplicate (same bytes, same model), or displaced the oldest
+    /// resident seed.
     pub fn add(&mut self, seed: Seed) -> AddOutcome {
         if self.contains_exact(&seed) {
             return AddOutcome::DuplicateExact;
         }
-        if self.config.near_dedup && self.has_near_duplicate(&seed) {
-            return AddOutcome::DuplicateNear;
-        }
-        let mut evicted = false;
-        if self.capacity > 0 && self.seeds.len() >= self.capacity {
-            self.evict_one();
-            evicted = true;
+        let evicted = self.capacity > 0 && self.seeds.len() >= self.capacity;
+        if evicted {
+            self.evict_oldest();
         }
         let model = seed.model.index();
         if self.by_model.len() <= model {
             self.by_model.resize_with(model + 1, VecDeque::new);
-            self.model_tables
-                .resize_with(model + 1, AliasTable::default);
         }
         let seq = self.first_seq + self.seeds.len() as u64;
         self.by_model[model].push_back(seq);
         self.by_hash.insert((seed.hash, seq));
-        if self.config.near_dedup {
-            for b in 0..SKETCH_BANDS {
-                self.bands
-                    .entry((b as u8, seed.sketch.band(b)))
-                    .or_default()
-                    .push(seq);
-            }
-        }
         self.bytes_total += seed.bytes.len();
         self.seeds.push_back(seed);
-        if self.config.rarity_weighted_pick {
-            self.rebuild_global_table();
-            self.rebuild_model_table(model);
-        }
         AddOutcome::Added { evicted }
     }
 
@@ -377,125 +177,25 @@ impl Corpus {
         })
     }
 
-    /// Whether a near-identical seed (by sketch) of the same model is
-    /// retained. Candidates come from the LSH band index, so only seeds
-    /// sharing at least one band key are sketch-compared.
-    fn has_near_duplicate(&self, seed: &Seed) -> bool {
-        for b in 0..SKETCH_BANDS {
-            let Some(seqs) = self.bands.get(&(b as u8, seed.sketch.band(b))) else {
-                continue;
-            };
-            for &seq in seqs {
-                let existing = &self.seeds[(seq - self.first_seq) as usize];
-                if existing.model == seed.model && existing.sketch.is_near(&seed.sketch) {
-                    return true;
-                }
-            }
-        }
-        false
-    }
-
-    /// Evicts one seed to make room: the oldest, or with rarity
-    /// eviction the seed with the highest rarity score (most common
-    /// coverage), ties broken oldest.
-    fn evict_one(&mut self) {
-        let pos = if self.config.rarity_eviction {
-            let mut best = 0usize;
-            let mut best_rarity = self.seeds[0].rarity;
-            for (i, s) in self.seeds.iter().enumerate().skip(1) {
-                if s.rarity > best_rarity {
-                    best = i;
-                    best_rarity = s.rarity;
-                }
-            }
-            best
-        } else {
-            0
-        };
-        self.remove_at(pos);
-    }
-
-    /// Removes the seed at `pos`, keeping every index and the
-    /// `first_seq` arithmetic consistent. Front removal is O(1) in the
-    /// sequence bookkeeping (bump `first_seq`); middle removal
-    /// renumbers every sequence number above the hole.
-    fn remove_at(&mut self, pos: usize) {
-        let seq = self.first_seq + pos as u64;
-        let seed = self.seeds.remove(pos).expect("victim position in range");
+    /// Removes the oldest seed. Its sequence number is `first_seq` and
+    /// the front of its model's index, so every index pops in O(1) or
+    /// O(log n).
+    fn evict_oldest(&mut self) {
+        let seq = self.first_seq;
+        let seed = self.seeds.pop_front().expect("evicting from a full corpus");
         self.bytes_total -= seed.bytes.len();
-        let index = &mut self.by_model[seed.model.index()];
-        let at = index.binary_search(&seq).expect("evicted seq is indexed");
-        index.remove(at);
+        let front = self.by_model[seed.model.index()].pop_front();
+        assert_eq!(front, Some(seq), "oldest seed heads its model index");
         assert!(self.by_hash.remove(&(seed.hash, seq)), "hash indexed");
-        if self.config.near_dedup {
-            for b in 0..SKETCH_BANDS {
-                let key = (b as u8, seed.sketch.band(b));
-                let banded = self.bands.get_mut(&key).expect("band indexed");
-                banded.retain(|&s| s != seq);
-                if banded.is_empty() {
-                    self.bands.remove(&key);
-                }
-            }
-        }
-        if pos == 0 {
-            self.first_seq += 1;
-        } else {
-            for dq in &mut self.by_model {
-                for s in dq.iter_mut() {
-                    if *s > seq {
-                        *s -= 1;
-                    }
-                }
-            }
-            self.by_hash = std::mem::take(&mut self.by_hash)
-                .into_iter()
-                .map(|(hash, s)| (hash, if s > seq { s - 1 } else { s }))
-                .collect();
-            for v in self.bands.values_mut() {
-                for s in v.iter_mut() {
-                    if *s > seq {
-                        *s -= 1;
-                    }
-                }
-            }
-        }
-        if self.config.rarity_weighted_pick {
-            self.rebuild_global_table();
-            self.rebuild_model_table(seed.model.index());
-        }
+        self.first_seq += 1;
     }
 
-    fn rebuild_global_table(&mut self) {
-        let mut table = std::mem::take(&mut self.table);
-        table.rebuild(self.seeds.iter().map(|s| rarity_weight(s.rarity)));
-        self.table = table;
-    }
-
-    fn rebuild_model_table(&mut self, model: usize) {
-        let mut table = std::mem::take(&mut self.model_tables[model]);
-        let first_seq = self.first_seq;
-        let seeds = &self.seeds;
-        table.rebuild(
-            self.by_model[model]
-                .iter()
-                .map(|&seq| rarity_weight(seeds[(seq - first_seq) as usize].rarity)),
-        );
-        self.model_tables[model] = table;
-    }
-
-    /// Picks a random seed, if any: uniform by default, rarity-weighted
-    /// with [`CorpusConfig::rarity_weighted_pick`]. Either way exactly
-    /// one RNG draw is consumed per successful pick.
+    /// Picks a uniformly random seed, if any, with exactly one RNG draw.
     pub fn pick(&self, rng: &mut StdRng) -> Option<&Seed> {
         if self.seeds.is_empty() {
             return None;
         }
-        let at = if self.config.rarity_weighted_pick {
-            self.table.sample(rng.next_u64())
-        } else {
-            rng.random_range(0..self.seeds.len())
-        };
-        Some(&self.seeds[at])
+        Some(&self.seeds[rng.random_range(0..self.seeds.len())])
     }
 
     /// Picks a random seed generated from the given data model, if any.
@@ -508,12 +208,7 @@ impl Corpus {
         if index.is_empty() {
             return None;
         }
-        let pos = if self.config.rarity_weighted_pick {
-            self.model_tables[model.index()].sample(rng.next_u64())
-        } else {
-            rng.random_range(0..index.len())
-        };
-        let seq = index[pos];
+        let seq = index[rng.random_range(0..index.len())];
         Some(&self.seeds[(seq - self.first_seq) as usize])
     }
 
@@ -586,45 +281,10 @@ impl Corpus {
                 content_hash(&seed.bytes, seed.model.index()),
                 "stored hash matches bytes"
             );
-            assert_eq!(
-                seed.sketch,
-                SeedSketch::compute(&seed.bytes),
-                "stored sketch matches bytes"
-            );
             for other in self.seeds.iter().skip(i + 1) {
                 assert!(
                     !(other.model == seed.model && other.bytes == seed.bytes),
                     "no exact duplicates retained"
-                );
-            }
-        }
-        if self.config.near_dedup {
-            let mut banded = 0usize;
-            for ((b, key), seqs) in &self.bands {
-                for &seq in seqs {
-                    let pos = (seq - self.first_seq) as usize;
-                    let seed = self.seeds.get(pos).expect("band-indexed seq is live");
-                    assert_eq!(
-                        seed.sketch.band(usize::from(*b)),
-                        *key,
-                        "seed filed under its band key"
-                    );
-                    banded += 1;
-                }
-            }
-            assert_eq!(
-                banded,
-                self.seeds.len() * SKETCH_BANDS,
-                "every seed is band-indexed once per band"
-            );
-        }
-        if self.config.rarity_weighted_pick {
-            assert_eq!(self.table.prob.len(), self.seeds.len(), "global table size");
-            for (m, dq) in self.by_model.iter().enumerate() {
-                assert_eq!(
-                    self.model_tables[m].prob.len(),
-                    dq.len(),
-                    "model table size"
                 );
             }
         }
@@ -723,7 +383,7 @@ mod tests {
     }
 
     #[test]
-    fn exact_duplicates_dropped_even_with_defaults() {
+    fn exact_duplicates_dropped() {
         let mut c = Corpus::new(8);
         assert_eq!(
             c.add(Seed::new(vec![1, 2, 3], m(0))),
@@ -743,130 +403,9 @@ mod tests {
     }
 
     #[test]
-    fn near_duplicates_dropped_only_when_enabled() {
-        let base: Vec<u8> = (0..=255u8).collect();
-        let mut edited = base.clone();
-        edited[40] ^= 0xff;
-
-        let mut plain = Corpus::new(8);
-        plain.add(Seed::new(base.clone(), m(0)));
-        assert_eq!(
-            plain.add(Seed::new(edited.clone(), m(0))),
-            AddOutcome::Added { evicted: false },
-            "defaults keep near-duplicates"
-        );
-
-        let mut smart = Corpus::with_config(8, CorpusConfig::intelligent());
-        smart.add(Seed::new(base, m(0)));
-        assert_eq!(
-            smart.add(Seed::new(edited.clone(), m(0))),
-            AddOutcome::DuplicateNear
-        );
-        // Same bytes under another model survive near-dedup too.
-        assert_eq!(
-            smart.add(Seed::new(edited, m(1))),
-            AddOutcome::Added { evicted: false }
-        );
-        smart.assert_consistent();
-    }
-
-    #[test]
-    fn rarity_eviction_removes_most_common_seed() {
-        let cfg = CorpusConfig {
-            rarity_eviction: true,
-            ..CorpusConfig::default()
-        };
-        let mut c = Corpus::with_config(3, cfg);
-        c.add(Seed::with_rarity(vec![1], m(0), 5));
-        c.add(Seed::with_rarity(vec![2], m(1), 90)); // most common coverage
-        c.add(Seed::with_rarity(vec![3], m(0), 7));
-        c.add(Seed::with_rarity(vec![4], m(1), 2)); // forces an eviction
-        let bytes: Vec<_> = c.iter().map(|s| s.bytes[0]).collect();
-        assert_eq!(bytes, vec![1, 3, 4], "the rarity-90 seed is evicted");
-        c.assert_consistent();
-        let mut rng = StdRng::seed_from_u64(0);
-        assert_eq!(c.pick_for_model(&mut rng, m(1)).unwrap().bytes[0], 4);
-    }
-
-    #[test]
-    fn rarity_eviction_ties_break_oldest() {
-        let cfg = CorpusConfig {
-            rarity_eviction: true,
-            ..CorpusConfig::default()
-        };
-        let mut c = Corpus::with_config(2, cfg);
-        c.add(Seed::with_rarity(vec![1], m(0), 3));
-        c.add(Seed::with_rarity(vec![2], m(0), 3));
-        c.add(Seed::with_rarity(vec![3], m(0), 1));
-        let bytes: Vec<_> = c.iter().map(|s| s.bytes[0]).collect();
-        assert_eq!(bytes, vec![2, 3], "oldest of the tied seeds goes first");
-        c.assert_consistent();
-    }
-
-    #[test]
-    fn weighted_pick_prefers_rare_seeds() {
-        let cfg = CorpusConfig {
-            rarity_weighted_pick: true,
-            ..CorpusConfig::default()
-        };
-        let mut c = Corpus::with_config(0, cfg);
-        c.add(Seed::with_rarity(vec![0], m(0), 1)); // rare
-        for i in 1..10u8 {
-            c.add(Seed::with_rarity(vec![i], m(0), 10_000)); // common
-        }
-        let mut rng = StdRng::seed_from_u64(42);
-        let mut rare_hits = 0u32;
-        for _ in 0..1000 {
-            if c.pick(&mut rng).unwrap().bytes[0] == 0 {
-                rare_hits += 1;
-            }
-        }
-        // Weight ratio is ~32768:7 per seed; uniform would give ~100 hits.
-        assert!(rare_hits > 900, "rare seed picked {rare_hits}/1000");
-        let mut model_rare = 0u32;
-        for _ in 0..1000 {
-            if c.pick_for_model(&mut rng, m(0)).unwrap().bytes[0] == 0 {
-                model_rare += 1;
-            }
-        }
-        assert!(model_rare > 900, "rare seed model-picked {model_rare}/1000");
-    }
-
-    #[test]
-    fn weighted_pick_is_deterministic_and_rebuild_invariant() {
-        // A table rebuilt from the same contents must sample identically:
-        // build the same contents via different edit histories and check
-        // pick-for-pick equality.
-        let cfg = CorpusConfig::intelligent();
-        let mut a = Corpus::with_config(4, cfg);
-        for i in 0..12u8 {
-            a.add(Seed::with_rarity(
-                vec![i, 0xa0, i ^ 0x55],
-                m(0),
-                u32::from(i) + 1,
-            ));
-        }
-        let mut b = Corpus::with_config(4, cfg);
-        for seed in a.iter().cloned().collect::<Vec<_>>() {
-            b.add(seed);
-        }
-        assert_eq!(a.len(), b.len());
-        let mut ra = StdRng::seed_from_u64(9);
-        let mut rb = StdRng::seed_from_u64(9);
-        for _ in 0..200 {
-            assert_eq!(a.pick(&mut ra), b.pick(&mut rb));
-            assert_eq!(
-                a.pick_for_model(&mut ra, m(0)),
-                b.pick_for_model(&mut rb, m(0))
-            );
-        }
-        b.assert_consistent();
-    }
-
-    #[test]
-    fn default_config_rng_stream_matches_legacy_uniform() {
-        // The default corpus must consume the RNG exactly like the
-        // historical implementation: one random_range per non-empty pick.
+    fn picks_match_legacy_uniform_rng_stream() {
+        // The corpus must consume the RNG exactly like the historical
+        // implementation: one random_range per non-empty pick.
         let mut c = Corpus::new(4);
         for i in 0..4u8 {
             c.add(Seed::new(vec![i], m(0)));
@@ -878,6 +417,13 @@ mod tests {
             let expected = reference.random_range(0..4usize) as u8;
             assert_eq!(picked, expected);
         }
+    }
+
+    #[test]
+    fn content_hash_separates_models_and_bytes() {
+        assert_eq!(content_hash(b"abc", 0), content_hash(b"abc", 0));
+        assert_ne!(content_hash(b"abc", 0), content_hash(b"abc", 1));
+        assert_ne!(content_hash(b"abc", 0), content_hash(b"abd", 0));
     }
 
     #[test]

@@ -9,8 +9,8 @@ use rand::{Rng, SeedableRng};
 
 use crate::pit::PitDefinition;
 use crate::{
-    AddOutcome, CompiledStateModel, Corpus, CorpusConfig, Fault, FaultLog, ModelId, ModelTable,
-    MutationPlan, Mutator, Seed, StartError, Target,
+    AddOutcome, CompiledStateModel, Corpus, Fault, FaultLog, ModelId, ModelTable, MutationPlan,
+    Mutator, Seed, StartError, Target,
 };
 
 /// Tunables of a fuzzing instance.
@@ -44,11 +44,6 @@ pub struct EngineConfig {
     /// Optional token dictionary spliced into havoc stacks (AFL-style);
     /// empty by default, leaving mutation behaviour unchanged.
     pub dictionary: Vec<Vec<u8>>,
-    /// Corpus intelligence switches (near-dedup, rarity-weighted pick,
-    /// rarity eviction). The default disables all three, preserving the
-    /// historical uniform-pick FIFO corpus byte-for-byte; exact
-    /// duplicates are dropped regardless.
-    pub corpus: CorpusConfig,
 }
 
 impl Default for EngineConfig {
@@ -62,7 +57,6 @@ impl Default for EngineConfig {
             seed_reuse_rate: 0.5,
             byte_mutation_rate: 0.6,
             dictionary: Vec::new(),
-            corpus: CorpusConfig::default(),
         }
     }
 }
@@ -90,8 +84,6 @@ pub struct EngineStats {
     pub seeds_retained: u64,
     /// Seeds dropped as byte-identical duplicates of retained seeds.
     pub seeds_deduped_exact: u64,
-    /// Seeds dropped as MinHash near-duplicates of retained seeds.
-    pub seeds_deduped_near: u64,
     /// Seeds evicted to respect the corpus capacity.
     pub seeds_evicted: u64,
     /// Seeds accepted from sibling instances or fleet-wide sharing.
@@ -230,7 +222,7 @@ impl<T: Target> FuzzEngine<T> {
         let mutator = Mutator::new(config.seed ^ 0x006d_7574_6174_6f72)
             .with_dictionary(config.dictionary.clone());
         let rng = StdRng::seed_from_u64(config.seed);
-        let corpus = Corpus::with_config(config.corpus_capacity, config.corpus);
+        let corpus = Corpus::new(config.corpus_capacity);
         FuzzEngine {
             target,
             config,
@@ -432,19 +424,8 @@ impl<T: Target> FuzzEngine<T> {
             // what a per-session absorb would have returned, because the
             // accumulated set matches the map at batch boundaries.
             if self.map.covered_count() > covered_before {
-                // In batch mode the un-drained dirty words accumulate
-                // across the batch's sessions, so the peeked score covers
-                // everything new since the batch began — a coarser
-                // measurement than per-iteration scoring, which is why
-                // rarity scoring is opt-in rather than free with
-                // batching.
-                let rarity = self.pending_rarity();
                 for (&model_id, &(start, len)) in plan.iter().zip(&ranges[first_message..]) {
-                    let seed = Seed::with_rarity(
-                        &arena[start as usize..(start + len) as usize],
-                        model_id,
-                        rarity,
-                    );
+                    let seed = Seed::new(&arena[start as usize..(start + len) as usize], model_id);
                     let added = self.corpus.add(seed.clone());
                     self.record_add(added);
                     if added.retained() {
@@ -522,18 +503,6 @@ impl<T: Target> FuzzEngine<T> {
         }
     }
 
-    /// Rarity score for seeds about to be retained: the hit-count mass of
-    /// the rarest coverage word flagged dirty since the last absorb.
-    /// Constant 0 unless the corpus configuration actually consumes
-    /// scores, so default-config engines never touch the peek path.
-    fn pending_rarity(&self) -> u32 {
-        if self.config.corpus.scores_rarity() {
-            self.map.peek_new_rarity().unwrap_or(0)
-        } else {
-            0
-        }
-    }
-
     /// Folds a corpus add outcome into stats.
     fn record_add(&mut self, outcome: AddOutcome) {
         match outcome {
@@ -542,7 +511,6 @@ impl<T: Target> FuzzEngine<T> {
                 self.stats.seeds_evicted += u64::from(evicted);
             }
             AddOutcome::DuplicateExact => self.stats.seeds_deduped_exact += 1,
-            AddOutcome::DuplicateNear => self.stats.seeds_deduped_near += 1,
         }
     }
 

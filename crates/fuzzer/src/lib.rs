@@ -46,11 +46,10 @@ mod intern;
 mod mutate;
 mod mutation_plan;
 pub mod pit;
-pub mod sketch;
 mod state_model;
 mod target;
 
-pub use corpus::{AddOutcome, Corpus, CorpusConfig, Seed};
+pub use corpus::{AddOutcome, Corpus, Seed};
 pub use data_model::{DataModel, Endian, Field, FieldKind, FieldValue, Generator};
 pub use engine::{
     EngineConfig, EngineStats, FuzzEngine, IterationOutcome, SESSION_MESSAGES_BOUNDS,
@@ -59,7 +58,6 @@ pub use fault::{Fault, FaultKind, FaultLog};
 pub use intern::{ModelId, ModelTable};
 pub use mutate::{MutationOp, Mutator};
 pub use mutation_plan::MutationPlan;
-pub use sketch::SeedSketch;
 pub use state_model::{
     CompiledStateModel, ResponseClass, State, StateModel, StateWalker, Transition,
 };

@@ -1,17 +1,16 @@
 //! Property-style corpus invariants: any interleaving of adds (fresh,
-//! exact-duplicate, near-duplicate), capacity evictions and rebuilds
-//! (the retained seeds replayed in order into a fresh corpus) keeps the
-//! corpus's secondary indexes (`by_model`, the hash index, the LSH bands,
-//! the sequence numbering) consistent with the seed deque — under every
-//! combination of [`CorpusConfig`] flags — and a rebuilt corpus picks
-//! identically to the original, so the indexes depend on the deque alone.
+//! exact-duplicate, one-byte flips of earlier seeds), capacity evictions
+//! and rebuilds (the retained seeds replayed in order into a fresh
+//! corpus) keeps the corpus's secondary indexes (`by_model`, the hash
+//! index, the sequence numbering) consistent with the seed deque, and a
+//! rebuilt corpus picks identically to the original, so the indexes
+//! depend on the deque alone.
 
-use cmfuzz_fuzzer::{Corpus, CorpusConfig, ModelId, Seed};
+use cmfuzz_fuzzer::{AddOutcome, Corpus, ModelId, Seed};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Small capacity so the op stream forces constant evictions (front and
-/// middle removals both, once rarity eviction is on).
+/// Small capacity so the op stream forces constant evictions.
 const CAPACITY: usize = 6;
 
 /// Deterministic op-stream generator (the corpus's own RNG type stays
@@ -32,20 +31,9 @@ impl Lcg {
     }
 }
 
-/// All eight flag combinations.
-fn configs() -> Vec<CorpusConfig> {
-    (0..8u8)
-        .map(|bits| CorpusConfig {
-            near_dedup: bits & 1 != 0,
-            rarity_weighted_pick: bits & 2 != 0,
-            rarity_eviction: bits & 4 != 0,
-        })
-        .collect()
-}
-
 /// Next seed in the op stream: mostly fresh payloads, with deliberate
-/// exact duplicates and one-byte-flip near duplicates of earlier seeds
-/// mixed in so every dedup path fires.
+/// exact duplicates and one-byte flips of earlier seeds mixed in, so the
+/// hash index sees both true duplicates and near misses.
 fn next_seed(lcg: &mut Lcg, history: &[Seed]) -> Seed {
     match lcg.below(4) {
         0 if !history.is_empty() => {
@@ -59,16 +47,12 @@ fn next_seed(lcg: &mut Lcg, history: &[Seed]) -> Seed {
                 let at = lcg.below(bytes.len() as u64) as usize;
                 bytes[at] ^= 1;
             }
-            Seed::with_rarity(bytes, history[i].model, lcg.below(9) as u32)
+            Seed::new(bytes, history[i].model)
         }
         _ => {
             let len = lcg.below(40) as usize;
             let bytes: Vec<u8> = (0..len).map(|_| lcg.below(256) as u8).collect();
-            Seed::with_rarity(
-                bytes,
-                ModelId::from_raw(lcg.below(3) as u32),
-                lcg.below(9) as u32,
-            )
+            Seed::new(bytes, ModelId::from_raw(lcg.below(3) as u32))
         }
     }
 }
@@ -77,7 +61,7 @@ fn next_seed(lcg: &mut Lcg, history: &[Seed]) -> Seed {
 /// into a fresh corpus.
 fn checkpoint_restore(corpus: &Corpus) -> Corpus {
     let checkpoint: Vec<Seed> = corpus.iter().cloned().collect();
-    let mut restored = Corpus::with_config(CAPACITY, corpus.config());
+    let mut restored = Corpus::new(CAPACITY);
     for seed in checkpoint {
         let outcome = restored.add(seed);
         assert!(
@@ -90,53 +74,53 @@ fn checkpoint_restore(corpus: &Corpus) -> Corpus {
 }
 
 #[test]
-fn interleaved_ops_keep_indexes_consistent_under_every_config() {
-    for (case, config) in configs().into_iter().enumerate() {
-        let mut lcg = Lcg(0x5EED ^ (case as u64).wrapping_mul(0x9E37));
-        let mut corpus = Corpus::with_config(CAPACITY, config);
-        let mut history: Vec<Seed> = Vec::new();
-        for step in 0..400u64 {
-            if lcg.below(10) == 0 {
-                let restored = checkpoint_restore(&corpus);
-                assert_eq!(restored.len(), corpus.len(), "restore keeps every seed");
-                for (a, b) in corpus.iter().zip(restored.iter()) {
-                    assert_eq!(a.bytes, b.bytes);
-                    assert_eq!(a.model, b.model);
-                    assert_eq!(a.rarity, b.rarity);
-                    assert_eq!(a.content_hash(), b.content_hash());
-                }
-                // The restored corpus must pick exactly like the
-                // original from the same RNG stream position.
-                let mut original_rng = StdRng::seed_from_u64(step);
-                let mut restored_rng = StdRng::seed_from_u64(step);
-                for _ in 0..8 {
-                    assert_eq!(
-                        corpus.pick(&mut original_rng).map(Seed::content_hash),
-                        restored.pick(&mut restored_rng).map(Seed::content_hash),
-                    );
-                    for model in 0..3 {
-                        let id = ModelId::from_raw(model);
-                        assert_eq!(
-                            corpus
-                                .pick_for_model(&mut original_rng, id)
-                                .map(Seed::content_hash),
-                            restored
-                                .pick_for_model(&mut restored_rng, id)
-                                .map(Seed::content_hash),
-                        );
-                    }
-                }
-                corpus = restored;
-            } else {
-                let seed = next_seed(&mut lcg, &history);
-                history.push(seed.clone());
-                corpus.add(seed);
+fn interleaved_ops_keep_indexes_consistent() {
+    let mut lcg = Lcg(0x5EED);
+    let mut corpus = Corpus::new(CAPACITY);
+    let mut history: Vec<Seed> = Vec::new();
+    let (mut evictions, mut duplicates) = (0usize, 0usize);
+    for step in 0..400u64 {
+        if lcg.below(10) == 0 {
+            let restored = checkpoint_restore(&corpus);
+            assert_eq!(restored.len(), corpus.len(), "restore keeps every seed");
+            for (a, b) in corpus.iter().zip(restored.iter()) {
+                assert_eq!(a.bytes, b.bytes);
+                assert_eq!(a.model, b.model);
+                assert_eq!(a.content_hash(), b.content_hash());
             }
-            corpus.assert_consistent();
+            // The restored corpus must pick exactly like the original
+            // from the same RNG stream position.
+            let mut original_rng = StdRng::seed_from_u64(step);
+            let mut restored_rng = StdRng::seed_from_u64(step);
+            for _ in 0..8 {
+                assert_eq!(
+                    corpus.pick(&mut original_rng).map(Seed::content_hash),
+                    restored.pick(&mut restored_rng).map(Seed::content_hash),
+                );
+                for model in 0..3 {
+                    let id = ModelId::from_raw(model);
+                    assert_eq!(
+                        corpus
+                            .pick_for_model(&mut original_rng, id)
+                            .map(Seed::content_hash),
+                        restored
+                            .pick_for_model(&mut restored_rng, id)
+                            .map(Seed::content_hash),
+                    );
+                }
+            }
+            corpus = restored;
+        } else {
+            let seed = next_seed(&mut lcg, &history);
+            history.push(seed.clone());
+            match corpus.add(seed) {
+                AddOutcome::Added { evicted } => evictions += usize::from(evicted),
+                AddOutcome::DuplicateExact => duplicates += 1,
+            }
         }
-        assert!(
-            !corpus.is_empty(),
-            "config {config:?}: the op stream retains seeds"
-        );
+        corpus.assert_consistent();
     }
+    assert_eq!(corpus.len(), CAPACITY, "the op stream fills the corpus");
+    assert!(evictions > 0, "the op stream evicts at capacity");
+    assert!(duplicates > 0, "the op stream offers exact duplicates");
 }
