@@ -1,8 +1,9 @@
 //! Gates: the coverage feedback path, a steady-state session iteration,
-//! a warm datagram link's bursts, field mutations, corpus picks and
-//! lookups of registered metric names perform **zero** heap
-//! allocations, and warm networked batches (the path
-//! campaigns run) fewer than one per thousand sessions.
+//! a warm datagram link's bursts, field mutations, corpus picks, lookups
+//! of registered metric names and the evaluation of the servers' declared
+//! startup conditions perform **zero** heap allocations, and warm
+//! networked batches (the path campaigns run) fewer than one per thousand
+//! sessions.
 //!
 //! A counting global allocator backs the claims of DESIGN.md §8.3–§8.4.
 //! Its counter is thread-local, so allocations made by the test harness's
@@ -13,7 +14,7 @@ use std::cell::Cell;
 use std::hint::black_box;
 
 use cmfuzz_bench::NullTarget;
-use cmfuzz_config_model::ResolvedConfig;
+use cmfuzz_config_model::{extract_model, Condition, ConfigValue, GuardKind, ResolvedConfig};
 use cmfuzz_coverage::{BranchId, CoverageMap, CoverageSnapshot};
 use cmfuzz_fuzzer::{
     pit, AddOutcome, Corpus, EngineConfig, FuzzEngine, ModelId, MutationPlan, Mutator, Seed, Target,
@@ -335,4 +336,50 @@ fn warm_metric_lookups_do_not_allocate() {
         black_box(registry.histogram(black_box("engine.batch_sessions"), &bounds));
     });
     assert_eq!(allocs, 0, "a warm metric lookup allocated");
+}
+
+#[test]
+fn startup_declarations_evaluate_without_allocating() {
+    // Every condition a boot can evaluate: each declared constraint and
+    // startup guard of the six servers, on the stock configuration, their
+    // all-defaults ones (qpid's binds `auth.mechanisms[0]` and `[1]`) and
+    // an EXTERNAL-only mechanism list.
+    let mut conditions: Vec<Condition> = Vec::new();
+    let mut configs = vec![ResolvedConfig::new()];
+    for spec in all_specs() {
+        let target = (spec.build)();
+        for constraint in target.config_constraints().constraints() {
+            conditions.extend_from_slice(constraint.conditions());
+        }
+        for guard in target.branch_guards().iter() {
+            if guard.kind() == GuardKind::Startup {
+                conditions.extend_from_slice(guard.conditions());
+            }
+        }
+        configs.push(ResolvedConfig::defaults_of(&extract_model(
+            &target.config_space(),
+        )));
+    }
+    let mut external = ResolvedConfig::new();
+    external.set("auth.mechanisms[0]", ConfigValue::from("EXTERNAL"));
+    configs.push(external);
+    assert!(
+        conditions.iter().any(|c| c.key() == "auth.mechanisms"),
+        "the measured conditions include qpid's list predicates"
+    );
+
+    let allocs = count_allocs(100, || {
+        for config in &configs {
+            for condition in &conditions {
+                black_box(black_box(condition).matches(black_box(config)));
+            }
+        }
+    });
+    assert_eq!(
+        allocs,
+        0,
+        "evaluating {} declared conditions on {} warm configurations allocated",
+        conditions.len(),
+        configs.len()
+    );
 }

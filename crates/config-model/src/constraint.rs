@@ -3,24 +3,23 @@
 //! Every protocol server rejects certain configuration combinations at
 //! startup (`StartError` with kind `ConfigConflict`): TLS authentication
 //! without TLS, DTLS on a multicast socket, a fragment size above the
-//! message size. Historically those rules lived only as imperative `if`
-//! chains inside each server's `start()`, which meant a conflicting
-//! configuration was discovered at target boot — after the grid had
-//! already spun up.
+//! message size.
 //!
-//! A [`ConstraintSet`] is the declarative mirror of those checks: each
-//! [`ConfigConstraint`] is a conjunction of [`Condition`]s over resolved
-//! configuration values, and a configuration that satisfies every
-//! condition of a constraint is a conflict. Targets expose their set
-//! through `Target::config_constraints`, which lets the static analyzer
+//! A [`ConstraintSet`] declares those rules: each [`ConfigConstraint`] is
+//! a conjunction of [`Condition`]s over resolved configuration values,
+//! and a configuration that satisfies every condition of a constraint is
+//! a conflict. Targets expose their set through
+//! `Target::config_constraints`, which lets the static analyzer
 //! (`cmfuzz-analyze`) and the campaign preflight detect the conflict at
-//! *assembly* time instead of boot time.
+//! *assembly* time instead of boot time. The simulated servers boot from
+//! the same set: `start()` refuses with the reason of the first
+//! constraint a configuration violates.
 //!
-//! Evaluation deliberately uses the same lenient accessors the servers'
-//! own config parsing uses ([`ResolvedConfig::bool_or`],
-//! [`ResolvedConfig::int_or`], [`ResolvedConfig::str_or`]), with the same
-//! per-item defaults, so a constraint matches exactly when the imperative
-//! check in `start()` would fire.
+//! Evaluation uses the same lenient accessors the servers' own config
+//! parsing uses ([`ResolvedConfig::bool_or`], [`ResolvedConfig::int_or`],
+//! [`ResolvedConfig::str_or`], [`ResolvedConfig::list_members`]), with
+//! the same per-item defaults, so a condition reads a value exactly as
+//! the server that declares it does.
 //!
 //! # Examples
 //!
@@ -45,6 +44,7 @@
 
 use std::fmt;
 
+use crate::assemble::LIST_SLOTS;
 use crate::ResolvedConfig;
 
 /// How one configuration item must look for a [`Condition`] to match.
@@ -137,10 +137,6 @@ pub enum Predicate {
         value: String,
     },
 }
-
-/// Highest indexed-list slot scanned by the list predicates, matching the
-/// flattened-sequence convention of the extraction layer.
-const LIST_SCAN: usize = 8;
 
 /// One requirement on one configuration item.
 ///
@@ -327,10 +323,10 @@ impl Condition {
                 !allowed.iter().any(|s| s == v)
             }
             Predicate::ListHasOrEmpty { value } => {
-                let members = self.list_members(config);
-                members.is_empty() || members.iter().any(|m| m == value)
+                let mut members = config.list_members(&self.key).peekable();
+                members.peek().is_none() || members.any(|m| m == value)
             }
-            Predicate::ListLacks { value } => !self.list_members(config).iter().any(|m| m == value),
+            Predicate::ListLacks { value } => !config.list_members(&self.key).any(|m| m == value),
         }
     }
 
@@ -378,7 +374,7 @@ impl Condition {
                 config.set(&self.key, ConfigValue::Str("cmfuzz-invalid".to_owned()));
             }
             Predicate::ListHasOrEmpty { value } => {
-                for i in 0..LIST_SCAN {
+                for i in 0..LIST_SLOTS {
                     let slot = format!("{}[{i}]", self.key);
                     if config.get(&slot).is_none() {
                         config.set(&slot, ConfigValue::Str(value.clone()));
@@ -390,13 +386,6 @@ impl Condition {
             // non-matching Lacks condition keeps the config unchanged.
             Predicate::ListLacks { .. } => {}
         }
-    }
-
-    fn list_members(&self, config: &ResolvedConfig) -> Vec<String> {
-        (0..LIST_SCAN)
-            .filter_map(|i| config.get(&format!("{}[{i}]", self.key)))
-            .filter_map(|v| v.as_str().map(str::to_owned))
-            .collect()
     }
 }
 

@@ -11,7 +11,9 @@
 //! * **configuration-gated execution paths**: every item unlocks real
 //!   branches in the wire parser / state machine, pairs of items have
 //!   synergistic branches that only execute together, and conflicting
-//!   combinations fail startup (zero startup coverage — no relation edge);
+//!   combinations fail startup (zero startup coverage — no relation edge).
+//!   Each server boots from its declared startup conflicts and startup
+//!   branch guards, the tables the analyzer also reads;
 //! * **branch coverage** through [`cmfuzz_coverage`] probes at every
 //!   decision point (the `trace-pc-guard` analogue);
 //! * **seeded vulnerabilities** matching the paper's Table II: fourteen
