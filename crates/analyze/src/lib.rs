@@ -91,7 +91,10 @@ pub use config_checks::{analyze_config, analyze_resolved, single_entity_model};
 pub use diag::{Diagnostic, Report, Severity, DIAGNOSTICS_SCHEMA};
 pub use graph_checks::{analyze_graph, analyze_partitions, GraphView, PartitionView};
 pub use pit_checks::{analyze_pit, analyze_session_plans};
-pub use reach::{analyze_reachability, BranchReach, ReachAnalysis, ReachSpace, ReachStatus};
+pub use reach::{
+    analyze_reachability, analyze_reachability_over, BranchReach, ReachAnalysis, ReachSpace,
+    ReachStatus,
+};
 
 use cmfuzz_config_model::{ConfigModel, ConstraintSet};
 use cmfuzz_fuzzer::pit::PitDefinition;

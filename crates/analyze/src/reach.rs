@@ -35,8 +35,8 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use cmfuzz_config_model::{
-    BranchGuard, Condition, ConfigModel, ConfigValue, ConstraintSet, GuardKind, GuardTable,
-    Predicate, ResolvedConfig,
+    BranchGuard, Condition, ConfigConstraint, ConfigModel, ConfigValue, ConstraintSet, GuardKind,
+    GuardTable, Predicate, ResolvedConfig,
 };
 
 use crate::solve::{Domain, Solver, LIST_SCAN};
@@ -218,28 +218,63 @@ pub fn analyze_reachability(
     branch_count: usize,
     space: &ReachSpace,
 ) -> ReachAnalysis {
-    let mut report = Report::new();
-    let mut branches = Vec::new();
+    let mut analyses = analyze_reachability_over(
+        subject,
+        guards,
+        constraints,
+        model,
+        branch_count,
+        std::slice::from_ref(space),
+    );
+    analyses.pop().expect("one analysis per space")
+}
+
+/// [`analyze_reachability`] over several spaces of one subject, one
+/// analysis per space, in order.
+///
+/// Each guard's key closure and linked constraints do not depend on the
+/// space, so they are worked out once. Spaces that give a guard the same
+/// candidate domains share its solve; only the witness differs, since it
+/// extends each space's own base configuration.
+#[must_use]
+pub fn analyze_reachability_over(
+    subject: &str,
+    guards: &GuardTable,
+    constraints: &ConstraintSet,
+    model: &ConfigModel,
+    branch_count: usize,
+    spaces: &[ReachSpace],
+) -> Vec<ReachAnalysis> {
+    let mut reports: Vec<Report> = spaces.iter().map(|_| Report::new()).collect();
+    let mut branches: Vec<Vec<BranchReach>> = spaces.iter().map(|_| Vec::new()).collect();
+    let all = constraints.constraints();
+    // Every constraint's evaluation keys, computed once for all guards.
+    let constraint_keys: Vec<Vec<String>> = all
+        .iter()
+        .map(|c| c.conditions().iter().flat_map(cond_eval_keys).collect())
+        .collect();
     for guard in guards.iter() {
         let path = format!("branch:{}", guard.region());
         if guard.branch() as usize >= branch_count {
-            report.push(Diagnostic::new(
-                "CM063",
-                Severity::Error,
-                subject,
-                &path,
-                &format!(
-                    "guard branch index {} is outside the branch space (0..{branch_count})",
-                    guard.branch()
-                ),
-                "fix the branch index in the guard table",
-            ));
-            branches.push(row(
-                guard,
-                ReachStatus::Unknown {
-                    reason: "branch index outside the branch space".to_owned(),
-                },
-            ));
+            for (report, branches) in reports.iter_mut().zip(&mut branches) {
+                report.push(Diagnostic::new(
+                    "CM063",
+                    Severity::Error,
+                    subject,
+                    &path,
+                    &format!(
+                        "guard branch index {} is outside the branch space (0..{branch_count})",
+                        guard.branch()
+                    ),
+                    "fix the branch index in the guard table",
+                ));
+                branches.push(row(
+                    guard,
+                    ReachStatus::Unknown {
+                        reason: "branch index outside the branch space".to_owned(),
+                    },
+                ));
+            }
             continue;
         }
         let unknown: Vec<&str> = guard
@@ -248,70 +283,178 @@ pub fn analyze_reachability(
             .filter(|item| !model_knows(model, item))
             .collect();
         if !unknown.is_empty() {
-            for item in &unknown {
-                report.push(Diagnostic::new(
-                    "CM062",
-                    Severity::Error,
-                    subject,
-                    &path,
-                    &format!("guard references unknown config item \"{item}\""),
-                    "declare the item in the target's config space or fix the guard key",
+            for (report, branches) in reports.iter_mut().zip(&mut branches) {
+                for item in &unknown {
+                    report.push(Diagnostic::new(
+                        "CM062",
+                        Severity::Error,
+                        subject,
+                        &path,
+                        &format!("guard references unknown config item \"{item}\""),
+                        "declare the item in the target's config space or fix the guard key",
+                    ));
+                }
+                branches.push(row(
+                    guard,
+                    ReachStatus::Unknown {
+                        reason: format!("guard references unknown items: {}", unknown.join(", ")),
+                    },
                 ));
             }
-            branches.push(row(
-                guard,
-                ReachStatus::Unknown {
-                    reason: format!("guard references unknown items: {}", unknown.join(", ")),
-                },
-            ));
             continue;
         }
-        let status = solve_guard(guard, constraints, model, space);
-        match &status {
-            ReachStatus::Dead { chain } => {
-                let (code, severity, scope, hint) = match space {
-                    ReachSpace::Partition { .. } => (
-                        "CM060",
-                        Severity::Warn,
-                        "statically dead in this partition",
-                        "widen the partition's value domains or drop the branch from its goals",
-                    ),
-                    ReachSpace::Global => (
-                        "CM061",
-                        Severity::Error,
-                        "statically dead under every configuration",
-                        "the guard contradicts the declared constraints; fix the guard table or the constraint set",
-                    ),
-                };
-                report.push(Diagnostic::new(
-                    code,
-                    severity,
-                    subject,
-                    &path,
-                    &format!("branch is {scope}: {}", chain.join("; ")),
-                    hint,
-                ));
+
+        // Key closure: the guard's evaluation keys, extended with every
+        // constraint transitively sharing a key — exactly the keys whose
+        // values can influence whether the guard holds on a bootable
+        // config.
+        let guard_keys: Vec<String> = guard.conditions().iter().flat_map(cond_eval_keys).collect();
+        let mut closure: BTreeSet<&str> = guard_keys.iter().map(String::as_str).collect();
+        let mut linked: Vec<usize> = Vec::new();
+        loop {
+            let mut grew = false;
+            for (i, keys) in constraint_keys.iter().enumerate() {
+                if linked.contains(&i) {
+                    continue;
+                }
+                if keys.iter().any(|k| closure.contains(k.as_str())) {
+                    closure.extend(keys.iter().map(String::as_str));
+                    linked.push(i);
+                    grew = true;
+                }
             }
-            ReachStatus::Unknown { reason } => {
-                report.push(Diagnostic::new(
-                    "CM064",
-                    Severity::Warn,
-                    subject,
-                    &path,
-                    &format!("reachability not certified: {reason}"),
-                    "simplify the guard or raise the solver enumeration cap",
-                ));
+            if !grew {
+                break;
             }
-            ReachStatus::Reachable { .. } => {}
         }
-        branches.push(row(guard, status));
+        linked.sort_unstable();
+        let linked: Vec<&ConfigConstraint> = linked.iter().map(|&i| &all[i]).collect();
+        let relevant_conds: Vec<&Condition> = guard
+            .conditions()
+            .iter()
+            .chain(linked.iter().flat_map(|c| c.conditions()))
+            .collect();
+
+        // Solves so far, by the candidate domains they ran over.
+        let mut solved: Vec<(BTreeMap<&str, Domain>, ReachStatus)> = Vec::new();
+        for (s, space) in spaces.iter().enumerate() {
+            let mut domains: BTreeMap<&str, Domain> = closure
+                .iter()
+                .map(|&k| (k, build_domain(k, space, model, &relevant_conds)))
+                .collect();
+            if matches!(space, ReachSpace::Global) {
+                extend_cross_item(&mut domains, &relevant_conds);
+            }
+            let status = match solved.iter().find(|(seen, _)| *seen == domains) {
+                Some((_, status)) => status.clone(),
+                None => {
+                    let status = solve_guard(guard, &linked, &domains);
+                    solved.push((domains, status.clone()));
+                    status
+                }
+            };
+            let status = over_base(status, space, &closure, all);
+            if let Some(diagnostic) = diagnose(subject, &path, space, &status) {
+                reports[s].push(diagnostic);
+            }
+            branches[s].push(row(guard, status));
+        }
     }
-    report.sort();
-    ReachAnalysis {
-        subject: subject.to_owned(),
-        branch_count,
-        report,
-        branches,
+    spaces
+        .iter()
+        .zip(reports)
+        .zip(branches)
+        .map(|((_, mut report), branches)| {
+            report.sort();
+            ReachAnalysis {
+                subject: subject.to_owned(),
+                branch_count,
+                report,
+                branches,
+            }
+        })
+        .collect()
+}
+
+/// The diagnostic a guard's verdict in `space` reports, if any.
+fn diagnose(
+    subject: &str,
+    path: &str,
+    space: &ReachSpace,
+    status: &ReachStatus,
+) -> Option<Diagnostic> {
+    match status {
+        ReachStatus::Dead { chain } => {
+            let (code, severity, scope, hint) = match space {
+                ReachSpace::Partition { .. } => (
+                    "CM060",
+                    Severity::Warn,
+                    "statically dead in this partition",
+                    "widen the partition's value domains or drop the branch from its goals",
+                ),
+                ReachSpace::Global => (
+                    "CM061",
+                    Severity::Error,
+                    "statically dead under every configuration",
+                    "the guard contradicts the declared constraints; fix the guard table or the constraint set",
+                ),
+            };
+            Some(Diagnostic::new(
+                code,
+                severity,
+                subject,
+                path,
+                &format!("branch is {scope}: {}", chain.join("; ")),
+                hint,
+            ))
+        }
+        ReachStatus::Unknown { reason } => Some(Diagnostic::new(
+            "CM064",
+            Severity::Warn,
+            subject,
+            path,
+            &format!("reachability not certified: {reason}"),
+            "simplify the guard or raise the solver enumeration cap",
+        )),
+        ReachStatus::Reachable { .. } => None,
+    }
+}
+
+/// Turns a solve's closure bindings into `space`'s witness: its base
+/// configuration with the closure keys rebound. A witness that some
+/// startup constraint outside the closure still blocks certifies nothing.
+fn over_base(
+    status: ReachStatus,
+    space: &ReachSpace,
+    closure: &BTreeSet<&str>,
+    constraints: &[ConfigConstraint],
+) -> ReachStatus {
+    let ReachStatus::Reachable { witness: bindings } = status else {
+        return status;
+    };
+    let witness = match space {
+        ReachSpace::Partition { base, .. } => {
+            let mut witness = base.clone();
+            for &key in closure {
+                match bindings.get(key) {
+                    Some(value) => witness.set(key, value.clone()),
+                    None => {
+                        witness.unset(key);
+                    }
+                }
+            }
+            witness
+        }
+        ReachSpace::Global => bindings,
+    };
+    if constraints.iter().any(|c| c.violated_by(&witness)) {
+        ReachStatus::Unknown {
+            reason: format!(
+                "witness {witness} is blocked by a startup constraint outside the guard's key closure"
+            ),
+        }
+    } else {
+        ReachStatus::Reachable { witness }
     }
 }
 
@@ -349,85 +492,35 @@ fn cond_eval_keys(cond: &Condition) -> Vec<String> {
     }
 }
 
+/// Proves one guard over the candidate `domains` of its key closure. A
+/// reachable verdict's witness binds the closure keys only; see
+/// [`over_base`].
 fn solve_guard(
     guard: &BranchGuard,
-    constraints: &ConstraintSet,
-    model: &ConfigModel,
-    space: &ReachSpace,
+    linked: &[&ConfigConstraint],
+    domains: &BTreeMap<&str, Domain>,
 ) -> ReachStatus {
-    // Key closure: the guard's evaluation keys, extended with every
-    // constraint transitively sharing a key — exactly the keys whose
-    // values can influence whether the guard holds on a bootable config.
-    let mut closure: BTreeSet<String> =
-        guard.conditions().iter().flat_map(cond_eval_keys).collect();
-    let all = constraints.constraints();
-    let mut linked: Vec<usize> = Vec::new();
-    loop {
-        let mut grew = false;
-        for (i, constraint) in all.iter().enumerate() {
-            if linked.contains(&i) {
-                continue;
-            }
-            let keys: Vec<String> = constraint
-                .conditions()
-                .iter()
-                .flat_map(cond_eval_keys)
-                .collect();
-            if keys.iter().any(|k| closure.contains(k)) {
-                closure.extend(keys);
-                linked.push(i);
-                grew = true;
-            }
-        }
-        if !grew {
-            break;
-        }
-    }
-    linked.sort_unstable();
-    let mut linked_set = ConstraintSet::new();
-    for &i in &linked {
-        linked_set.push(all[i].clone());
-    }
-    let relevant_conds: Vec<&Condition> = guard
-        .conditions()
-        .iter()
-        .chain(linked.iter().flat_map(|&i| all[i].conditions().iter()))
-        .collect();
-
-    let keys: Vec<String> = closure.iter().cloned().collect();
-    let mut domains: BTreeMap<String, Domain> = keys
-        .iter()
-        .map(|k| (k.clone(), build_domain(k, space, model, &relevant_conds)))
-        .collect();
-    if matches!(space, ReachSpace::Global) {
-        extend_cross_item(&mut domains, &relevant_conds);
-    }
-
+    let keys: Vec<&str> = domains.keys().copied().collect();
     let mut solver = Solver::new(domains.clone());
-    solver.solve(guard.conditions(), &linked_set);
-
-    let base = match space {
-        ReachSpace::Partition { base, .. } => base.clone(),
-        ReachSpace::Global => ResolvedConfig::new(),
-    };
+    solver.solve(guard.conditions(), linked);
 
     if solver.is_unsat() {
         // Defensive cross-check: exhaustively confirm the refutation over
         // the *un-narrowed* domains when the space is small enough.
-        if product_size(&keys, &domains) <= ENUM_CAP
-            && enumerate(&keys, &domains, &base, guard.conditions(), &linked_set).is_some()
+        if product_size(&keys, domains) <= ENUM_CAP
+            && enumerate(&keys, domains, guard.conditions(), linked).is_some()
         {
             return ReachStatus::Unknown {
                 reason: "propagation and enumeration disagree; claiming nothing".to_owned(),
             };
         }
         return ReachStatus::Dead {
-            chain: solver.chain().to_vec(),
+            chain: solver.into_chain(),
         };
     }
 
-    let narrowed = solver.domains().clone();
-    let size = product_size(&keys, &narrowed);
+    let narrowed = solver.domains();
+    let size = product_size(&keys, narrowed);
     if size > ENUM_CAP {
         return ReachStatus::Unknown {
             reason: format!(
@@ -435,20 +528,10 @@ fn solve_guard(
             ),
         };
     }
-    match enumerate(&keys, &narrowed, &base, guard.conditions(), &linked_set) {
-        Some(witness) => {
-            if constraints.violations(&witness).is_empty() {
-                ReachStatus::Reachable { witness }
-            } else {
-                ReachStatus::Unknown {
-                    reason: format!(
-                        "witness {witness} is blocked by a startup constraint outside the guard's key closure"
-                    ),
-                }
-            }
-        }
+    match enumerate(&keys, narrowed, guard.conditions(), linked) {
+        Some(witness) => ReachStatus::Reachable { witness },
         None => {
-            let mut chain = solver.chain().to_vec();
+            let mut chain = solver.into_chain();
             chain.push(format!(
                 "exhausted {size} candidate configurations over [{}]; none satisfies the guard on a bootable config",
                 keys.join(", ")
@@ -588,7 +671,7 @@ fn dedup(values: &mut Vec<ConfigValue>) {
 /// One cross-extension pass for `IntAboveItem`: each side's candidates
 /// gain the values just above/below the other side's, so a satisfiable
 /// strict inequality always has a witnessing pair in the grid.
-fn extend_cross_item(domains: &mut BTreeMap<String, Domain>, conds: &[&Condition]) {
+fn extend_cross_item(domains: &mut BTreeMap<&str, Domain>, conds: &[&Condition]) {
     for cond in conds {
         let Predicate::IntAboveItem {
             other,
@@ -621,50 +704,48 @@ fn extend_cross_item(domains: &mut BTreeMap<String, Domain>, conds: &[&Condition
     }
 }
 
-fn product_size(keys: &[String], domains: &BTreeMap<String, Domain>) -> u128 {
+fn product_size(keys: &[&str], domains: &BTreeMap<&str, Domain>) -> u128 {
     keys.iter().fold(1u128, |acc, k| {
-        let size = domains.get(k).map_or(1, Domain::size) as u128;
+        let size = domains.get(*k).map_or(1, Domain::size) as u128;
         acc.saturating_mul(size.max(1))
     })
 }
 
 /// Exhaustively walks the domain product in canonical (sorted-key,
-/// declaration-value) order, returning the first configuration that
-/// satisfies every guard condition and avoids every linked constraint.
+/// declaration-value) order, returning the bindings of `keys` in the first
+/// configuration that satisfies every guard condition and avoids every
+/// linked constraint.
+///
+/// The conditions read only `keys` (the guard's key closure), and every
+/// key's domain already holds what the space's base binds it to, so the
+/// walk needs no other binding. One configuration is walked in place: each
+/// odometer step rebinds only the keys whose candidate changed.
 fn enumerate(
-    keys: &[String],
-    domains: &BTreeMap<String, Domain>,
-    base: &ResolvedConfig,
+    keys: &[&str],
+    domains: &BTreeMap<&str, Domain>,
     guard_conds: &[Condition],
-    linked: &ConstraintSet,
+    linked: &[&ConfigConstraint],
 ) -> Option<ResolvedConfig> {
-    let candidates: Vec<Vec<Option<&ConfigValue>>> = keys
-        .iter()
-        .map(|k| {
-            let domain = &domains[k];
-            let mut list: Vec<Option<&ConfigValue>> = Vec::with_capacity(domain.size());
-            if domain.can_unbound {
-                list.push(None);
-            }
-            list.extend(domain.values.iter().map(Some));
-            list
-        })
-        .collect();
-    if candidates.iter().any(Vec::is_empty) {
+    let candidates: Vec<&Domain> = keys.iter().map(|k| &domains[*k]).collect();
+    if candidates.iter().any(|d| d.is_empty()) {
         return None;
     }
+    let mut config = ResolvedConfig::new();
     let mut odometer = vec![0usize; keys.len()];
+    // Positions `changed..` must be rebound before the next test.
+    let mut changed = 0;
     loop {
-        let mut config = base.clone();
-        for (pos, key) in keys.iter().enumerate() {
-            match candidates[pos][odometer[pos]] {
-                Some(value) => config.set(key, value.clone()),
+        for pos in changed..keys.len() {
+            match candidates[pos].candidate(odometer[pos]) {
+                Some(value) => config.set(keys[pos], value.clone()),
                 None => {
-                    config.unset(key);
+                    config.unset(keys[pos]);
                 }
             }
         }
-        if guard_conds.iter().all(|c| c.matches(&config)) && linked.violations(&config).is_empty() {
+        if guard_conds.iter().all(|c| c.matches(&config))
+            && !linked.iter().any(|c| c.violated_by(&config))
+        {
             return Some(config);
         }
         // Advance the odometer, rightmost key fastest.
@@ -675,11 +756,12 @@ fn enumerate(
             }
             pos -= 1;
             odometer[pos] += 1;
-            if odometer[pos] < candidates[pos].len() {
+            if odometer[pos] < candidates[pos].size() {
                 break;
             }
             odometer[pos] = 0;
         }
+        changed = pos;
     }
 }
 

@@ -6,19 +6,22 @@
 //! module supplies the propagation half of the answer: enumerated-set
 //! domains per config item, arc-consistency over the one cross-item
 //! predicate ([`Predicate::IntAboveItem`]), and unit propagation over the
-//! target's negated startup [`ConstraintSet`] (a bootable config must
-//! *avoid* every declared conflict).
+//! target's negated startup constraints (a bootable config must *avoid*
+//! every declared conflict).
 //!
 //! Design notes, in soundness order:
 //!
 //! * Domains are **enumerated candidate sets** (`{unbound, v1, v2, …}`).
-//!   Every filtering step evaluates the real [`Condition::matches`] against
-//!   a probe [`ResolvedConfig`], so the solver inherits the exact lenient
-//!   coercions the servers use — there is no second, subtly different,
-//!   predicate semantics to drift.
+//!   Every filtering step evaluates the real condition on one candidate
+//!   ([`Condition::matches_value`], which is [`Condition::matches`] on the
+//!   one-binding configuration) and reads integers through
+//!   [`ConfigValue::int_or`], the coercion `ResolvedConfig::int_or` itself
+//!   delegates to. So the solver inherits the exact lenient coercions the
+//!   servers use — there is no second, subtly different, predicate
+//!   semantics to drift.
 //! * Propagation only ever *removes* candidates that support no solution,
 //!   so an emptied domain is a proof of unsatisfiability within the space,
-//!   and the recorded [`Solver::chain`] is a human-checkable replay of the
+//!   and the recorded [`Solver::into_chain`] is a human-checkable replay of the
 //!   refutation.
 //! * List predicates (`ListHasOrEmpty`/`ListLacks`) span indexed slots and
 //!   are never propagated (always [`Status::Unknown`]) — the enumeration
@@ -31,8 +34,9 @@
 //! finite space.
 
 use std::collections::BTreeMap;
+use std::fmt;
 
-use cmfuzz_config_model::{Condition, ConfigValue, ConstraintSet, Predicate, ResolvedConfig};
+use cmfuzz_config_model::{Condition, ConfigConstraint, ConfigValue, Predicate};
 
 /// Highest indexed-list slot the solver expands for list predicates,
 /// mirroring the (private) scan bound of `cmfuzz_config_model`'s list
@@ -80,14 +84,14 @@ impl Domain {
         self.size() == 0
     }
 
-    /// Canonical rendering for propagation chains: `{unbound, 1, 2}`.
-    pub(crate) fn render(&self) -> String {
-        let mut parts: Vec<String> = Vec::with_capacity(self.size());
-        if self.can_unbound {
-            parts.push("unbound".to_owned());
+    /// The `i`-th candidate of [`Domain::candidates`]'s order: unbound
+    /// first when allowed, then the values in declaration order.
+    pub(crate) fn candidate(&self, i: usize) -> Option<&ConfigValue> {
+        match (self.can_unbound, i) {
+            (true, 0) => None,
+            (true, i) => Some(&self.values[i - 1]),
+            (false, i) => Some(&self.values[i]),
         }
-        parts.extend(self.values.iter().map(ConfigValue::render));
-        format!("{{{}}}", parts.join(", "))
     }
 
     /// Iterates candidates as `Option<&ConfigValue>` (None = unbound).
@@ -99,30 +103,34 @@ impl Domain {
     }
 }
 
-/// Evaluates a single-key condition against one candidate value, using the
-/// owning crate's real coercion semantics.
-fn eval_single(cond: &Condition, value: Option<&ConfigValue>) -> bool {
-    let mut probe = ResolvedConfig::new();
-    if let Some(v) = value {
-        probe.set(cond.key(), v.clone());
+/// Canonical rendering for propagation chains: `{unbound, 1, 2}`.
+impl fmt::Display for Domain {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("{")?;
+        for (i, candidate) in self.candidates().enumerate() {
+            if i > 0 {
+                f.write_str(", ")?;
+            }
+            match candidate {
+                Some(value) => write!(f, "{value}")?,
+                None => f.write_str("unbound")?,
+            }
+        }
+        f.write_str("}")
     }
-    cond.matches(&probe)
 }
 
-/// The integer a candidate coerces to under `int_or(key, default)`.
-fn int_view(key: &str, value: Option<&ConfigValue>, default: i64) -> i64 {
-    let mut probe = ResolvedConfig::new();
-    if let Some(v) = value {
-        probe.set(key, v.clone());
-    }
-    probe.int_or(key, default)
-}
+/// The domain of a key the solver holds no domain for: unbound only.
+static UNBOUND: Domain = Domain {
+    can_unbound: true,
+    values: Vec::new(),
+};
 
 /// `(min, max)` of a domain's integer views; `None` for an empty domain.
-fn int_bounds(domain: &Domain, key: &str, default: i64) -> Option<(i64, i64)> {
+fn int_bounds(domain: &Domain, default: i64) -> Option<(i64, i64)> {
     domain
         .candidates()
-        .map(|v| int_view(key, v, default))
+        .map(|v| ConfigValue::int_or(v, default))
         .fold(None, |acc, v| match acc {
             None => Some((v, v)),
             Some((lo, hi)) => Some((lo.min(v), hi.max(v))),
@@ -135,15 +143,15 @@ fn int_bounds(domain: &Domain, key: &str, default: i64) -> Option<(i64, i64)> {
 /// (single-candidate domains); the caller is responsible for seeding a
 /// domain for every key it wants reasoned about.
 #[derive(Debug, Clone)]
-pub(crate) struct Solver {
-    domains: BTreeMap<String, Domain>,
+pub(crate) struct Solver<'k> {
+    domains: BTreeMap<&'k str, Domain>,
     chain: Vec<String>,
     unsat: bool,
 }
 
-impl Solver {
+impl<'k> Solver<'k> {
     /// Builds a solver over the given per-item domains.
-    pub(crate) fn new(domains: BTreeMap<String, Domain>) -> Self {
+    pub(crate) fn new(domains: BTreeMap<&'k str, Domain>) -> Self {
         Solver {
             domains,
             chain: Vec::new(),
@@ -152,8 +160,14 @@ impl Solver {
     }
 
     /// The propagation chain recorded so far (deterministic replay).
+    #[cfg(test)]
     pub(crate) fn chain(&self) -> &[String] {
         &self.chain
+    }
+
+    /// Consumes the solver, yielding its propagation chain.
+    pub(crate) fn into_chain(self) -> Vec<String> {
+        self.chain
     }
 
     /// Whether propagation proved the space unsatisfiable.
@@ -162,24 +176,26 @@ impl Solver {
     }
 
     /// The current (possibly narrowed) domains.
-    pub(crate) fn domains(&self) -> &BTreeMap<String, Domain> {
+    pub(crate) fn domains(&self) -> &BTreeMap<&'k str, Domain> {
         &self.domains
     }
 
-    fn domain_or_unbound(&self, key: &str) -> Domain {
-        self.domains
-            .get(key)
-            .cloned()
-            .unwrap_or_else(|| Domain::new(true, Vec::new()))
+    fn domain(&self, key: &str) -> &Domain {
+        self.domains.get(key).unwrap_or(&UNBOUND)
     }
 
-    fn record_shrink(&mut self, prefix: &str, cond: &Condition, key: &str) {
-        let domain = self.domain_or_unbound(key);
-        self.chain.push(format!(
-            "{prefix} {cond}; domain({key}) = {}",
-            domain.render()
-        ));
-        if domain.is_empty() {
+    /// Replaces `key`'s domain with its narrowed form and records the step.
+    fn shrink(&mut self, prefix: &str, cond: &Condition, key: &'k str, narrowed: Domain) {
+        self.chain
+            .push(format!("{prefix} {cond}; domain({key}) = {narrowed}"));
+        let empty = narrowed.is_empty();
+        match self.domains.get_mut(key) {
+            Some(domain) => *domain = narrowed,
+            None => {
+                self.domains.insert(key, narrowed);
+            }
+        }
+        if empty {
             self.chain
                 .push(format!("domain({key}) is empty -> unsatisfiable"));
             self.unsat = true;
@@ -189,7 +205,7 @@ impl Solver {
     /// Restricts domains so the condition *can* hold; returns whether any
     /// domain shrank. `prefix` tags the chain entry (`"require"` for guard
     /// conditions).
-    fn narrow(&mut self, cond: &Condition, keep_matching: bool, prefix: &str) -> bool {
+    fn narrow(&mut self, cond: &'k Condition, keep_matching: bool, prefix: &str) -> bool {
         if self.unsat {
             return false;
         }
@@ -201,22 +217,17 @@ impl Solver {
                 default,
                 other_default,
             } => {
-                if !keep_matching {
-                    // Refuting `key > other` (i.e. requiring `key <= other`)
-                    // is the mirror pruning; both directions share the
-                    // bounds logic below.
-                }
-                let key = cond.key().to_owned();
-                let other = other.clone();
+                // Refuting `key > other` (i.e. requiring `key <= other`) is
+                // the mirror pruning; both directions share the bounds
+                // logic below.
+                let key = cond.key();
                 let mut changed = false;
                 // Prune the left side against the right side's bounds, then
                 // the right side against the (possibly narrowed) left.
                 for _ in 0..2 {
-                    let other_bounds =
-                        int_bounds(&self.domain_or_unbound(&other), &other, *other_default);
-                    let key_domain = self.domain_or_unbound(&key);
+                    let other_bounds = int_bounds(self.domain(other), *other_default);
                     let narrowed =
-                        filter_by_int(&key_domain, &key, *default, |v| match other_bounds {
+                        filter_by_int(self.domain(key), *default, |v| match other_bounds {
                             // `key > other` needs a partner below it; `key <= other`
                             // needs a partner at or above it.
                             Some((lo, hi)) => {
@@ -228,35 +239,27 @@ impl Solver {
                             }
                             None => false,
                         });
-                    if narrowed.size() < key_domain.size() {
-                        self.domains.insert(key.clone(), narrowed);
-                        self.record_shrink(prefix, cond, &key);
+                    if let Some(narrowed) = narrowed {
+                        self.shrink(prefix, cond, key, narrowed);
                         changed = true;
                         if self.unsat {
                             return changed;
                         }
                     }
-                    let key_bounds = int_bounds(&self.domain_or_unbound(&key), &key, *default);
-                    let other_domain = self.domain_or_unbound(&other);
+                    let key_bounds = int_bounds(self.domain(key), *default);
                     let narrowed =
-                        filter_by_int(
-                            &other_domain,
-                            &other,
-                            *other_default,
-                            |v| match key_bounds {
-                                Some((lo, hi)) => {
-                                    if keep_matching {
-                                        v < hi
-                                    } else {
-                                        v >= lo
-                                    }
+                        filter_by_int(self.domain(other), *other_default, |v| match key_bounds {
+                            Some((lo, hi)) => {
+                                if keep_matching {
+                                    v < hi
+                                } else {
+                                    v >= lo
                                 }
-                                None => false,
-                            },
-                        );
-                    if narrowed.size() < other_domain.size() {
-                        self.domains.insert(other.clone(), narrowed);
-                        self.record_shrink(prefix, cond, &other);
+                            }
+                            None => false,
+                        });
+                    if let Some(narrowed) = narrowed {
+                        self.shrink(prefix, cond, other, narrowed);
                         changed = true;
                         if self.unsat {
                             return changed;
@@ -269,22 +272,13 @@ impl Solver {
                 changed
             }
             _ => {
-                let key = cond.key().to_owned();
-                let domain = self.domain_or_unbound(&key);
-                let can_unbound = domain.can_unbound && eval_single(cond, None) == keep_matching;
-                let values: Vec<ConfigValue> = domain
-                    .values
-                    .iter()
-                    .filter(|v| eval_single(cond, Some(v)) == keep_matching)
-                    .cloned()
-                    .collect();
-                let narrowed = Domain::new(can_unbound, values);
-                if narrowed.size() < domain.size() {
-                    self.domains.insert(key.clone(), narrowed);
-                    self.record_shrink(prefix, cond, &key);
-                    true
-                } else {
-                    false
+                let keep = |v: Option<&ConfigValue>| cond.matches_value(v) == keep_matching;
+                match filter_domain(self.domain(cond.key()), keep) {
+                    Some(narrowed) => {
+                        self.shrink(prefix, cond, cond.key(), narrowed);
+                        true
+                    }
+                    None => false,
                 }
             }
         }
@@ -292,7 +286,7 @@ impl Solver {
 
     /// Asserts a guard condition: the space keeps only configurations that
     /// may satisfy it.
-    pub(crate) fn require(&mut self, cond: &Condition) -> bool {
+    pub(crate) fn require(&mut self, cond: &'k Condition) -> bool {
         self.narrow(cond, true, "require")
     }
 
@@ -305,10 +299,8 @@ impl Solver {
                 default,
                 other_default,
             } => {
-                let key_bounds =
-                    int_bounds(&self.domain_or_unbound(cond.key()), cond.key(), *default);
-                let other_bounds =
-                    int_bounds(&self.domain_or_unbound(other), other, *other_default);
+                let key_bounds = int_bounds(self.domain(cond.key()), *default);
+                let other_bounds = int_bounds(self.domain(other), *other_default);
                 match (key_bounds, other_bounds) {
                     (Some((klo, khi)), Some((olo, ohi))) => {
                         if klo > ohi {
@@ -323,11 +315,10 @@ impl Solver {
                 }
             }
             _ => {
-                let domain = self.domain_or_unbound(cond.key());
                 let mut any_true = false;
                 let mut any_false = false;
-                for candidate in domain.candidates() {
-                    if eval_single(cond, candidate) {
+                for candidate in self.domain(cond.key()).candidates() {
+                    if cond.matches_value(candidate) {
                         any_true = true;
                     } else {
                         any_false = true;
@@ -353,7 +344,7 @@ impl Solver {
     /// constraint whose conditions are all forced [`Status::True`] proves
     /// the space unsatisfiable, and one with a single undecided condition
     /// forces that condition false.
-    pub(crate) fn solve(&mut self, guard: &[Condition], constraints: &ConstraintSet) {
+    pub(crate) fn solve(&mut self, guard: &'k [Condition], constraints: &[&'k ConfigConstraint]) {
         for cond in guard {
             self.require(cond);
             if self.unsat {
@@ -370,16 +361,30 @@ impl Solver {
                     return;
                 }
             }
-            for constraint in constraints.constraints() {
-                let statuses: Vec<Status> = constraint
-                    .conditions()
-                    .iter()
-                    .map(|c| self.status(c))
-                    .collect();
-                if statuses.contains(&Status::False) {
-                    continue; // The conflict is already avoided.
+            for &constraint in constraints {
+                let conditions = constraint.conditions();
+                // The conflict is already avoided when any condition is
+                // forced false; otherwise count the undecided ones.
+                let mut undecided = 0usize;
+                let mut last_undecided = 0usize;
+                let mut avoided = false;
+                for (i, cond) in conditions.iter().enumerate() {
+                    match self.status(cond) {
+                        Status::False => {
+                            avoided = true;
+                            break;
+                        }
+                        Status::Unknown => {
+                            undecided += 1;
+                            last_undecided = i;
+                        }
+                        Status::True => {}
+                    }
                 }
-                if statuses.iter().all(|s| *s == Status::True) {
+                if avoided {
+                    continue;
+                }
+                if undecided == 0 {
                     self.chain.push(format!(
                         "every remaining configuration violates constraint \"{}\" -> unsatisfiable",
                         constraint.reason()
@@ -387,14 +392,8 @@ impl Solver {
                     self.unsat = true;
                     return;
                 }
-                let undecided: Vec<usize> = statuses
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, s)| **s == Status::Unknown)
-                    .map(|(i, _)| i)
-                    .collect();
-                if let [only] = undecided.as_slice() {
-                    let cond = &constraint.conditions()[*only];
+                if undecided == 1 {
+                    let cond = &conditions[last_undecided];
                     let prefix = format!("constraint \"{}\" forbids", constraint.reason());
                     changed |= self.narrow(cond, false, &prefix);
                     if self.unsat {
@@ -409,22 +408,32 @@ impl Solver {
     }
 }
 
-/// Keeps the candidates whose integer view passes `keep`.
-fn filter_by_int(domain: &Domain, key: &str, default: i64, keep: impl Fn(i64) -> bool) -> Domain {
-    let can_unbound = domain.can_unbound && keep(int_view(key, None, default));
+/// The candidates of `domain` that pass `keep`, or `None` when all of
+/// them do (nothing to narrow).
+fn filter_domain(domain: &Domain, keep: impl Fn(Option<&ConfigValue>) -> bool) -> Option<Domain> {
+    let can_unbound = domain.can_unbound && keep(None);
+    if can_unbound == domain.can_unbound && domain.values.iter().all(|v| keep(Some(v))) {
+        return None;
+    }
     let values = domain
         .values
         .iter()
-        .filter(|v| keep(int_view(key, Some(v), default)))
+        .filter(|v| keep(Some(v)))
         .cloned()
         .collect();
-    Domain::new(can_unbound, values)
+    Some(Domain::new(can_unbound, values))
+}
+
+/// The candidates whose integer view passes `keep`, or `None` when all of
+/// them do.
+fn filter_by_int(domain: &Domain, default: i64, keep: impl Fn(i64) -> bool) -> Option<Domain> {
+    filter_domain(domain, |v| keep(ConfigValue::int_or(v, default)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cmfuzz_config_model::ConfigConstraint;
+    use cmfuzz_config_model::{ConstraintSet, ResolvedConfig};
 
     fn ints(vals: &[i64]) -> Vec<ConfigValue> {
         vals.iter().map(|v| ConfigValue::Int(*v)).collect()
@@ -434,17 +443,18 @@ mod tests {
         ConfigValue::Str(v.to_owned())
     }
 
-    fn space(entries: &[(&str, bool, Vec<ConfigValue>)]) -> BTreeMap<String, Domain> {
+    fn space(entries: &[(&'static str, bool, Vec<ConfigValue>)]) -> BTreeMap<&'static str, Domain> {
         entries
             .iter()
-            .map(|(k, unbound, vals)| ((*k).to_owned(), Domain::new(*unbound, vals.clone())))
+            .map(|(k, unbound, vals)| (*k, Domain::new(*unbound, vals.clone())))
             .collect()
     }
 
     #[test]
     fn require_filters_candidates_and_unbound() {
+        let within = Condition::int_within("n", 4, 10, 0);
         let mut solver = Solver::new(space(&[("n", true, ints(&[0, 5, 10]))]));
-        solver.require(&Condition::int_within("n", 4, 10, 0));
+        solver.require(&within);
         let d = &solver.domains()["n"];
         assert!(!d.can_unbound, "default 0 fails [4, 10]");
         assert_eq!(d.values, ints(&[5, 10]));
@@ -459,8 +469,9 @@ mod tests {
 
     #[test]
     fn emptied_domain_is_unsat_with_chain() {
+        let mode_b = Condition::str_is("mode", "b", "a");
         let mut solver = Solver::new(space(&[("mode", false, vec![str_val("a")])]));
-        solver.require(&Condition::str_is("mode", "b", "a"));
+        solver.require(&mode_b);
         assert!(solver.is_unsat());
         assert!(solver
             .chain()
@@ -506,8 +517,10 @@ mod tests {
                 Condition::str_is("auth", "external", "none"),
             ],
         ));
+        let guard = [Condition::bool_is("tls", true, false)];
+        let linked: Vec<_> = constraints.constraints().iter().collect();
         let mut solver = Solver::new(domains);
-        solver.solve(&[Condition::bool_is("tls", true, false)], &constraints);
+        solver.solve(&guard, &linked);
         assert!(!solver.is_unsat());
         let auth = &solver.domains()["auth"];
         assert_eq!(auth.values, vec![str_val("plain")]);
@@ -526,8 +539,10 @@ mod tests {
             "tls unsupported",
             vec![Condition::bool_is("tls", true, false)],
         ));
+        let guard = [Condition::bool_is("tls", true, false)];
+        let linked: Vec<_> = constraints.constraints().iter().collect();
         let mut solver = Solver::new(domains);
-        solver.solve(&[Condition::bool_is("tls", true, false)], &constraints);
+        solver.solve(&guard, &linked);
         assert!(solver.is_unsat());
         assert!(solver
             .chain()
@@ -542,12 +557,10 @@ mod tests {
             ("frag", true, ints(&[100, 200, 300])),
             ("max", false, ints(&[150, 250])),
         ]);
-        let mut solver = Solver::new(domains);
         // frag (default 100) must exceed max.
-        solver.solve(
-            &[Condition::int_above_item("frag", "max", 100, 0)],
-            &ConstraintSet::new(),
-        );
+        let guard = [Condition::int_above_item("frag", "max", 100, 0)];
+        let mut solver = Solver::new(domains);
+        solver.solve(&guard, &[]);
         assert!(!solver.is_unsat());
         let frag = &solver.domains()["frag"];
         // 100 (bound and unbound) cannot exceed min(max)=150.
@@ -574,8 +587,8 @@ mod tests {
     #[test]
     fn domain_render_is_canonical() {
         let d = Domain::new(true, ints(&[1, 2]));
-        assert_eq!(d.render(), "{unbound, 1, 2}");
-        assert_eq!(Domain::new(false, Vec::new()).render(), "{}");
+        assert_eq!(d.to_string(), "{unbound, 1, 2}");
+        assert_eq!(Domain::new(false, Vec::new()).to_string(), "{}");
     }
 
     /// Lockstep with the private `LIST_SCAN` in `cmfuzz_config_model`: a

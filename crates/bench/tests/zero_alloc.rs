@@ -1,9 +1,9 @@
 //! Gates: the coverage feedback path, a steady-state session iteration,
 //! a warm datagram link's bursts, field mutations, corpus picks, lookups
 //! of registered metric names and the evaluation of the servers' declared
-//! startup conditions perform **zero** heap allocations, and warm
-//! networked batches (the path campaigns run) fewer than one per thousand
-//! sessions.
+//! startup conditions perform **zero** heap allocations, warm networked
+//! batches (the path campaigns run) fewer than one per thousand sessions,
+//! and relation quantification fewer than one per startup probe.
 //!
 //! A counting global allocator backs the claims of DESIGN.md §8.3–§8.4.
 //! Its counter is thread-local, so allocations made by the test harness's
@@ -13,11 +13,15 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
 
+use cmfuzz::relation::{quantify_target, RelationOptions};
 use cmfuzz_bench::NullTarget;
-use cmfuzz_config_model::{extract_model, Condition, ConfigValue, GuardKind, ResolvedConfig};
-use cmfuzz_coverage::{BranchId, CoverageMap, CoverageSnapshot};
+use cmfuzz_config_model::{
+    extract_model, Condition, ConfigSpace, ConfigValue, GuardKind, ResolvedConfig,
+};
+use cmfuzz_coverage::{BranchId, CoverageMap, CoverageProbe, CoverageSnapshot};
 use cmfuzz_fuzzer::{
-    pit, AddOutcome, Corpus, EngineConfig, FuzzEngine, ModelId, MutationPlan, Mutator, Seed, Target,
+    pit, AddOutcome, Corpus, EngineConfig, FuzzEngine, ModelId, MutationPlan, Mutator, Seed,
+    StartError, Target, TargetResponse,
 };
 use cmfuzz_netsim::LinkConditions;
 use cmfuzz_protocols::{all_specs, DatagramLink, NetworkedTarget, Transport};
@@ -382,4 +386,64 @@ fn startup_declarations_evaluate_without_allocating() {
         conditions.len(),
         configs.len()
     );
+}
+
+/// Counts the boots of the target it wraps.
+struct CountingBoots<T> {
+    inner: T,
+    boots: u64,
+}
+
+impl<T: Target> Target for CountingBoots<T> {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn branch_count(&self) -> usize {
+        self.inner.branch_count()
+    }
+
+    fn config_space(&self) -> ConfigSpace {
+        self.inner.config_space()
+    }
+
+    fn start(&mut self, config: &ResolvedConfig, probe: CoverageProbe) -> Result<(), StartError> {
+        self.boots += 1;
+        self.inner.start(config, probe)
+    }
+
+    fn begin_session(&mut self) {
+        self.inner.begin_session();
+    }
+
+    fn handle(&mut self, input: &[u8]) -> TargetResponse {
+        self.inner.handle(input)
+    }
+}
+
+#[test]
+fn relation_quantification_allocates_less_than_once_per_probe() {
+    // The boots themselves allocate a little (a refused boot's reason);
+    // everything quantification adds around them (maps, snapshots, probe
+    // configurations, known sets) must be reused across probes.
+    for spec in all_specs() {
+        let mut target = CountingBoots {
+            inner: (spec.build)(),
+            boots: 0,
+        };
+        let model = extract_model(&target.config_space());
+        let options = RelationOptions::default();
+        black_box(quantify_target(&mut target, &model, &options));
+        target.boots = 0;
+        let allocs = count_allocs(1, || {
+            black_box(quantify_target(&mut target, &model, &options));
+        });
+        let probes = target.boots;
+        assert!(probes > 0, "{} was never booted", spec.name);
+        assert!(
+            allocs < probes,
+            "{}: quantification made {allocs} allocations over {probes} startup probes",
+            spec.name
+        );
+    }
 }

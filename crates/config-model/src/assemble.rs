@@ -54,9 +54,15 @@ impl ResolvedConfig {
         config
     }
 
-    /// Binds `name` to `value`, replacing any previous binding.
+    /// Binds `name` to `value`, replacing any previous binding. Rebinding
+    /// a bound name keeps its key allocation.
     pub fn set(&mut self, name: &str, value: ConfigValue) {
-        self.values.insert(name.to_owned(), value);
+        match self.values.get_mut(name) {
+            Some(slot) => *slot = value,
+            None => {
+                self.values.insert(name.to_owned(), value);
+            }
+        }
     }
 
     /// Removes the binding for `name`, returning it if present.
@@ -71,40 +77,23 @@ impl ResolvedConfig {
     }
 
     /// Boolean accessor with fallback; numeric bindings are truthy when
-    /// non-zero, string bindings parse leniently.
+    /// non-zero, string bindings parse leniently ([`ConfigValue::bool_or`]).
     #[must_use]
     pub fn bool_or(&self, name: &str, default: bool) -> bool {
-        match self.values.get(name) {
-            Some(ConfigValue::Bool(b)) => *b,
-            Some(ConfigValue::Int(i)) => *i != 0,
-            Some(ConfigValue::Float(f)) => *f != 0.0,
-            Some(ConfigValue::Str(s)) => match ConfigValue::parse(s) {
-                ConfigValue::Bool(b) => b,
-                _ => default,
-            },
-            None => default,
-        }
+        ConfigValue::bool_or(self.values.get(name), default)
     }
 
-    /// Integer accessor with fallback; booleans coerce to 0/1.
+    /// Integer accessor with fallback; booleans coerce to 0/1
+    /// ([`ConfigValue::int_or`]).
     #[must_use]
     pub fn int_or(&self, name: &str, default: i64) -> i64 {
-        match self.values.get(name) {
-            Some(ConfigValue::Int(i)) => *i,
-            Some(ConfigValue::Float(f)) if f.fract() == 0.0 => *f as i64,
-            Some(ConfigValue::Bool(b)) => i64::from(*b),
-            Some(ConfigValue::Str(s)) => s.trim().parse().unwrap_or(default),
-            _ => default,
-        }
+        ConfigValue::int_or(self.values.get(name), default)
     }
 
-    /// String accessor with fallback.
+    /// String accessor with fallback ([`ConfigValue::str_or`]).
     #[must_use]
     pub fn str_or<'a>(&'a self, name: &str, default: &'a str) -> &'a str {
-        match self.values.get(name) {
-            Some(ConfigValue::Str(s)) => s,
-            _ => default,
-        }
+        ConfigValue::str_or(self.values.get(name), default)
     }
 
     /// The string members of the indexed list `{key}[0]` … `{key}[7]`, in

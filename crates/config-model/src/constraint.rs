@@ -15,11 +15,12 @@
 //! the same set: `start()` refuses with the reason of the first
 //! constraint a configuration violates.
 //!
-//! Evaluation uses the same lenient accessors the servers' own config
-//! parsing uses ([`ResolvedConfig::bool_or`], [`ResolvedConfig::int_or`],
-//! [`ResolvedConfig::str_or`], [`ResolvedConfig::list_members`]), with
-//! the same per-item defaults, so a condition reads a value exactly as
-//! the server that declares it does.
+//! Evaluation uses the same lenient coercions the servers' own config
+//! parsing uses ([`ConfigValue::bool_or`], [`ConfigValue::int_or`],
+//! [`ConfigValue::str_or`], which the [`ResolvedConfig`] accessors
+//! delegate to, and [`ResolvedConfig::list_members`]), with the same
+//! per-item defaults, so a condition reads a value exactly as the server
+//! that declares it does.
 //!
 //! # Examples
 //!
@@ -45,7 +46,7 @@
 use std::fmt;
 
 use crate::assemble::LIST_SLOTS;
-use crate::ResolvedConfig;
+use crate::{ConfigValue, ResolvedConfig};
 
 /// How one configuration item must look for a [`Condition`] to match.
 ///
@@ -293,40 +294,79 @@ impl Condition {
     #[must_use]
     pub fn matches(&self, config: &ResolvedConfig) -> bool {
         match &self.predicate {
-            Predicate::BoolIs { expected, default } => {
-                config.bool_or(&self.key, *default) == *expected
-            }
-            Predicate::IntEquals { expected, default } => {
-                config.int_or(&self.key, *default) == *expected
-            }
-            Predicate::IntBelow { limit, default } => config.int_or(&self.key, *default) < *limit,
-            Predicate::IntWithin { min, max, default } => {
-                let v = config.int_or(&self.key, *default);
-                v >= *min && v <= *max
-            }
-            Predicate::IntOutside { min, max, default } => {
-                let v = config.int_or(&self.key, *default);
-                v < *min || v > *max
-            }
             Predicate::IntAboveItem {
                 other,
                 default,
                 other_default,
-            } => config.int_or(&self.key, *default) > config.int_or(other, *other_default),
-            Predicate::StrIs { expected, default } => config.str_or(&self.key, default) == expected,
-            Predicate::StrIn { any_of, default } => {
-                let v = config.str_or(&self.key, default);
-                any_of.iter().any(|s| s == v)
-            }
-            Predicate::StrNotIn { allowed, default } => {
-                let v = config.str_or(&self.key, default);
-                !allowed.iter().any(|s| s == v)
+            } => {
+                ConfigValue::int_or(config.get(&self.key), *default)
+                    > ConfigValue::int_or(config.get(other), *other_default)
             }
             Predicate::ListHasOrEmpty { value } => {
                 let mut members = config.list_members(&self.key).peekable();
                 members.peek().is_none() || members.any(|m| m == value)
             }
             Predicate::ListLacks { value } => !config.list_members(&self.key).any(|m| m == value),
+            _ => self.matches_value(config.get(&self.key)),
+        }
+    }
+
+    /// Whether this condition holds on a configuration that binds only its
+    /// own key, to `value` (`None`: nothing is bound). A cross-item
+    /// comparison then reads the other item's default, and a list
+    /// predicate sees an empty list.
+    ///
+    /// Equal to [`Condition::matches`] on that one-binding configuration,
+    /// without building it.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use cmfuzz_config_model::{Condition, ConfigValue};
+    ///
+    /// let cond = Condition::int_within("port", 1, 65535, 1883);
+    /// assert!(cond.matches_value(None), "the default is in range");
+    /// assert!(!cond.matches_value(Some(&ConfigValue::Int(0))));
+    /// ```
+    #[must_use]
+    pub fn matches_value(&self, value: Option<&ConfigValue>) -> bool {
+        match &self.predicate {
+            Predicate::BoolIs { expected, default } => {
+                ConfigValue::bool_or(value, *default) == *expected
+            }
+            Predicate::IntEquals { expected, default } => {
+                ConfigValue::int_or(value, *default) == *expected
+            }
+            Predicate::IntBelow { limit, default } => ConfigValue::int_or(value, *default) < *limit,
+            Predicate::IntWithin { min, max, default } => {
+                let v = ConfigValue::int_or(value, *default);
+                v >= *min && v <= *max
+            }
+            Predicate::IntOutside { min, max, default } => {
+                let v = ConfigValue::int_or(value, *default);
+                v < *min || v > *max
+            }
+            Predicate::IntAboveItem {
+                other,
+                default,
+                other_default,
+            } => {
+                let other_value = if *other == self.key { value } else { None };
+                ConfigValue::int_or(value, *default)
+                    > ConfigValue::int_or(other_value, *other_default)
+            }
+            Predicate::StrIs { expected, default } => {
+                ConfigValue::str_or(value, default) == expected
+            }
+            Predicate::StrIn { any_of, default } => {
+                let v = ConfigValue::str_or(value, default);
+                any_of.iter().any(|s| s == v)
+            }
+            Predicate::StrNotIn { allowed, default } => {
+                let v = ConfigValue::str_or(value, default);
+                !allowed.iter().any(|s| s == v)
+            }
+            Predicate::ListHasOrEmpty { .. } | Predicate::ListLacks { .. } => true,
         }
     }
 
@@ -334,7 +374,6 @@ impl Condition {
     /// (best effort; leaves `config` alone when the condition already
     /// matches, e.g. because its default satisfies it).
     pub fn bind_witness(&self, config: &mut ResolvedConfig) {
-        use crate::ConfigValue;
         if self.matches(config) {
             return;
         }
@@ -548,7 +587,6 @@ impl ConstraintSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ConfigValue;
 
     fn tls_conflict() -> ConfigConstraint {
         ConfigConstraint::new(

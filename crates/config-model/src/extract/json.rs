@@ -2,6 +2,11 @@
 
 use crate::{ConfigItem, ItemSource};
 
+/// The deepest nesting of arrays and objects [`extract_json`] reads, as the
+/// control plane's JSON parser bounds its own. Configuration files nest a
+/// few levels; a hostile one might nest a hundred thousand.
+const MAX_DEPTH: usize = 64;
+
 /// Extracts items from a JSON configuration file by recursively walking the
 /// structure and flattening nested keys into dotted paths (Algorithm 1's
 /// `ExtractHierarchical` for JSON).
@@ -10,7 +15,9 @@ use crate::{ConfigItem, ItemSource};
 /// elements recurse with `parent[index]` paths. `null` extracts as an empty
 /// value. Malformed JSON yields the items found up to the error point — the
 /// extractor is intentionally forgiving, since real-world configuration
-/// files are often sloppy.
+/// files are often sloppy. So does a document nesting arrays and objects
+/// more than 64 levels deep: parsing stops at the first container past the
+/// bound, which keeps a hostile file from overflowing the stack.
 ///
 /// # Examples
 ///
@@ -32,6 +39,7 @@ pub fn extract_json(file_name: &str, content: &str) -> Vec<ConfigItem> {
     let mut parser = Parser {
         bytes: content.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     parser.skip_ws();
     let mut items = Vec::new();
@@ -88,6 +96,8 @@ fn flatten(path: &str, value: &Json, source: &ItemSource, out: &mut Vec<ConfigIt
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -128,8 +138,22 @@ impl Parser<'_> {
     fn parse_value(&mut self) -> Option<Json> {
         self.skip_ws();
         match self.peek()? {
-            b'{' => self.parse_object(),
-            b'[' => self.parse_array(),
+            open @ (b'{' | b'[') => {
+                if self.depth == MAX_DEPTH {
+                    // Past the bound: an empty container, which flattens
+                    // to nothing. The position stays on the opening byte,
+                    // so every enclosing container ends here too.
+                    return Some(Json::Array(Vec::new()));
+                }
+                self.depth += 1;
+                let value = if open == b'{' {
+                    self.parse_object()
+                } else {
+                    self.parse_array()
+                };
+                self.depth -= 1;
+                value
+            }
             b'"' => self.parse_string().map(Json::String),
             b't' => self.eat_literal("true").then_some(Json::Bool(true)),
             b'f' => self.eat_literal("false").then_some(Json::Bool(false)),
@@ -349,6 +373,36 @@ mod tests {
         assert!(items.len() <= 1);
         assert!(extract_json("t.json", "not json").is_empty());
         assert!(extract_json("t.json", "").is_empty());
+    }
+
+    #[test]
+    fn nesting_past_the_bound_keeps_the_items_found_so_far() {
+        let deepest = format!(
+            r#"{{"a": {}1{}}}"#,
+            "[".repeat(MAX_DEPTH - 1),
+            "]".repeat(MAX_DEPTH - 1)
+        );
+        let names = names_values(&deepest);
+        assert_eq!(names.len(), 1, "{MAX_DEPTH} levels are read");
+        assert_eq!(names[0].1, "1");
+
+        let too_deep = format!(
+            r#"{{"a": 1, "b": {}2{}, "c": 3}}"#,
+            "[".repeat(MAX_DEPTH),
+            "]".repeat(MAX_DEPTH)
+        );
+        assert_eq!(
+            names_values(&too_deep),
+            vec![("a".to_owned(), "1".to_owned())]
+        );
+
+        // A hundred thousand levels would overflow the stack unbounded.
+        assert!(extract_json("deep.json", &"[".repeat(100_000)).is_empty());
+        let hostile = format!(r#"{{"x": true, "y": {}"#, "{\"k\": ".repeat(100_000));
+        assert_eq!(
+            names_values(&hostile),
+            vec![("x".to_owned(), "true".to_owned())]
+        );
     }
 
     #[test]

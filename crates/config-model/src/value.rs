@@ -158,11 +158,80 @@ impl ConfigValue {
             _ => None,
         }
     }
+
+    /// The boolean an optional binding reads as, `default` when unbound:
+    /// numbers are truthy when non-zero, and strings parse leniently
+    /// (`yes`/`on`/`true` and their negations, any case).
+    ///
+    /// This is the one boolean coercion: [`ResolvedConfig::bool_or`] and
+    /// every [`Condition`] read values through it.
+    ///
+    /// [`ResolvedConfig::bool_or`]: crate::ResolvedConfig::bool_or
+    /// [`Condition`]: crate::Condition
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use cmfuzz_config_model::ConfigValue;
+    ///
+    /// assert!(ConfigValue::bool_or(Some(&ConfigValue::Str("On".into())), false));
+    /// assert!(!ConfigValue::bool_or(Some(&ConfigValue::Int(0)), true));
+    /// assert!(ConfigValue::bool_or(None, true));
+    /// ```
+    #[must_use]
+    pub fn bool_or(value: Option<&ConfigValue>, default: bool) -> bool {
+        match value {
+            Some(ConfigValue::Bool(b)) => *b,
+            Some(ConfigValue::Int(i)) => *i != 0,
+            Some(ConfigValue::Float(f)) => *f != 0.0,
+            Some(ConfigValue::Str(s)) => {
+                let word = s.trim();
+                let is = |words: [&str; 3]| words.iter().any(|w| word.eq_ignore_ascii_case(w));
+                if is(["true", "yes", "on"]) {
+                    true
+                } else if is(["false", "no", "off"]) {
+                    false
+                } else {
+                    default
+                }
+            }
+            None => default,
+        }
+    }
+
+    /// The integer an optional binding reads as, `default` when unbound or
+    /// not integral: booleans coerce to 0/1 and strings parse after
+    /// trimming.
+    #[must_use]
+    pub fn int_or(value: Option<&ConfigValue>, default: i64) -> i64 {
+        match value {
+            Some(ConfigValue::Int(i)) => *i,
+            Some(ConfigValue::Float(f)) if f.fract() == 0.0 => *f as i64,
+            Some(ConfigValue::Bool(b)) => i64::from(*b),
+            Some(ConfigValue::Str(s)) => s.trim().parse().unwrap_or(default),
+            _ => default,
+        }
+    }
+
+    /// The string an optional binding reads as: its text when it is a
+    /// `Str`, otherwise `default`.
+    #[must_use]
+    pub fn str_or<'a>(value: Option<&'a ConfigValue>, default: &'a str) -> &'a str {
+        match value {
+            Some(ConfigValue::Str(s)) => s,
+            _ => default,
+        }
+    }
 }
 
 impl fmt::Display for ConfigValue {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.render())
+        match self {
+            ConfigValue::Bool(b) => write!(f, "{b}"),
+            ConfigValue::Int(i) => write!(f, "{i}"),
+            ConfigValue::Float(x) => write!(f, "{x}"),
+            ConfigValue::Str(s) => f.write_str(s),
+        }
     }
 }
 

@@ -17,15 +17,15 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use cmfuzz_analyze::{
-    analyze_graph, analyze_models, analyze_partitions, analyze_reachability, analyze_resolved,
+    analyze_graph, analyze_models, analyze_partitions, analyze_reachability_over, analyze_resolved,
     analyze_session_plans, Diagnostic, GraphView, PartitionView, ReachAnalysis, ReachSpace, Report,
     Severity,
 };
-use cmfuzz_config_model::{extract_model, ConfigValue};
+use cmfuzz_config_model::{extract_model, ConfigModel, ConfigValue, ConstraintSet};
 use cmfuzz_coverage::Ticks;
 use cmfuzz_fuzzer::pit::{self, PitDefinition};
 use cmfuzz_fuzzer::Target;
-use cmfuzz_protocols::ProtocolSpec;
+use cmfuzz_protocols::{ProtocolSpec, ProtocolTarget};
 use cmfuzz_telemetry::Telemetry;
 
 use crate::campaign::InstanceSetup;
@@ -82,7 +82,7 @@ pub fn preflight_campaign(
         })
         .collect();
     report.merge(analyze_partitions(spec.name, &partitions, &model));
-    report.merge(analyze_reachability_for(spec, setups).into_report());
+    report.merge(reach_for(spec, &target, &model, &constraints, setups).into_report());
     report.sort();
     record(&report, telemetry);
     report
@@ -179,23 +179,29 @@ impl CampaignReach {
 #[must_use]
 pub fn analyze_reachability_for(spec: &ProtocolSpec, setups: &[InstanceSetup]) -> CampaignReach {
     let target = (spec.build)();
-    let guards = target.branch_guards();
     let model = extract_model(&target.config_space());
-    let constraints = target.config_constraints();
+    reach_for(spec, &target, &model, &target.config_constraints(), setups)
+}
+
+/// [`analyze_reachability_for`] over a target already built, with its
+/// extracted model and declared constraints.
+fn reach_for(
+    spec: &ProtocolSpec,
+    target: &ProtocolTarget,
+    model: &ConfigModel,
+    constraints: &ConstraintSet,
+    setups: &[InstanceSetup],
+) -> CampaignReach {
     let branch_count = target.branch_count();
-    let instances = setups
-        .iter()
-        .map(|setup| {
-            analyze_reachability(
-                spec.name,
-                &guards,
-                &constraints,
-                &model,
-                branch_count,
-                &partition_space(setup),
-            )
-        })
-        .collect();
+    let spaces: Vec<ReachSpace> = setups.iter().map(partition_space).collect();
+    let instances = analyze_reachability_over(
+        spec.name,
+        &target.branch_guards(),
+        constraints,
+        model,
+        branch_count,
+        &spaces,
+    );
     CampaignReach {
         subject: spec.name.to_owned(),
         branch_count,
@@ -270,7 +276,11 @@ pub struct FleetEntryView<'a> {
 #[must_use]
 pub fn analyze_fleet_schedule(entries: &[FleetEntryView<'_>]) -> Report {
     let mut report = Report::new();
-    let mut seen: std::collections::BTreeMap<&str, usize> = std::collections::BTreeMap::new();
+    let mut seen: BTreeMap<&str, usize> = BTreeMap::new();
+    // Each distinct pit document is parsed once. The key is the document
+    // text, not the subject name: two entries may share a name over
+    // different documents.
+    let mut parsed: BTreeMap<&str, Result<PitDefinition, pit::ParsePitError>> = BTreeMap::new();
     for (index, entry) in entries.iter().enumerate() {
         let path = format!("fleet:{index}:{}", entry.id);
         if let Some(first) = seen.insert(entry.id, index) {
@@ -296,7 +306,11 @@ pub fn analyze_fleet_schedule(entries: &[FleetEntryView<'_>]) -> Report {
                 "drop the entry or give it a positive budget",
             ));
         }
-        match pit::parse(entry.spec.pit_document) {
+        let document = entry.spec.pit_document;
+        match parsed
+            .entry(document)
+            .or_insert_with(|| pit::parse(document))
+        {
             Err(error) => report.push(Diagnostic::new(
                 "CM052",
                 Severity::Error,
@@ -305,11 +319,11 @@ pub fn analyze_fleet_schedule(entries: &[FleetEntryView<'_>]) -> Report {
                 &format!("subject pit does not parse: {error}"),
                 "fix the registry pit document before scheduling the campaign",
             )),
-            Ok(parsed) => {
+            Ok(pit) => {
                 for setup in entry.setups {
                     report.merge(analyze_session_plans(
                         entry.spec.name,
-                        &parsed,
+                        pit,
                         &setup.session_plans,
                     ));
                 }

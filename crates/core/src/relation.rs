@@ -60,10 +60,12 @@ impl Default for RelationOptions {
 /// caller-supplied probe function, and returns the normalized
 /// relation-aware graph.
 ///
-/// `probe` receives a configuration binding a value assignment and returns
-/// the startup coverage snapshot, or `None` when the target failed to
-/// start (conflicting configuration — contributes zero, per the paper).
-/// Pairs whose weight is zero across all combinations get no edge.
+/// `probe` receives a configuration binding a value assignment, writes the
+/// startup coverage into the caller's snapshot, and returns whether the
+/// target booted. A configuration that fails to start (a conflicting
+/// configuration) contributes zero coverage, per the paper, whatever the
+/// probe left in the snapshot. Pairs whose weight is zero across all
+/// combinations get no edge.
 ///
 /// # Examples
 ///
@@ -77,9 +79,10 @@ impl Default for RelationOptions {
 ///     files: vec![],
 /// });
 /// // A toy probe: branch 0 always; branch 1 only when both items are set.
-/// let graph = quantify_with(&model, &RelationOptions::default(), |config| {
+/// let graph = quantify_with(&model, &RelationOptions::default(), |config, out| {
 ///     let hits: Vec<usize> = if config.len() == 2 { vec![0, 1] } else { vec![0] };
-///     Some(CoverageSnapshot::from_hits(2, hits))
+///     *out = CoverageSnapshot::from_hits(2, hits);
+///     true
 /// });
 /// assert_eq!(graph.edge_count(), 1);
 /// assert_eq!(graph.weight_between("a", "b"), Some(1.0));
@@ -90,37 +93,46 @@ pub fn quantify_with<F>(
     mut probe: F,
 ) -> RelationGraph
 where
-    F: FnMut(&ResolvedConfig) -> Option<CoverageSnapshot>,
+    F: FnMut(&ResolvedConfig, &mut CoverageSnapshot) -> bool,
 {
     let mut graph = RelationGraph::new();
     let mutable: Vec<_> = model.mutable_entities().collect();
     for entity in &mutable {
         graph.add_node(entity.name());
     }
-    let baseline = probe(&ResolvedConfig::new());
-    let capacity = baseline.as_ref().map_or(0, CoverageSnapshot::capacity);
-    let empty = CoverageSnapshot::empty(capacity);
-    let baseline = baseline.unwrap_or_else(|| empty.clone());
+    // One configuration, rebound in place for every solo and pair probe.
+    let mut config = ResolvedConfig::new();
+    let mut baseline = CoverageSnapshot::empty(0);
+    if !probe(&config, &mut baseline) {
+        baseline.clear_to_capacity(0);
+    }
+    // A configuration that fails to boot reads as empty coverage at the
+    // baseline's capacity.
+    let capacity = baseline.capacity();
+    let mut run = |config: &ResolvedConfig, out: &mut CoverageSnapshot| {
+        if !probe(config, out) {
+            out.clear_to_capacity(capacity);
+        }
+    };
 
     // Solo coverage per (entity, value): what that value reaches when set
     // alone. The interaction term of a combination subtracts the union of
     // the *specific* values' solo coverage.
-    let solo: Vec<Vec<CoverageSnapshot>> = mutable
-        .iter()
-        .map(|entity| {
-            entity
-                .values()
-                .iter()
-                .take(options.values_per_entity)
-                .map(|value| {
-                    let mut config = ResolvedConfig::new();
-                    config.set(entity.name(), value.clone());
-                    probe(&config).unwrap_or_else(|| empty.clone())
-                })
-                .collect()
-        })
-        .collect();
+    let mut solo: Vec<Vec<CoverageSnapshot>> = Vec::with_capacity(mutable.len());
+    for entity in &mutable {
+        let mut row = Vec::with_capacity(options.values_per_entity);
+        for value in entity.values().iter().take(options.values_per_entity) {
+            config.set(entity.name(), value.clone());
+            let mut snapshot = CoverageSnapshot::empty(capacity);
+            run(&config, &mut snapshot);
+            row.push(snapshot);
+        }
+        config.unset(entity.name());
+        solo.push(row);
+    }
 
+    let mut pair = CoverageSnapshot::empty(capacity);
+    let mut known = CoverageSnapshot::empty(capacity);
     for (i, first) in mutable.iter().enumerate() {
         for (j, second) in mutable.iter().enumerate().skip(i + 1) {
             let mut best_abs = 0usize;
@@ -133,18 +145,17 @@ where
                 .take(options.values_per_entity)
                 .enumerate()
             {
+                config.set(first.name(), v1.clone());
                 for (vj, v2) in second
                     .values()
                     .iter()
                     .take(options.values_per_entity)
                     .enumerate()
                 {
-                    let mut config = ResolvedConfig::new();
-                    config.set(first.name(), v1.clone());
                     config.set(second.name(), v2.clone());
-                    let pair = probe(&config).unwrap_or_else(|| empty.clone());
+                    run(&config, &mut pair);
                     // Known set: baseline ∪ solo(first=v1) ∪ solo(second=v2).
-                    let mut known = baseline.clone();
+                    known.clone_from(&baseline);
                     known.union_with(&solo[i][vi]);
                     known.union_with(&solo[j][vj]);
                     best_abs = best_abs.max(pair.covered_count());
@@ -153,6 +164,7 @@ where
                     combos += 1;
                 }
             }
+            config.unset(second.name());
             let weight = match options.mode {
                 WeightMode::Interaction => best_interaction as f64,
                 WeightMode::MaxAbsolute => best_abs as f64,
@@ -170,13 +182,15 @@ where
                 graph.add_edge(first.name(), second.name(), weight);
             }
         }
+        config.unset(first.name());
     }
     graph.normalize_weights();
     graph
 }
 
 /// Quantifies relation weights against a real [`Target`]: each combination
-/// boots the target on a fresh coverage map and measures startup coverage.
+/// boots the target on one coverage map, reset before every boot, and
+/// measures startup coverage.
 ///
 /// # Examples
 ///
@@ -186,13 +200,26 @@ pub fn quantify_target<T: Target + ?Sized>(
     model: &ConfigModel,
     options: &RelationOptions,
 ) -> RelationGraph {
-    quantify_with(model, options, |config| {
-        let map = CoverageMap::new(target.branch_count());
-        match target.start(config, map.probe()) {
-            Ok(()) => Some(map.snapshot()),
-            Err(_) => None,
-        }
+    let map = CoverageMap::new(target.branch_count());
+    quantify_with(model, options, |config, out| {
+        boot_into(target, &map, config, out)
     })
+}
+
+/// Boots `target` under `config` on `map`, cleared first, and on success
+/// copies the startup coverage into `out`. Returns whether it booted.
+pub(crate) fn boot_into<T: Target + ?Sized>(
+    target: &mut T,
+    map: &CoverageMap,
+    config: &ResolvedConfig,
+    out: &mut CoverageSnapshot,
+) -> bool {
+    map.reset();
+    let booted = target.start(config, map.probe()).is_ok();
+    if booted {
+        map.snapshot_into(out);
+    }
+    booted
 }
 
 #[cfg(test)]
@@ -215,7 +242,10 @@ mod tests {
     #[test]
     fn all_zero_pairs_get_no_edge() {
         let model = toy_model(&["--a=1", "--b=2", "--c=3"]);
-        let graph = quantify_with(&model, &RelationOptions::default(), |_| Some(snap(8, &[])));
+        let graph = quantify_with(&model, &RelationOptions::default(), |_, out| {
+            *out = snap(8, &[]);
+            true
+        });
         assert_eq!(graph.edge_count(), 0);
         assert_eq!(graph.node_count(), 3, "nodes exist even without edges");
     }
@@ -223,7 +253,7 @@ mod tests {
     #[test]
     fn failed_starts_count_as_zero() {
         let model = toy_model(&["--a=1", "--b=2"]);
-        let graph = quantify_with(&model, &RelationOptions::default(), |_| None);
+        let graph = quantify_with(&model, &RelationOptions::default(), |_, _| false);
         assert_eq!(graph.edge_count(), 0);
     }
 
@@ -232,7 +262,7 @@ mod tests {
         let model = toy_model(&["--a=1", "--b=2", "--c=3"]);
         // Branch 0 baseline; branch 1 when `a` set, 2 when `b`, 3 when `c`;
         // branch 4 only when a AND b are set together.
-        let graph = quantify_with(&model, &RelationOptions::default(), |config| {
+        let graph = quantify_with(&model, &RelationOptions::default(), |config, out| {
             let mut hits = vec![0usize];
             if config.get("a").is_some() {
                 hits.push(1);
@@ -246,7 +276,8 @@ mod tests {
             if config.get("a").is_some() && config.get("b").is_some() {
                 hits.push(4);
             }
-            Some(snap(8, &hits))
+            *out = snap(8, &hits);
+            true
         });
         assert_eq!(graph.edge_count(), 1, "only the synergistic pair");
         assert_eq!(graph.weight_between("a", "b"), Some(1.0));
@@ -259,14 +290,15 @@ mod tests {
         // change); setting both replaces with joint branch 2. The set-based
         // interaction still sees the joint branch.
         let model = toy_model(&["--a=1", "--b=2"]);
-        let graph = quantify_with(&model, &RelationOptions::default(), |config| {
+        let graph = quantify_with(&model, &RelationOptions::default(), |config, out| {
             let hits: Vec<usize> = match (config.get("a").is_some(), config.get("b").is_some()) {
                 (false, false) => vec![0],
                 (true, false) => vec![1],
                 (false, true) => vec![0, 3],
                 (true, true) => vec![1, 2, 3],
             };
-            Some(snap(8, &hits))
+            *out = snap(8, &hits);
+            true
         });
         assert_eq!(graph.edge_count(), 1);
     }
@@ -280,7 +312,10 @@ mod tests {
                 values_per_entity: 2,
                 mode: WeightMode::MaxAbsolute,
             },
-            |_| Some(snap(4, &[0, 1])),
+            |_, out| {
+                *out = snap(4, &[0, 1]);
+                true
+            },
         );
         assert_eq!(graph.edge_count(), 3, "all pairs have coverage");
     }
@@ -295,13 +330,14 @@ mod tests {
                 values_per_entity: 2,
                 mode: WeightMode::Mean,
             },
-            |config| {
+            |config, out| {
                 if config.len() == 2 {
                     pair_calls += 1;
-                    Some(snap(8, &[0, 1]))
+                    *out = snap(8, &[0, 1]);
                 } else {
-                    Some(snap(8, &[0]))
+                    *out = snap(8, &[0]);
                 }
+                true
             },
         );
         assert_eq!(pair_calls, 4, "2x2 combinations probed");
@@ -318,11 +354,12 @@ mod tests {
                 values_per_entity: 2,
                 mode: WeightMode::Interaction,
             },
-            |config| {
+            |config, out| {
                 if config.len() == 2 {
                     pair_calls += 1;
                 }
-                Some(snap(4, &[0]))
+                *out = snap(4, &[0]);
+                true
             },
         );
         assert_eq!(pair_calls, 4);
@@ -331,7 +368,10 @@ mod tests {
     #[test]
     fn immutable_entities_are_excluded() {
         let model = toy_model(&["--a=1", "--certfile=/x/y.crt"]);
-        let graph = quantify_with(&model, &RelationOptions::default(), |_| Some(snap(4, &[0])));
+        let graph = quantify_with(&model, &RelationOptions::default(), |_, out| {
+            *out = snap(4, &[0]);
+            true
+        });
         assert_eq!(graph.node_count(), 1, "path entity excluded");
         assert_eq!(graph.edge_count(), 0);
     }

@@ -2,7 +2,7 @@
 //! reassemble per-instance configurations.
 
 use cmfuzz_config_model::{extract_model, ConfigModel, ResolvedConfig};
-use cmfuzz_coverage::{CoverageMap, Ticks};
+use cmfuzz_coverage::{CoverageMap, CoverageSnapshot, Ticks};
 use cmfuzz_fuzzer::Target;
 use cmfuzz_telemetry::Telemetry;
 use rand::rngs::StdRng;
@@ -11,7 +11,7 @@ use rand::SeedableRng;
 
 use crate::allocation::{allocate, AllocationOptions};
 use crate::graph::RelationGraph;
-use crate::relation::{quantify_target, RelationOptions};
+use crate::relation::{boot_into, quantify_target, RelationOptions};
 
 /// How entities are grouped across instances; `RelationAware` is CMFuzz,
 /// `Random` is the ablation control.
@@ -165,21 +165,21 @@ fn choose_group_values<T: Target + ?Sized>(
     entities: &[String],
 ) -> (ResolvedConfig, u64) {
     let mut probes: u64 = 0;
-    let mut probe = |target: &mut T, config: &ResolvedConfig| {
+    let map = CoverageMap::new(target.branch_count());
+    let mut snapshot = CoverageSnapshot::empty(target.branch_count());
+    let mut probe = |target: &mut T, config: &ResolvedConfig, out: &mut CoverageSnapshot| {
         probes += 1;
-        let map = CoverageMap::new(target.branch_count());
-        target
-            .start(config, map.probe())
-            .ok()
-            .map(|()| map.snapshot())
+        boot_into(target, &map, config, out)
     };
 
     // Score candidates by the startup branches they reach BEYOND the stock
     // default boot — set difference, not raw counts, so a value that
     // replaces a default branch with a new one still registers as
     // progress.
-    let default_baseline = probe(target, &ResolvedConfig::new())
-        .unwrap_or_else(|| cmfuzz_coverage::CoverageSnapshot::empty(target.branch_count()));
+    let mut default_baseline = CoverageSnapshot::empty(target.branch_count());
+    if !probe(target, &ResolvedConfig::new(), &mut default_baseline) {
+        default_baseline.clear_to_capacity(target.branch_count());
+    }
 
     // Start from defaults for every group member.
     let mut config = ResolvedConfig::new();
@@ -188,8 +188,14 @@ fn choose_group_values<T: Target + ?Sized>(
             config.set(name, entity.default_value().clone());
         }
     }
-    let mut best = probe(target, &config).map_or(0, |s| s.newly_covered(&default_baseline));
+    let mut best = if probe(target, &config, &mut snapshot) {
+        snapshot.newly_covered(&default_baseline)
+    } else {
+        0
+    };
 
+    // Each entity in turn: rebind it in place to every other typical value,
+    // then bind the best one (or restore the current one).
     for name in entities {
         let Some(entity) = model.entity(name) else {
             continue;
@@ -203,9 +209,8 @@ fn choose_group_values<T: Target + ?Sized>(
             if Some(value) == current.as_ref() {
                 continue;
             }
-            let mut candidate = config.clone();
-            candidate.set(name, value.clone());
-            if let Some(snapshot) = probe(target, &candidate) {
+            config.set(name, value.clone());
+            if probe(target, &config, &mut snapshot) {
                 let novelty = snapshot.newly_covered(&default_baseline);
                 if novelty > best {
                     best = novelty;
@@ -213,14 +218,17 @@ fn choose_group_values<T: Target + ?Sized>(
                 }
             }
         }
-        if let Some(value) = best_value {
-            config.set(name, value);
+        match best_value {
+            Some(value) => config.set(name, value),
+            None => {
+                config.unset(name);
+            }
         }
     }
 
     // Guarantee the chosen configuration boots; fall back to defaults-only
     // if greedy search somehow landed on a conflict.
-    if probe(target, &config).is_none() {
+    if !probe(target, &config, &mut snapshot) {
         let mut fallback = ResolvedConfig::new();
         for name in entities {
             if let Some(entity) = model.entity(name) {

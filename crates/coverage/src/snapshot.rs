@@ -24,10 +24,26 @@ use crate::BranchId;
 /// assert_eq!(after.newly_covered(&before), 1);
 /// assert!(before.is_subset_of(&after));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct CoverageSnapshot {
     capacity: usize,
     words: Vec<u64>,
+}
+
+/// `clone_from` reuses the destination's word buffer, so refilling a
+/// scratch snapshot of the same capacity does not touch the heap.
+impl Clone for CoverageSnapshot {
+    fn clone(&self) -> Self {
+        CoverageSnapshot {
+            capacity: self.capacity,
+            words: self.words.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.capacity = source.capacity;
+        self.words.clone_from(&source.words);
+    }
 }
 
 impl CoverageSnapshot {

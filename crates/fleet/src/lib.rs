@@ -211,12 +211,6 @@ impl FleetResult {
         self.campaigns.iter().map(CampaignOutcome::branches).sum()
     }
 
-    /// How many campaigns ran to their own budget.
-    #[must_use]
-    pub fn completed_count(&self) -> usize {
-        self.campaigns.iter().filter(|c| c.completed).count()
-    }
-
     /// Whether every campaign exhausted its own budget.
     #[must_use]
     pub fn all_complete(&self) -> bool {

@@ -77,13 +77,6 @@ impl Fault {
         self.detail = detail.to_owned();
         self
     }
-
-    /// The deduplication key used by triage: `(kind, function)`, the same
-    /// granularity Table II reports bugs at.
-    #[must_use]
-    pub fn dedup_key(&self) -> (FaultKind, &str) {
-        (self.kind, &self.function)
-    }
 }
 
 impl fmt::Display for Fault {

@@ -584,10 +584,10 @@ mod tests {
         }
     }
 
-    /// Lockstep gate between the declarative constraints and the
-    /// imperative `start` checks: every declared conflict must actually
-    /// refuse to boot, and a clean configuration must both boot and pass
-    /// the declared set.
+    /// The servers boot from their declared constraints, so this checks
+    /// each declaration's witness against the gate that evaluates it: every
+    /// declared conflict's witness must violate it and refuse to boot, and
+    /// the stock configuration must both boot and pass the declared set.
     #[test]
     fn declared_constraints_match_start_behaviour() {
         for spec in crate::all_specs() {

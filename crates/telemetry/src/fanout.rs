@@ -99,12 +99,6 @@ impl FanoutSubscriber {
         self.state.locked().drain(..).collect()
     }
 
-    /// Removes and returns the oldest queued record, if any.
-    #[must_use]
-    pub fn try_next(&self) -> Option<EventRecord> {
-        self.state.locked().pop_front()
-    }
-
     /// Records currently queued (published but not yet polled).
     #[must_use]
     pub fn lag(&self) -> usize {
